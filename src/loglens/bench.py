@@ -289,16 +289,6 @@ class BenchReport:
                 test_s=sum(x.test_s for x in rows) / len(rows),
                 seed=self.seed))
 
-    def best_f1(self, detector: str, semantics: bool | None = None,
-                setting: str | None = None) -> float:
-        candidates = [r.f1 for r in self.rows
-                      if r.run == "best" and r.detector == detector
-                      and (semantics is None or r.semantics == semantics)
-                      and (setting is None or r.setting == setting)]
-        if not candidates:
-            raise KeyError(f"no best row for {detector}")
-        return max(candidates)
-
     def to_csv(self) -> str:
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")

@@ -89,7 +89,12 @@ _SCHEMA = {
     "jobs": int,
 }
 
+# a section given in part gets each missing key from here
 _DEFAULTS = {
+    "dataset": {
+        "format": "parsed",
+        "partition": {"mode": "identifier", "partition_size": 0, "stride": 0},
+    },
     "window": {"window_size": 10, "step_size": 1},
     "experiment": "accuracy",
     "repeats": 1,
@@ -122,6 +127,26 @@ def _check_node(doc, schema, pointer: str) -> None:
                                        f"got {type(doc).__name__}")
 
 
+def _fill_defaults(doc: dict, defaults: dict) -> None:
+    for key, value in defaults.items():
+        if isinstance(value, dict):
+            _fill_defaults(doc.setdefault(key, {}), value)
+        else:
+            doc.setdefault(key, value)
+
+
+def _env_seed() -> int | None:
+    """The LOGLENS_SEED override, if set."""
+    value = os.environ.get("LOGLENS_SEED")
+    if value is None:
+        return None
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigurationError(
+            f"LOGLENS_SEED must be an integer, got {value!r}") from None
+
+
 def validate_run_config(doc: dict) -> dict:
     """Validate against the schema (unknown keys rejected) and fill defaults."""
     _check_node(doc, _SCHEMA, "")
@@ -132,11 +157,7 @@ def validate_run_config(doc: dict) -> dict:
     if "detectors" not in doc or not doc["detectors"]:
         raise SchemaError("/detectors", "at least one detector required")
     resolved = json.loads(json.dumps(doc))  # deep copy
-    for key, value in _DEFAULTS.items():
-        resolved.setdefault(key, value)
-    resolved["dataset"].setdefault("format", "parsed")
-    resolved["dataset"].setdefault(
-        "partition", {"mode": "identifier", "partition_size": 0, "stride": 0})
+    _fill_defaults(resolved, _DEFAULTS)
     window = resolved["window"]
     for i, det in enumerate(resolved["detectors"]):
         if det.get("family") not in FAMILIES:
@@ -145,9 +166,9 @@ def validate_run_config(doc: dict) -> dict:
         det.setdefault("window_size", window["window_size"])
         det.setdefault("step_size", window["step_size"])
         det.setdefault("seed", resolved["seed"])
-    env_seed = os.environ.get("LOGLENS_SEED")
+    env_seed = _env_seed()
     if env_seed is not None:
-        resolved["seed"] = int(env_seed)
+        resolved["seed"] = env_seed
         resolved["seed_source"] = "LOGLENS_SEED"
     return resolved
 
@@ -168,8 +189,7 @@ def _load_dataset(resolved: dict):
     else:
         raise SchemaError("/dataset/format", "must be 'parsed' or 'raw'")
     part = ds["partition"]
-    spec = PartitionSpec(part["mode"], part.get("partition_size", 0),
-                         part.get("stride", 0))
+    spec = PartitionSpec(part["mode"], part["partition_size"], part["stride"])
     return partition(records, spec), vocab
 
 
@@ -202,9 +222,9 @@ def cmd_partition(args) -> int:
 
 def cmd_syngen(args) -> int:
     doc = json.loads(Path(args.spec).read_text(encoding="utf-8")) if args.spec else {}
-    env_seed = os.environ.get("LOGLENS_SEED")
+    env_seed = _env_seed()
     if env_seed is not None:
-        doc["seed"] = int(env_seed)
+        doc["seed"] = env_seed
     spec = GeneratorSpec(**doc)
     dataset = generate(spec)
     dataset.write(args.out)

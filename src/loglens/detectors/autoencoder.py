@@ -9,15 +9,16 @@ from __future__ import annotations
 
 import math
 import time
+from itertools import pairwise
 
 import numpy as np
 
-from ..autodiff import Adam, ParamSet, Tensor, linear, mse, relu
+from ..autodiff import ParamSet, Tensor, linear, mse, relu
 from ..exceptions import StateError, TrainingError
 from ..ingest import EventVocabulary
-from ..rng import Rng, derive_seed
-from ..sequencing import EventSequence, Window, WindowSpec, make_windows
-from .base import WINDOW, BaseDetector, Verdict, combine_window_verdicts
+from ..rng import derive_seed
+from ..sequencing import EventSequence, Window
+from .base import WINDOW, BaseDetector, Verdict
 
 
 def nearest_rank_quantile(values, q: float) -> float:
@@ -59,33 +60,17 @@ class AutoencoderDetector(BaseDetector):
 
     # features ---------------------------------------------------------------
 
-    def _feature_rows(self, vocab: EventVocabulary | None) -> np.ndarray:
-        """Per-event feature rows: identity (one-hot) or semantic vectors."""
-        if self.encoder is not None and vocab is not None:
-            return self.encoder.table_for(vocab)
+    def _feature_rows(self, vocab: EventVocabulary | None) -> tuple[np.ndarray, int]:
+        """Per-event feature rows (one-hot or semantic vectors) and the id
+        space to encode events against."""
         if self.is_semantic:
-            return self.params_["input_table"].data
-        return np.eye(self.vocab_size_ + 1)
+            table, clamp = self._input_table(vocab)
+            return table.data, clamp
+        return np.eye(self.vocab_size_ + 1), self.vocab_size_
 
     def _window_features(self, windows_ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         gathered = rows[windows_ids]                      # (N, m, d)
         return gathered.reshape(windows_ids.shape[0], -1)
-
-    def _collect_ids(self, sequences: list[EventSequence], clamp: int
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Window id matrix plus a mask of windows from believed-normal
-        sequences (label missing or normal); only those calibrate the
-        threshold."""
-        spec = WindowSpec(self.window_size, self.step_size)
-        ids, normal = [], []
-        for seq in sequences:
-            for w in make_windows(seq, spec):
-                ids.append(self._encode_events(w.inputs, clamp))
-                normal.append(not seq.is_anomalous)
-        if not ids:
-            return (np.empty((0, self.window_size), dtype=np.int64),
-                    np.empty(0, dtype=bool))
-        return np.asarray(ids, dtype=np.int64), np.asarray(normal, dtype=bool)
 
     # training ----------------------------------------------------------------
 
@@ -93,9 +78,10 @@ class AutoencoderDetector(BaseDetector):
         start = time.perf_counter()
         n = len(vocab)
         self.vocab_size_ = n
-        ids, normal_mask = self._collect_ids(sequences, n)
+        ids, _, owner, _ = self._windows(sequences)
         if ids.shape[0] == 0:
             raise TrainingError("no training windows: every sequence is too short")
+        ids = np.minimum(ids, n)
 
         params = ParamSet(derive_seed(self.seed, self.family))
         if self.encoder is not None:
@@ -117,39 +103,28 @@ class AutoencoderDetector(BaseDetector):
         params.uniform("dec.w2", (self.hidden, feature_dim), fan_in=self.hidden)
         params.zeros("dec.b2", (feature_dim,))
         self.params_ = params
-        self.feature_dim_ = feature_dim
 
         # hold out a normal validation slice for threshold calibration;
         # windows from labeled-anomalous sequences never calibrate it
-        order_rng = Rng(derive_seed(self.seed, self.family, "order"))
+        order_rng = self._order_rng()
         perm = order_rng.permutation(ids.shape[0])
-        normal_positions = [i for i in perm if normal_mask[i]]
-        if not normal_positions:
+        normal = ~np.asarray([seq.is_anomalous for seq in sequences], dtype=bool)[owner]
+        normal_order = perm[normal[perm]]
+        if normal_order.size == 0:
             raise TrainingError("validation slice is empty: no normal windows")
         val_count = max(1, int(round(self.validation_fraction * ids.shape[0])))
-        val_positions = set(normal_positions[:val_count])
-        val_ids = ids[sorted(val_positions)]
-        train_ids = ids[[i for i in perm if i not in val_positions]]
+        val_positions = np.sort(normal_order[:val_count])
+        train_ids = ids[perm[~np.isin(perm, val_positions)]]
 
         features = self._window_features(train_ids, rows)
-        optimizer = Adam(self.lr)
-        losses = []
-        count = features.shape[0]
-        for _ in range(self.epochs):
-            epoch_perm = order_rng.permutation(count)
-            total = 0.0
-            for lo in range(0, count, self.batch_size):
-                batch = features[epoch_perm[lo:lo + self.batch_size]]
-                x = Tensor(batch)
-                loss = mse(self._reconstruct(params, x), x)
-                params.zero_grad()
-                loss.backward()
-                optimizer.step(params)
-                total += loss.item() * batch.shape[0]
-            losses.append(total / count if count else 0.0)
-        self.epoch_losses_ = losses
 
-        val_errors = self._errors_for_ids(val_ids, rows)
+        def batch_loss(batch):
+            x = Tensor(features[batch])
+            return mse(self._reconstruct(params, x), x)
+
+        self.epoch_losses_ = self._train(params, features.shape[0], batch_loss,
+                                         order_rng)
+        val_errors = self._errors_for_ids(ids[val_positions], rows)
         self.threshold_ = nearest_rank_quantile(val_errors, self.threshold_quantile)
         self.training_seconds_ = time.perf_counter() - start
         return self
@@ -179,10 +154,8 @@ class AutoencoderDetector(BaseDetector):
     def reconstruction_error(self, window: Window,
                              vocab: EventVocabulary | None = None) -> float:
         self._require_fitted()
-        rows = self._feature_rows(vocab)
-        clamp = len(vocab) if (self.encoder is not None and vocab is not None) \
-            else self.vocab_size_
-        ids = np.asarray([self._encode_events(window.inputs, clamp)], dtype=np.int64)
+        rows, clamp = self._feature_rows(vocab)
+        ids = np.minimum(np.asarray([window.inputs], dtype=np.int64), clamp)
         return float(self._errors_for_ids(ids, rows)[0])
 
     def detect_window(self, window: Window,
@@ -199,23 +172,14 @@ class AutoencoderDetector(BaseDetector):
                 vocab: EventVocabulary | None = None) -> list[Verdict]:
         if getattr(self, "threshold_", None) is None:
             raise StateError("autoencoder threshold not set; fit the detector first")
-        rows = self._feature_rows(vocab)
-        clamp = len(vocab) if (self.encoder is not None and vocab is not None) \
-            else self.vocab_size_
-        spec = WindowSpec(self.window_size, self.step_size)
-        verdicts = []
-        for seq in sequences:
-            windows = make_windows(seq, spec)
-            if not windows:
-                verdicts.append(combine_window_verdicts([]))
-                continue
-            ids = np.asarray([self._encode_events(w.inputs, clamp) for w in windows],
-                             dtype=np.int64)
-            errors = self._errors_for_ids(ids, rows)
-            window_verdicts = [
-                Verdict(level=WINDOW, anomalous=float(e) > self.threshold_,
-                        score=float(e), position=w.position)
-                for e, w in zip(errors, windows)
-            ]
-            verdicts.append(combine_window_verdicts(window_verdicts))
-        return verdicts
+        rows, clamp = self._feature_rows(vocab)
+        ids, _, owner, positions = self._windows(sequences)
+        ids = np.minimum(ids, clamp)
+        # one scoring call per sequence: the error of a window depends in its
+        # last bits on how many rows share the call
+        bounds = np.searchsorted(owner, np.arange(len(sequences) + 1))
+        errors = np.empty(len(ids))
+        for lo, hi in pairwise(bounds):
+            errors[lo:hi] = self._errors_for_ids(ids[lo:hi], rows)
+        return self._sequence_verdicts(len(sequences), owner, positions,
+                                       errors > self.threshold_, errors)

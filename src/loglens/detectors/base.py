@@ -1,20 +1,25 @@
-"""Shared detector machinery: estimator parameter handling, verdicts, and the
-window-to-sequence decision rule."""
+"""Shared detector machinery: estimator parameter handling, the training
+loop, verdicts, and the window-to-sequence decision rule."""
 
 from __future__ import annotations
 
 import inspect
+import logging
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
-from ..autodiff import Tensor
+from ..autodiff import Adam, ParamSet, Tensor
 from ..exceptions import StateError
 from ..ingest import EventVocabulary
-from ..sequencing import EventSequence, SemanticEncoder, encode_indices
+from ..rng import Rng, derive_seed
+from ..sequencing import EventSequence, SemanticEncoder, WindowSpec, window_arrays
 
 WINDOW = "window"
 SEQUENCE = "sequence"
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -105,9 +110,66 @@ class BaseDetector:
             return Tensor(encoder.table_for(vocab)), len(vocab)
         return self.params_["input_table"], self.vocab_size_
 
-    def _encode_events(self, events: list[int], clamp: int) -> list[int]:
-        return encode_indices(events, clamp)
+    def _input_params(self, ps: ParamSet, vocab: EventVocabulary) -> int:
+        """Register the input table (frozen semantic vectors or a trainable
+        embedding) and return the width of its rows."""
+        if self.encoder is not None:
+            ps.constant("input_table", self.encoder.table_for(vocab))
+            return self.encoder.dim
+        ps.uniform("input_table", (vocab.n_ids, self.embed_dim), fan_in=self.embed_dim)
+        return self.embed_dim
 
-    def fit_predict(self, sequences: list[EventSequence], vocab: EventVocabulary,
-                    **predict_kwargs) -> list[Verdict]:
-        return self.fit(sequences, vocab).predict(sequences, **predict_kwargs)
+    # training and scoring ---------------------------------------------------
+
+    def _order_rng(self) -> Rng:
+        return Rng(derive_seed(self.seed, self.family, "order"))
+
+    def _train(self, params: ParamSet, count: int, batch_loss,
+               order_rng: Rng) -> list[float]:
+        """Mini-batch Adam over ``count`` examples for ``self.epochs`` epochs,
+        reshuffled each epoch from ``order_rng``. ``batch_loss(index)`` returns
+        the mean loss of the examples at ``index``; the result is each
+        epoch's mean loss."""
+        optimizer = Adam(self.lr)
+        losses = []
+        for _ in range(self.epochs):
+            perm = order_rng.permutation(count)
+            total = 0.0
+            for lo in range(0, count, self.batch_size):
+                batch = perm[lo:lo + self.batch_size]
+                loss = batch_loss(batch)
+                params.zero_grad()
+                loss.backward()
+                optimizer.step(params)
+                total += loss.item() * len(batch)
+            losses.append(total / count if count else 0.0)
+        return losses
+
+    def _windows(self, sequences: list[EventSequence]):
+        return window_arrays(sequences, WindowSpec(self.window_size, self.step_size))
+
+    def _softmax(self, table, ids: np.ndarray) -> np.ndarray:
+        """Class probabilities of the fitted model for each row of ``ids``."""
+        logits = self._logits(self.params_, table, ids).data
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        e = np.exp(shifted)
+        return e / e.sum(axis=1, keepdims=True)
+
+    def _sequence_verdicts(self, n_sequences: int, owner: np.ndarray,
+                           positions: np.ndarray, anomalous: np.ndarray,
+                           scores: np.ndarray) -> list[Verdict]:
+        """Combine window verdicts, given in sequence order with the index of
+        their ``owner`` sequence, into one verdict per sequence. Sequences
+        without a window carry no evidence and are verdicted normal."""
+        windows = [Verdict(level=WINDOW, anomalous=a, score=score, position=p)
+                   for a, score, p in zip(anomalous.tolist(),
+                                          scores.astype(float).tolist(),
+                                          positions.tolist())]
+        short = n_sequences - len(np.unique(owner))
+        if short:
+            logger.debug("%d of %d sequences have no window (<= window size "
+                         "%d events); verdicted normal", short, n_sequences,
+                         self.window_size)
+        bounds = np.searchsorted(owner, np.arange(n_sequences + 1)).tolist()
+        return [combine_window_verdicts(windows[lo:hi])
+                for lo, hi in pairwise(bounds)]

@@ -16,7 +16,7 @@ from ..autodiff import load_params, save_params
 from ..exceptions import ConfigurationError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
-from ..sequencing import SemanticEncoder, WindowSpec
+from ..sequencing import SemanticEncoder
 from .autoencoder import AutoencoderDetector
 from .forecast import LstmForecastDetector, TransformerForecastDetector
 from .supervised import BilstmAttentionDetector, CnnDetector
@@ -63,10 +63,6 @@ class DetectorConfig:
         if self.embed_dim is not None:
             return self.embed_dim
         return DEFAULT_SEMANTIC_DIM if self.semantics else 16
-
-    @property
-    def window_spec(self) -> WindowSpec:
-        return WindowSpec(self.window_size, self.step_size)
 
     @property
     def name(self) -> str:
@@ -166,7 +162,6 @@ def load_detector(directory):
     params.load_values(values)
     detector.params_ = params
     detector.vocab_size_ = int(sidecar["vocab_size"])
-    detector.n_classes_ = detector.vocab_size_ + 1
     if sidecar.get("threshold") is not None:
         detector.threshold_ = float(sidecar["threshold"])
     if sidecar.get("training_seconds") is not None:

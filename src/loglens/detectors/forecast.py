@@ -10,13 +10,11 @@ space.
 
 from __future__ import annotations
 
-import logging
 import time
 
 import numpy as np
 
 from ..autodiff import (
-    Adam,
     ParamSet,
     Tensor,
     attention_params,
@@ -31,11 +29,9 @@ from ..autodiff import (
 )
 from ..exceptions import TrainingError
 from ..ingest import EventVocabulary
-from ..rng import Rng, derive_seed
-from ..sequencing import EventSequence, Window, WindowSpec, make_windows
-from .base import WINDOW, BaseDetector, Verdict, combine_window_verdicts, target_ranks
-
-logger = logging.getLogger(__name__)
+from ..rng import derive_seed
+from ..sequencing import EventSequence, Window
+from .base import WINDOW, BaseDetector, Verdict, target_ranks
 
 
 class _ForecastBase(BaseDetector):
@@ -49,70 +45,37 @@ class _ForecastBase(BaseDetector):
 
     # training -------------------------------------------------------------
 
-    def _collect_windows(self, sequences: list[EventSequence], clamp: int):
-        spec = WindowSpec(self.window_size, self.step_size)
-        inputs, targets = [], []
-        for seq in sequences:
-            for w in make_windows(seq, spec):
-                inputs.append(self._encode_events(w.inputs, clamp))
-                targets.append(w.target if w.target < clamp else clamp)
-        if not inputs:
-            return np.empty((0, self.window_size), dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.asarray(inputs, dtype=np.int64), np.asarray(targets, dtype=np.int64)
-
     def fit(self, sequences: list[EventSequence], vocab: EventVocabulary):
         """Train next-event prediction on windows from (assumed normal)
         sequences; anomaly stripping is the caller's responsibility."""
         start = time.perf_counter()
         n = len(vocab)
-        ids, targets = self._collect_windows(sequences, n)
+        ids, targets, _, _ = self._windows(sequences)
         if ids.shape[0] == 0:
             raise TrainingError("no training windows: every sequence is too short")
+        ids, targets = np.minimum(ids, n), np.minimum(targets, n)
         self.vocab_size_ = n
-        self.n_classes_ = n + 1
         params = self._build_params(vocab)
         self.params_ = params
-        self.epoch_losses_ = self._train_loop(params, ids, targets)
+        table = params["input_table"]
+        self.epoch_losses_ = self._train(
+            params, ids.shape[0],
+            lambda batch: cross_entropy(self._logits(params, table, ids[batch]),
+                                        targets[batch]),
+            self._order_rng())
         self.training_seconds_ = time.perf_counter() - start
         return self
 
-    def _train_loop(self, params: ParamSet, ids: np.ndarray,
-                    targets: np.ndarray) -> list[float]:
-        table = params["input_table"]
-        optimizer = Adam(self.lr)
-        order_rng = Rng(derive_seed(self.seed, self.family, "order"))
-        losses = []
-        count = ids.shape[0]
-        for _ in range(self.epochs):
-            perm = order_rng.permutation(count)
-            total = 0.0
-            for lo in range(0, count, self.batch_size):
-                batch = perm[lo:lo + self.batch_size]
-                loss = cross_entropy(self._logits(params, table, ids[batch]),
-                                     targets[batch])
-                params.zero_grad()
-                loss.backward()
-                optimizer.step(params)
-                total += loss.item() * len(batch)
-            losses.append(total / count)
-        return losses
-
     # detection ------------------------------------------------------------
-
-    def _window_probs(self, ids: np.ndarray, table) -> np.ndarray:
-        logits = self._logits(self.params_, table, ids).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
 
     def detect_window(self, window: Window, vocab: EventVocabulary | None = None) -> Verdict:
         """Top-k verdict for one window: anomalous iff the observed target is
         not among the k most probable events (ties count as inside)."""
         self._require_fitted()
         table, clamp = self._input_table(vocab)
-        ids = np.asarray([self._encode_events(window.inputs, clamp)], dtype=np.int64)
-        target = window.target if window.target < self.vocab_size_ else self.vocab_size_
-        probs = self._window_probs(ids, table)
+        ids = np.minimum(np.asarray([window.inputs], dtype=np.int64), clamp)
+        target = min(window.target, self.vocab_size_)
+        probs = self._softmax(table, ids)
         rank = int(target_ranks(probs, np.asarray([target]))[0])
         return Verdict(level=WINDOW, anomalous=rank > self.k, score=float(rank),
                        position=window.position)
@@ -123,41 +86,15 @@ class _ForecastBase(BaseDetector):
         windows is; windowless (short) sequences are verdicted normal."""
         self._require_fitted()
         table, clamp = self._input_table(vocab)
-        spec = WindowSpec(self.window_size, self.step_size)
-        all_inputs, all_targets, bounds = [], [], []
-        for seq in sequences:
-            windows = make_windows(seq, spec)
-            if not windows:
-                # audit trail: short sequences carry no observable evidence
-                logger.debug("sequence %s has %d events (<= window size %d); "
-                             "verdicted normal", seq.origin, len(seq.events),
-                             spec.window_size)
-            start = len(all_inputs)
-            for w in windows:
-                all_inputs.append(self._encode_events(w.inputs, clamp))
-                all_targets.append(w.target if w.target < self.vocab_size_
-                                   else self.vocab_size_)
-            bounds.append((start, len(all_inputs),
-                           [w.position for w in windows]))
-
-        ranks = np.empty(len(all_inputs), dtype=np.int64)
-        if all_inputs:
-            ids = np.asarray(all_inputs, dtype=np.int64)
-            targets = np.asarray(all_targets, dtype=np.int64)
-            for lo in range(0, len(ids), 1024):
-                hi = min(lo + 1024, len(ids))
-                probs = self._window_probs(ids[lo:hi], table)
-                ranks[lo:hi] = target_ranks(probs, targets[lo:hi])
-
-        verdicts = []
-        for start, end, positions in bounds:
-            window_verdicts = [
-                Verdict(level=WINDOW, anomalous=int(r) > self.k, score=float(r),
-                        position=pos)
-                for r, pos in zip(ranks[start:end], positions)
-            ]
-            verdicts.append(combine_window_verdicts(window_verdicts))
-        return verdicts
+        ids, targets, owner, positions = self._windows(sequences)
+        ids = np.minimum(ids, clamp)
+        targets = np.minimum(targets, self.vocab_size_)
+        ranks = np.empty(len(ids), dtype=np.int64)
+        for lo in range(0, len(ids), 1024):
+            probs = self._softmax(table, ids[lo:lo + 1024])
+            ranks[lo:lo + 1024] = target_ranks(probs, targets[lo:lo + 1024])
+        return self._sequence_verdicts(len(sequences), owner, positions,
+                                       ranks > self.k, ranks)
 
 
 class LstmForecastDetector(_ForecastBase):
@@ -184,13 +121,7 @@ class LstmForecastDetector(_ForecastBase):
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
         ps = ParamSet(derive_seed(self.seed, self.family))
-        if self.encoder is not None:
-            ps.constant("input_table", self.encoder.table_for(vocab))
-            in_dim = self.encoder.dim
-        else:
-            ps.uniform("input_table", (vocab.n_ids, self.embed_dim),
-                       fan_in=self.embed_dim)
-            in_dim = self.embed_dim
+        in_dim = self._input_params(ps, vocab)
         for layer in range(self.layers):
             lstm_params(ps, f"lstm{layer}", in_dim, self.hidden)
             in_dim = self.hidden
@@ -231,13 +162,7 @@ class TransformerForecastDetector(_ForecastBase):
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
         ps = ParamSet(derive_seed(self.seed, self.family))
-        if self.encoder is not None:
-            ps.constant("input_table", self.encoder.table_for(vocab))
-            in_dim = self.encoder.dim
-        else:
-            ps.uniform("input_table", (vocab.n_ids, self.embed_dim),
-                       fan_in=self.embed_dim)
-            in_dim = self.embed_dim
+        in_dim = self._input_params(ps, vocab)
         ps.uniform("proj.w", (in_dim, self.hidden), fan_in=in_dim)
         ps.zeros("proj.b", (self.hidden,))
         for layer in range(self.layers):

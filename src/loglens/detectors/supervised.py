@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from ..autodiff import (
-    Adam,
     ParamSet,
     Tensor,
     concat,
@@ -26,8 +25,8 @@ from ..autodiff import (
 from ..autodiff.nn import conv_full_width
 from ..exceptions import ConfigurationError, TrainingError
 from ..ingest import EventVocabulary, LABEL_ANOMALY
-from ..rng import Rng, derive_seed
-from ..sequencing import EventSequence, pad_or_truncate
+from ..rng import derive_seed
+from ..sequencing import EventSequence, encode_indices, pad_or_truncate
 from .base import SEQUENCE, BaseDetector, Verdict
 
 
@@ -43,7 +42,7 @@ class _SupervisedBase(BaseDetector):
     def _padded_ids(self, sequences: list[EventSequence], clamp: int) -> np.ndarray:
         pad_id = clamp  # the reserved unknown id doubles as padding
         rows = [
-            pad_or_truncate(self._encode_events(seq.events, clamp), self.max_len, pad_id)
+            pad_or_truncate(encode_indices(seq.events, clamp), self.max_len, pad_id)
             for seq in sequences
         ]
         return np.asarray(rows, dtype=np.int64)
@@ -62,31 +61,13 @@ class _SupervisedBase(BaseDetector):
         self.params_ = params
 
         table = params["input_table"]
-        optimizer = Adam(self.lr)
-        order_rng = Rng(derive_seed(self.seed, self.family, "order"))
-        losses = []
-        count = ids.shape[0]
-        for _ in range(self.epochs):
-            perm = order_rng.permutation(count)
-            total = 0.0
-            for lo in range(0, count, self.batch_size):
-                batch = perm[lo:lo + self.batch_size]
-                loss = cross_entropy(self._logits(params, table, ids[batch]),
-                                     labels[batch])
-                params.zero_grad()
-                loss.backward()
-                optimizer.step(params)
-                total += loss.item() * len(batch)
-            losses.append(total / count)
-        self.epoch_losses_ = losses
+        self.epoch_losses_ = self._train(
+            params, ids.shape[0],
+            lambda batch: cross_entropy(self._logits(params, table, ids[batch]),
+                                        labels[batch]),
+            self._order_rng())
         self.training_seconds_ = time.perf_counter() - start
         return self
-
-    def _anomaly_probs(self, ids: np.ndarray, table) -> np.ndarray:
-        logits = self._logits(self.params_, table, ids).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return (e / e.sum(axis=1, keepdims=True))[:, 1]
 
     def classify(self, sequence: EventSequence,
                  vocab: EventVocabulary | None = None) -> Verdict:
@@ -102,19 +83,12 @@ class _SupervisedBase(BaseDetector):
         ids = self._padded_ids(sequences, clamp)
         verdicts = []
         for lo in range(0, ids.shape[0], 1024):
-            probs = self._anomaly_probs(ids[lo:lo + 1024], table)
+            probs = self._softmax(table, ids[lo:lo + 1024])[:, 1]
             verdicts.extend(
                 Verdict(level=SEQUENCE, anomalous=float(p) > 0.5, score=float(p))
                 for p in probs
             )
         return verdicts
-
-    def _input_params(self, ps: ParamSet, vocab: EventVocabulary) -> int:
-        if self.encoder is not None:
-            ps.constant("input_table", self.encoder.table_for(vocab))
-            return self.encoder.dim
-        ps.uniform("input_table", (vocab.n_ids, self.embed_dim), fan_in=self.embed_dim)
-        return self.embed_dim
 
 
 class BilstmAttentionDetector(_SupervisedBase):

@@ -113,7 +113,3 @@ class Rng:
             if r < acc:
                 return i
         return len(weights) - 1
-
-    def spawn(self, *tags: object) -> "Rng":
-        """Independent child stream identified by ``tags``."""
-        return Rng(derive_seed(self.seed, *tags))

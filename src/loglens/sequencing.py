@@ -138,6 +138,35 @@ def make_windows(seq: EventSequence, spec: WindowSpec) -> list[Window]:
     ]
 
 
+def window_arrays(sequences: list[EventSequence], spec: WindowSpec
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every window ``make_windows`` yields for ``sequences``, in the same
+    order, as arrays: inputs ``(N, m)``, targets ``(N,)``, the index of each
+    window's sequence ``(N,)`` and each target's position in it ``(N,)``.
+
+    Event ids are returned unclamped.
+    """
+    m, s = spec.window_size, spec.step_size
+    lengths = np.fromiter((len(seq.events) for seq in sequences), dtype=np.int64,
+                          count=len(sequences))
+    # targets sit at m, m+s, ... < L: ceil((L - m) / s) of them
+    counts = np.maximum(lengths - m + s - 1, 0) // s
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return np.empty((0, m), dtype=np.int64), empty, empty, empty
+    events = np.fromiter((e for seq in sequences for e in seq.events),
+                         dtype=np.int64, count=int(lengths.sum()))
+    owner = np.repeat(np.arange(len(sequences)), counts)
+    first_window = np.cumsum(counts) - counts
+    positions = m + s * (np.arange(total) - first_window[owner])
+    starts = np.cumsum(lengths) - lengths
+    # view row j is events[j:j + m + 1]: a window's inputs, then its target
+    rows = np.lib.stride_tricks.sliding_window_view(events, m + 1)[
+        starts[owner] + positions - m]
+    return rows[:, :m], rows[:, m], owner, positions
+
+
 def encode_indices(events: list[int], vocab_size: int) -> list[int]:
     """Clamp event ids to the vocabulary known at training time; anything
     beyond maps to the reserved unknown id (== vocab_size)."""
@@ -215,11 +244,6 @@ class SemanticEncoder:
         for i, template in enumerate(vocab.templates):
             table[i] = self.vector_for(template)
         return table
-
-
-def build_semantic_encoder(vocab: EventVocabulary, dim: int, seed: int,
-                           tfidf: bool = False) -> SemanticEncoder:
-    return SemanticEncoder(vocab, dim, seed, tfidf=tfidf)
 
 
 # ---------------------------------------------------------------------------

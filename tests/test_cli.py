@@ -228,6 +228,32 @@ class TestSchemaValidation:
         with pytest.raises(SchemaError, match="/detectors/0/family"):
             validate_run_config(doc)
 
+    def test_partial_window_section_takes_default_step(self, tmp_path):
+        csv_path = syn_csv(tmp_path, n_sequences=40)
+        config, doc = bench_config(tmp_path, csv_path, window={"window_size": 3})
+        resolved = validate_run_config(doc)
+        assert resolved["window"] == {"window_size": 3, "step_size": 1}
+        assert resolved["detectors"][0]["step_size"] == 1
+        assert main(["bench", "--config", str(config)]) == 0
+
+    def test_partial_partition_section_takes_default_mode(self, tmp_path):
+        csv_path = syn_csv(tmp_path, n_sequences=40)
+        dataset = {"path": str(csv_path), "partition": {"partition_size": 60}}
+        config, doc = bench_config(tmp_path, csv_path, dataset=dataset)
+        resolved = validate_run_config(doc)
+        assert resolved["dataset"]["partition"] == {
+            "mode": "identifier", "partition_size": 60, "stride": 0}
+        assert main(["bench", "--config", str(config)]) == 0
+
+    def test_non_integer_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):
+        csv_path = syn_csv(tmp_path, n_sequences=20)
+        config, _ = bench_config(tmp_path, csv_path)
+        monkeypatch.setenv("LOGLENS_SEED", "abc")
+        assert main(["bench", "--config", str(config)]) == 2
+        assert "LOGLENS_SEED" in capsys.readouterr().err
+        assert main(["syngen", "--out", str(tmp_path / "gen.csv")]) == 2
+        assert "LOGLENS_SEED" in capsys.readouterr().err
+
     def test_report_command_round_trip(self, tmp_path, capsys):
         csv_path = syn_csv(tmp_path, n_sequences=40)
         config, doc = bench_config(tmp_path, csv_path)
@@ -236,3 +262,50 @@ class TestSchemaValidation:
         assert main(["report", "--csv",
                      str(Path(doc["output_dir"]) / "report.csv")]) == 0
         assert "| lstm_forecast |" in capsys.readouterr().out
+
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "golden-report.csv"
+
+
+def golden_config(tmp_path) -> Path:
+    """Small accuracy run over all five families (supervised ones in both
+    input modes) on a dataset with short, windowless sequences."""
+    csv_path = tmp_path / "golden.csv"
+    generate(GeneratorSpec(n_templates=10, n_sequences=300, anomaly_rate=0.15,
+                           mean_length=10, seed=21)).write(csv_path)
+    small = {"hidden": 8, "embed_dim": 4, "epochs": 2, "batch_size": 16,
+             "lr": 0.02}
+    supervised = {**small, "max_len": 16, "epochs": 4, "lr": 0.05}
+    doc = {
+        "dataset": {"path": str(csv_path),
+                    "partition": {"mode": "identifier"}},
+        "window": {"window_size": 4, "step_size": 1},
+        "detectors": [
+            {"family": "lstm_forecast", "k": 3, "layers": 1, **small},
+            {"family": "transformer_forecast", "k": 3, "layers": 1, "heads": 2,
+             "step_size": 2, **small},
+            {"family": "autoencoder", "window_size": 3, "threshold_quantile": 0.95,
+             **small, "hidden": 16},
+            {"family": "bilstm_attention", **supervised},
+            {"family": "bilstm_attention", "semantics": True, **supervised},
+            {"family": "cnn", **supervised},
+            {"family": "cnn", "semantics": True, **supervised},
+        ],
+        "experiment": "accuracy",
+        "repeats": 2,
+        "seed": 5,
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "golden.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+class TestGoldenReport:
+    def test_report_matches_golden_bytes(self, tmp_path):
+        """Pins this platform's float results: refactors that should leave
+        results as they are must keep report.csv byte-identical. Another
+        numpy/BLAS build may round differently and need a fresh golden file."""
+        assert main(["bench", "--config", str(golden_config(tmp_path))]) == 0
+        got = (tmp_path / "out" / "report.csv").read_bytes()
+        assert got == GOLDEN_REPORT.read_bytes()

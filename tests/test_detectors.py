@@ -97,7 +97,7 @@ class TestSequenceVerdict:
 class TestForecastTraining:
     def test_repeating_pattern_predicts_successor(self):
         det = fast_lstm(epochs=15).fit(pattern_sequences(), VOCAB)
-        probs = det._window_probs(np.array([[0, 1]]), det.params_["input_table"])
+        probs = det._softmax(det.params_["input_table"], np.array([[0, 1]]))
         assert probs[0, 2] > 0.9
 
     def test_zero_epochs_leaves_params_at_init(self):

@@ -13,6 +13,7 @@ from loglens.sequencing import (
     pad_or_truncate,
     partition,
     read_sequences,
+    window_arrays,
     write_sequences,
 )
 
@@ -156,6 +157,33 @@ class TestMakeWindows:
                     for w in got:
                         assert w.inputs == events[w.position - m:w.position]
                         assert w.target == events[w.position]
+
+
+class TestWindowArrays:
+    def assert_matches_make_windows(self, sequences, spec):
+        inputs, targets, owner, positions = window_arrays(sequences, spec)
+        expected = [(i, w) for i, seq in enumerate(sequences)
+                    for w in make_windows(seq, spec)]
+        assert inputs.shape == (len(expected), spec.window_size)
+        assert inputs.tolist() == [w.inputs for _, w in expected]
+        assert targets.tolist() == [w.target for _, w in expected]
+        assert owner.tolist() == [i for i, _ in expected]
+        assert positions.tolist() == [w.position for _, w in expected]
+
+    def test_equals_make_windows_over_oracle_grid(self):
+        for length in range(0, 51):
+            seq = EventSequence(list(range(100, 100 + length)), None, "x")
+            for m in range(1, 21):
+                for s in range(1, 6):
+                    self.assert_matches_make_windows([seq], WindowSpec(m, s))
+
+    def test_mixed_list_with_empty_and_windowless_sequences(self):
+        lengths = [0, 7, 3, 12, 0, 4, 9, 1]
+        sequences = [EventSequence([(7 * i + j) % 11 for j in range(n)], None, str(i))
+                     for i, n in enumerate(lengths)]
+        for m, s in ((4, 1), (4, 3), (8, 2), (12, 1)):
+            self.assert_matches_make_windows(sequences, WindowSpec(m, s))
+        self.assert_matches_make_windows([], WindowSpec(4, 1))
 
 
 class TestEncodings:
