@@ -6,6 +6,7 @@ from .tensor import (
     matmul,
     tanh,
     sigmoid,
+    lstm_step,
     relu,
     softmax,
     cross_entropy,
@@ -16,6 +17,7 @@ from .tensor import (
     narrow,
     unfold_windows,
     max_along,
+    no_grad,
 )
 from .nn import (
     ParamSet,
@@ -34,9 +36,9 @@ from .serialize import save_params, load_params
 from .gradcheck import finite_difference_check
 
 __all__ = [
-    "Tensor", "as_tensor", "add", "mul", "matmul", "tanh", "sigmoid", "relu",
+    "Tensor", "as_tensor", "add", "mul", "matmul", "tanh", "sigmoid", "lstm_step", "relu",
     "softmax", "cross_entropy", "mse", "embedding_lookup", "concat", "stack",
-    "narrow", "unfold_windows", "max_along",
+    "narrow", "unfold_windows", "max_along", "no_grad",
     "ParamSet", "linear", "lstm_params", "lstm_cell", "run_lstm",
     "attention_params", "multihead_attention", "sinusoidal_encoding",
     "conv2d", "conv_full_width",

@@ -12,12 +12,11 @@ from ..rng import Rng
 from .tensor import (
     Tensor,
     concat,
+    lstm_step,
     matmul,
     narrow,
     relu,
-    sigmoid,
     softmax,
-    tanh,
     unfold_windows,
 )
 
@@ -117,22 +116,12 @@ def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
 
     Gate order in the packed weight matrices is input, forget, output,
     candidate. Input/forget/output gates are sigmoid, the candidate is tanh,
-    so the new hidden state lies strictly inside (-1, 1).
+    so the new hidden state lies strictly inside (-1, 1). The step is one
+    fused graph node; ``h_next`` and ``c_next`` are views of its output.
     """
     units = wh.shape[0]
-    if x.shape[-1] != wx.shape[0] or h.shape[-1] != units or c.shape[-1] != units:
-        raise DimensionError(
-            f"lstm_cell: x{x.shape} h{h.shape} c{c.shape} vs "
-            f"wx{wx.shape} wh{wh.shape}"
-        )
-    gates = matmul(x, wx) + matmul(h, wh) + b
-    i = sigmoid(narrow(gates, -1, 0, units))
-    f = sigmoid(narrow(gates, -1, units, units))
-    o = sigmoid(narrow(gates, -1, 2 * units, units))
-    g = tanh(narrow(gates, -1, 3 * units, units))
-    c_next = f * c + i * g
-    h_next = o * tanh(c_next)
-    return h_next, c_next
+    packed = lstm_step(x, h, c, wx, wh, b)
+    return narrow(packed, -1, 0, units), narrow(packed, -1, units, units)
 
 
 def run_lstm(xs: list[Tensor], ps: ParamSet, prefix: str, units: int) -> list[Tensor]:

@@ -6,12 +6,16 @@ reverse topological order and accumulates gradients into the leaves that were
 created with ``requires_grad=True``.
 
 The operation set is deliberately small: exactly what the detector families
-need (dense algebra, activations, softmax/cross-entropy/mse losses, embedding
-lookup, window unfolding for convolutions, axis reductions). Forward passes on
-finite inputs stay finite; all arithmetic is float64.
+need (dense algebra, activations, a fused LSTM step, softmax/cross-entropy/mse
+losses, embedding lookup, window unfolding for convolutions, axis
+reductions). Forward passes on finite inputs stay finite; all arithmetic is
+float64. Inside ``no_grad()`` no graph is recorded, which scoring uses.
 """
 
 from __future__ import annotations
+
+import contextlib
+import contextvars
 
 import numpy as np
 
@@ -25,6 +29,7 @@ __all__ = [
     "matmul",
     "tanh",
     "sigmoid",
+    "lstm_step",
     "relu",
     "softmax",
     "cross_entropy",
@@ -35,6 +40,7 @@ __all__ = [
     "narrow",
     "unfold_windows",
     "max_along",
+    "no_grad",
 ]
 
 
@@ -171,9 +177,27 @@ def as_tensor(value) -> Tensor:
 # ---------------------------------------------------------------------------
 # graph plumbing
 
+# a context variable, so per thread: ``bench`` may train detectors on a
+# thread pool, and one thread's scoring must not switch off another's graph
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: results record no parents, so ops
+    bind no backward closure and hold no reference to their inputs. The
+    switch applies to the calling thread only."""
+    token = _grad_enabled.set(False)
+    try:
+        yield
+    finally:
+        _grad_enabled.reset(token)
+
 
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     out = Tensor(data)
+    if not _grad_enabled.get():
+        return out
     grad_parents = tuple(p for p in parents if p.requires_grad)
     if grad_parents:
         out.requires_grad = True
@@ -190,8 +214,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         return
     g = _unbroadcast(g, t.data.shape)
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # a copy: ``g`` may be a view or be handed to another operand too
+        shape = t.data.shape
+        t.grad = np.array(g if g.shape == shape else np.broadcast_to(g, shape))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -268,7 +295,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if out.requires_grad:
         def backward(g, a=a, b=b):
             _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+            if a.ndim > 2 and b.ndim == 2:
+                # one GEMM over the flattened leading rows, not a stack of
+                # per-matrix products summed away by _unbroadcast
+                k, n = b.shape
+                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            else:
+                _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
         _bind(out, backward)
     return out
 
@@ -284,15 +317,63 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
+def _sigmoid(d: np.ndarray) -> np.ndarray:
+    """Logistic function, evaluated without overflow for either sign."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    y = _sigmoid(x.data)
     out = _make(y, (x,))
     if out.requires_grad:
         def backward(g, x=x, y=y):
             _accumulate(x, g * y * (1.0 - y))
+        _bind(out, backward)
+    return out
+
+
+def lstm_step(x: Tensor, h: Tensor, c: Tensor,
+              wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
+    """One LSTM step as a single node: the packed ``[h_next | c_next]``.
+
+    Gates are ``x @ wx + h @ wh + b`` split into input, forget, output
+    (sigmoid) and candidate (tanh); ``c_next = f * c + i * g`` and
+    ``h_next = o * tanh(c_next)``. The backward pass is the analytic one,
+    evaluated in the same order as the graph of elementary ops would be.
+    """
+    x, h, c = as_tensor(x), as_tensor(h), as_tensor(c)
+    units = wh.shape[0]
+    if x.shape[-1] != wx.shape[0] or h.shape[-1] != units or c.shape[-1] != units:
+        raise DimensionError(
+            f"lstm_step: x{x.shape} h{h.shape} c{c.shape} vs "
+            f"wx{wx.shape} wh{wh.shape}"
+        )
+    gates = np.matmul(x.data, wx.data) + np.matmul(h.data, wh.data) + b.data
+    i = _sigmoid(gates[..., :units])
+    f = _sigmoid(gates[..., units:2 * units])
+    o = _sigmoid(gates[..., 2 * units:3 * units])
+    g = np.tanh(gates[..., 3 * units:])
+    c_next = f * c.data + i * g
+    tc = np.tanh(c_next)
+    out = _make(np.concatenate([o * tc, c_next], axis=-1), (x, h, c, wx, wh, b))
+    if out.requires_grad:
+        def backward(grad, x=x, h=h, c=c, wx=wx, wh=wh, b=b):
+            gh, gc = grad[..., :units], grad[..., units:]
+            gc = gc + gh * o * (1.0 - tc * tc)
+            dgates = np.concatenate([
+                gc * g * i * (1.0 - i),
+                gc * c.data * f * (1.0 - f),
+                gh * tc * o * (1.0 - o),
+                gc * i * (1.0 - g * g),
+            ], axis=-1)
+            _accumulate(x, np.matmul(dgates, wx.data.swapaxes(-1, -2)))
+            _accumulate(wx, np.matmul(x.data.swapaxes(-1, -2), dgates))
+            _accumulate(h, np.matmul(dgates, wh.data.swapaxes(-1, -2)))
+            _accumulate(wh, np.matmul(h.data.swapaxes(-1, -2), dgates))
+            _accumulate(b, dgates)
+            _accumulate(c, gc * f)
         _bind(out, backward)
     return out
 
@@ -432,9 +513,9 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     out = _make(x.data[tuple(sl)], (x,))
     if out.requires_grad:
         def backward(g, x=x, sl=tuple(sl)):
-            full = np.zeros_like(x.data)
-            full[sl] += g
-            _accumulate(x, full)
+            if x.grad is None:
+                x.grad = np.zeros_like(x.data)
+            x.grad[sl] += g
         _bind(out, backward)
     return out
 

@@ -158,6 +158,10 @@ def validate_run_config(doc: dict) -> dict:
         raise SchemaError("/detectors", "at least one detector required")
     resolved = json.loads(json.dumps(doc))  # deep copy
     _fill_defaults(resolved, _DEFAULTS)
+    env_seed = _env_seed()
+    if env_seed is not None:
+        resolved["seed"] = env_seed
+        resolved["seed_source"] = "LOGLENS_SEED"
     window = resolved["window"]
     for i, det in enumerate(resolved["detectors"]):
         if det.get("family") not in FAMILIES:
@@ -166,10 +170,6 @@ def validate_run_config(doc: dict) -> dict:
         det.setdefault("window_size", window["window_size"])
         det.setdefault("step_size", window["step_size"])
         det.setdefault("seed", resolved["seed"])
-    env_seed = _env_seed()
-    if env_seed is not None:
-        resolved["seed"] = env_seed
-        resolved["seed_source"] = "LOGLENS_SEED"
     return resolved
 
 

@@ -13,7 +13,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from ..autodiff import ParamSet, Tensor, linear, mse, relu
+from ..autodiff import ParamSet, Tensor, linear, mse, no_grad, relu
 from ..exceptions import StateError, TrainingError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
@@ -135,18 +135,12 @@ class AutoencoderDetector(BaseDetector):
         h2 = relu(linear(z, params["dec.w1"], params["dec.b1"]))
         return linear(h2, params["dec.w2"], params["dec.b2"])
 
-    def _reconstruct_np(self, x: np.ndarray) -> np.ndarray:
-        p = self.params_
-        h = np.maximum(x @ p["enc.w1"].data + p["enc.b1"].data, 0.0)
-        z = h @ p["enc.w2"].data + p["enc.b2"].data
-        h2 = np.maximum(z @ p["dec.w1"].data + p["dec.b1"].data, 0.0)
-        return h2 @ p["dec.w2"].data + p["dec.b2"].data
-
     def _errors_for_ids(self, ids: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if ids.shape[0] == 0:
             return np.empty(0)
         x = self._window_features(ids, rows)
-        recon = self._reconstruct_np(x)
+        with no_grad():
+            recon = self._reconstruct(self.params_, Tensor(x)).data
         return ((recon - x) ** 2).mean(axis=1)
 
     # detection -----------------------------------------------------------------

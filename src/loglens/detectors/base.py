@@ -10,7 +10,7 @@ from itertools import pairwise
 
 import numpy as np
 
-from ..autodiff import Adam, ParamSet, Tensor
+from ..autodiff import Adam, ParamSet, Tensor, no_grad
 from ..exceptions import StateError
 from ..ingest import EventVocabulary
 from ..rng import Rng, derive_seed
@@ -150,7 +150,8 @@ class BaseDetector:
 
     def _softmax(self, table, ids: np.ndarray) -> np.ndarray:
         """Class probabilities of the fitted model for each row of ``ids``."""
-        logits = self._logits(self.params_, table, ids).data
+        with no_grad():
+            logits = self._logits(self.params_, table, ids).data
         shifted = logits - logits.max(axis=1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=1, keepdims=True)

@@ -9,13 +9,23 @@ The generator is xoshiro256** (Blackman & Vigna). Its four 64-bit state words
 are expanded from the seed with SplitMix64, the recommended seeding procedure.
 Floats in [0, 1) take the top 53 bits of an output word; bounded integers use
 Lemire's multiply-shift reduction.
+
+Arrays of floats are computed a block at a time. The state update is linear
+over GF(2), so the word ``s1`` after k steps is the XOR of the words that each
+set bit of the start state produces on its own. A table of those words for
+every state bit and every step of a block, plus the state after a whole
+block, turns a block of draws into two XOR reductions. The results, and the
+state left behind, are bit-identical to drawing one word at a time.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 512
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -39,6 +49,33 @@ def derive_seed(seed: int, *tags: object) -> int:
             h = out
     h, out = _splitmix64(h)
     return out
+
+
+def _rotl(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+
+
+@functools.cache
+def _block_tables() -> tuple[np.ndarray, np.ndarray]:
+    """``(256, _BLOCK)`` words ``s1`` per state bit and step, and ``(256, 4)``
+    states after ``_BLOCK`` steps, each started from that one state bit."""
+    # row j has state bit j set, in the bit order ``_next_u64s`` unpacks
+    unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little")
+    s0, s1, s2, s3 = unit.view("<u8").T.copy()
+    words = np.empty((256, _BLOCK), dtype=np.uint64)
+    for k in range(_BLOCK):
+        words[:, k] = s1
+        t = s1 << np.uint64(17)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = _rotl(s3, 45)
+    jump = np.stack([s0, s1, s2, s3], axis=1)
+    words.flags.writeable = False
+    jump.flags.writeable = False
+    return words, jump
 
 
 class Rng:
@@ -69,6 +106,27 @@ class Rng:
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
 
+    def _next_u64s(self, n: int) -> np.ndarray:
+        """The next ``n`` output words as uint64, as ``next_u64`` would give
+        them: whole blocks from the tables, the tail one word at a time."""
+        out = np.empty(n, dtype=np.uint64)
+        blocks = n // _BLOCK
+        if blocks:
+            words, jump = _block_tables()
+            state = np.array([self._s0, self._s1, self._s2, self._s3], dtype="<u8")
+            for b in range(blocks):
+                # bit 64*w + j of the state is bit j of word s<w>
+                mask = np.unpackbits(state.view(np.uint8), bitorder="little") == 1
+                out[b * _BLOCK:(b + 1) * _BLOCK] = np.bitwise_xor.reduce(
+                    words[mask], axis=0)
+                state = np.bitwise_xor.reduce(jump[mask], axis=0).astype("<u8")
+            self._s0, self._s1, self._s2, self._s3 = (int(w) for w in state)
+            head = out[:blocks * _BLOCK]
+            head[:] = _rotl(head * np.uint64(5), 7) * np.uint64(9)
+        for i in range(blocks * _BLOCK, n):
+            out[i] = self.next_u64()
+        return out
+
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0 ** -53
@@ -78,10 +136,8 @@ class Rng:
         if size is None:
             return low + (high - low) * self.random()
         n = int(np.prod(size))
-        out = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            out[i] = low + (high - low) * self.random()
-        return out.reshape(size)
+        unit = (self._next_u64s(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        return (low + (high - low) * unit).reshape(size)
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""

@@ -190,9 +190,13 @@ class TestBenchCommand:
         monkeypatch.setenv("LOGLENS_SEED", "99")
         resolved = validate_run_config({
             "dataset": {"path": "x.csv"},
-            "detectors": [{"family": "cnn"}],
+            "detectors": [{"family": "cnn"}, {"family": "cnn", "seed": 5}],
             "seed": 3})
         assert resolved["seed"] == 99
+        # the override reaches detectors that take the run seed, so
+        # ``loglens train`` honours it; an explicit detector seed is kept
+        assert resolved["detectors"][0]["seed"] == 99
+        assert resolved["detectors"][1]["seed"] == 5
 
 
 class TestSchemaValidation:
@@ -307,5 +311,13 @@ class TestGoldenReport:
         results as they are must keep report.csv byte-identical. Another
         numpy/BLAS build may round differently and need a fresh golden file."""
         assert main(["bench", "--config", str(golden_config(tmp_path))]) == 0
+        got = (tmp_path / "out" / "report.csv").read_bytes()
+        assert got == GOLDEN_REPORT.read_bytes()
+
+    def test_threaded_bench_matches_golden_bytes(self, tmp_path):
+        """Training on two threads, where one detector scores while another
+        builds its graph, gives the same bytes as training one at a time."""
+        config = golden_config(tmp_path)
+        assert main(["bench", "--config", str(config), "--jobs", "2"]) == 0
         got = (tmp_path / "out" / "report.csv").read_bytes()
         assert got == GOLDEN_REPORT.read_bytes()

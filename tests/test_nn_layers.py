@@ -9,9 +9,14 @@ from loglens.autodiff import (
     finite_difference_check,
     lstm_cell,
     lstm_params,
+    lstm_step,
+    matmul,
     multihead_attention,
+    narrow,
     run_lstm,
+    sigmoid,
     sinusoidal_encoding,
+    tanh,
 )
 from loglens.exceptions import ConfigurationError, DimensionError
 from loglens.rng import Rng
@@ -75,6 +80,10 @@ class TestLstmCell:
         with pytest.raises(DimensionError):
             lstm_cell(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))),
                       Tensor(np.zeros((1, 3))), wx, wh, b)
+        for h, c in (((1, 2), (1, 3)), ((1, 3), (1, 4))):
+            with pytest.raises(DimensionError):
+                lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros(h)),
+                          Tensor(np.zeros(c)), wx, wh, b)
 
     def test_unrolled_gradient_vs_finite_difference(self):
         rng = Rng(22)
@@ -88,6 +97,56 @@ class TestLstmCell:
 
         leaves = [ps["l.wx"], ps["l.wh"], ps["l.b"]]
         assert finite_difference_check(loss, leaves) < 1e-3
+
+    def step_leaves(self, seed, batch=3, d=2, u=3):
+        rng = Rng(seed)
+        shapes = [(batch, d), (batch, u), (batch, u), (d, 4 * u), (u, 4 * u), (4 * u,)]
+        return [Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in shapes]
+
+    def test_fused_step_gradient_vs_finite_difference(self):
+        x, h, c, wx, wh, b = leaves = self.step_leaves(23)
+        wts = Tensor(Rng(24).uniform(-1, 1, (3, 6)))
+
+        def loss():
+            # uses both halves of the packed [h | c] output
+            return (lstm_step(x, h, c, wx, wh, b) * wts).sum()
+
+        assert finite_difference_check(loss, leaves) < 1e-4
+
+    def test_two_step_run_lstm_gradient(self):
+        rng = Rng(25)
+        ps = ParamSet(25)
+        lstm_params(ps, "l", 2, 3)
+        xs = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True) for _ in range(2)]
+        wts = [Tensor(rng.uniform(-1, 1, (2, 3))) for _ in range(2)]
+
+        def loss():
+            hs = run_lstm(xs, ps, "l", 3)
+            return (hs[0] * wts[0]).sum() + (hs[1] * wts[1]).sum()
+
+        leaves = [ps["l.wx"], ps["l.wh"], ps["l.b"], *xs]
+        assert finite_difference_check(loss, leaves) < 1e-4
+
+    def test_fused_step_bit_identical_to_elementary_ops(self):
+        def elementary(x, h, c, wx, wh, b):
+            u = wh.shape[0]
+            gates = matmul(x, wx) + matmul(h, wh) + b
+            i = sigmoid(narrow(gates, -1, 0, u))
+            f = sigmoid(narrow(gates, -1, u, u))
+            o = sigmoid(narrow(gates, -1, 2 * u, u))
+            g = tanh(narrow(gates, -1, 3 * u, u))
+            c_next = f * c + i * g
+            return o * tanh(c_next), c_next
+
+        results = []
+        for cell in (lstm_cell, elementary):
+            leaves = self.step_leaves(26, batch=4, d=3, u=5)
+            h_weights, c_weights = (Tensor(w) for w in Rng(27).uniform(-1, 1, (2, 4, 5)))
+            h, c = cell(*leaves)
+            ((h * h_weights).sum() + (c * c_weights).sum()).backward()
+            results.append([h.data, c.data] + [leaf.grad for leaf in leaves])
+        for fused, reference in zip(*results):
+            assert np.array_equal(fused, reference)
 
 
 class TestMultiheadAttention:

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from loglens.autodiff import (
     matmul,
     max_along,
     mse,
+    narrow,
+    no_grad,
     relu,
     sigmoid,
     softmax,
@@ -45,6 +48,17 @@ class TestMatmul:
         a = rand_tensor(rng, (3, 4))
         b = rand_tensor(rng, (4, 2))
         err = finite_difference_check(lambda: matmul(a, b).sum(), [a, b])
+        assert err < TOL
+
+    def test_batched_input_weight_gradient(self):
+        rng = Rng(14)
+        a = rand_tensor(rng, (3, 4, 5))
+        w = rand_tensor(rng, (5, 2))
+        g = rng.uniform(-1.0, 1.0, (3, 4, 2))
+        (matmul(a, w) * Tensor(g)).sum().backward()
+        per_matrix = np.matmul(a.data.swapaxes(-1, -2), g).sum(axis=0)
+        assert np.allclose(w.grad, per_matrix, rtol=1e-12, atol=0.0)
+        err = finite_difference_check(lambda: (matmul(a, w) * Tensor(g)).sum(), [a, w])
         assert err < TOL
 
 
@@ -191,7 +205,55 @@ class TestReductions:
         err = finite_difference_check(lambda: (x * x).mean(), [x])
         assert err < TOL
 
+    def test_narrow_gradients_accumulate(self):
+        x = Tensor(np.zeros((2, 4)), requires_grad=True)
+        (narrow(x, 1, 0, 3).sum() + narrow(x, 1, 1, 3).sum() * 2.0).backward()
+        assert x.grad.tolist() == [[1.0, 3.0, 3.0, 2.0]] * 2
+
+    def test_shared_gradient_not_aliased(self):
+        # add hands one gradient array to both operands; a later write to
+        # one operand's gradient must not show up in the other's
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        ((a + b).sum() + (a * 2.0).sum()).backward()
+        assert a.grad.tolist() == [3.0] * 3
+        assert b.grad.tolist() == [1.0] * 3
+
     def test_backward_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(DimensionError):
             (x + x).backward()
+
+
+class TestNoGrad:
+    def test_records_no_graph(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with no_grad():
+            y = sigmoid(matmul(x, x)) * 2.0
+        assert not y.requires_grad
+        assert y._parents == () and y._backward is None
+        assert np.array_equal(y.data, (sigmoid(matmul(x, x)) * 2.0).data)
+
+    def test_restored_after_error(self):
+        x = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(RuntimeError), no_grad():
+            raise RuntimeError
+        assert (x * x).requires_grad
+
+    def test_other_threads_keep_their_graph(self):
+        entered, release = threading.Event(), threading.Event()
+
+        def score():
+            with no_grad():
+                entered.set()
+                release.wait(5.0)
+
+        worker = threading.Thread(target=score)
+        worker.start()
+        try:
+            assert entered.wait(5.0)
+            x = Tensor(np.ones(2), requires_grad=True)
+            assert (x * x).requires_grad
+        finally:
+            release.set()
+            worker.join()
