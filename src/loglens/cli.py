@@ -2,18 +2,23 @@
 
 Subcommands: parse, partition, syngen, train, detect, bench, report. Flags
 only select the subcommand and file paths; experiment knobs live in a JSON run
-config validated against the published schema (data/runconfig.schema.json)
-before any work starts. Exit codes: 0 success, 2 usage/config error, 3
-runtime/data error. The LOGLENS_SEED environment variable overrides the
-config seed.
+config. Its one schema is the published data/runconfig.schema.json: types,
+enums, bounds, required and unknown keys are checked against it before any
+data is read, and its defaults are filled in. Detector defaults come from
+``DetectorConfig``, so the resolved config lists every one. Exit codes: 0
+success, 2 usage/config error, 3 runtime/data error. The LOGLENS_SEED
+environment variable overrides the config seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import operator
 import os
 import sys
+from importlib import resources
 from pathlib import Path
 
 from .bench import (
@@ -23,7 +28,6 @@ from .bench import (
 )
 from .detectors import (
     DetectorConfig,
-    FAMILIES,
     SUPERVISED_FAMILIES,
     build_detector,
     load_detector,
@@ -54,85 +58,53 @@ class SchemaError(ConfigurationError):
 # ---------------------------------------------------------------------------
 # run config schema
 
-_DETECTOR_KEYS = {
-    "family": str, "semantics": bool, "k": int, "window_size": int,
-    "step_size": int, "hidden": int, "layers": int, "heads": int,
-    "embed_dim": int, "max_len": int, "epochs": int, "batch_size": int,
-    "lr": (int, float), "threshold_quantile": (int, float), "seed": int,
-}
-
-_SCHEMA = {
-    "dataset": {
-        "path": str,
-        "format": str,
-        "format_spec": dict,
-        "similarity_threshold": (int, float),
-        "partition": {
-            "mode": str,
-            "partition_size": int,
-            "stride": int,
-        },
-    },
-    "window": {"window_size": int, "step_size": int},
-    "detectors": [_DETECTOR_KEYS],
-    "experiment": str,
-    "repeats": int,
-    "seed": int,
-    "train_fraction": (int, float),
-    "contamination_ratios": [(int, float)],
-    "noise": {
-        "ratios": [(int, float)],
-        "strategies": [str],
-        "synonyms_path": str,
-    },
-    "output_dir": str,
-    "jobs": int,
-}
-
-# a section given in part gets each missing key from here
-_DEFAULTS = {
-    "dataset": {
-        "format": "parsed",
-        "partition": {"mode": "identifier", "partition_size": 0, "stride": 0},
-    },
-    "window": {"window_size": 10, "step_size": 1},
-    "experiment": "accuracy",
-    "repeats": 1,
-    "seed": 0,
-    "train_fraction": 0.8,
-    "output_dir": "bench-out",
-    "jobs": 1,
-}
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float)}
 
 
-def _check_node(doc, schema, pointer: str) -> None:
-    if isinstance(schema, dict):
-        if not isinstance(doc, dict):
-            raise SchemaError(pointer or "/", "expected an object")
-        for key, value in doc.items():
-            if key not in schema:
-                raise SchemaError(f"{pointer}/{key}", "unknown key")
-            _check_node(value, schema[key], f"{pointer}/{key}")
-    elif isinstance(schema, list):
-        if not isinstance(doc, list):
-            raise SchemaError(pointer or "/", "expected an array")
+@functools.cache
+def run_config_schema() -> dict:
+    """The published run-config schema (data/runconfig.schema.json)."""
+    raw = resources.files("loglens").joinpath(
+        "data/runconfig.schema.json").read_text("utf-8")
+    return json.loads(raw)
+
+
+def _check(doc, schema: dict, pointer: str) -> None:
+    """Check ``doc`` against one schema node and fill in its defaults in
+    place. Covers only the keywords the run-config schema uses; JSON
+    booleans are never numbers, and an integer is never a float such as 3.0."""
+    where = pointer or "/"
+    kind = schema.get("type")
+    if kind is not None and (not isinstance(doc, _JSON_TYPES[kind])
+                             or isinstance(doc, bool) != (kind == "boolean")):
+        got = "null" if doc is None else type(doc).__name__
+        raise SchemaError(where, f"expected {kind}, got {got}")
+    if "enum" in schema and doc not in schema["enum"]:
+        raise SchemaError(where, f"must be one of {', '.join(schema['enum'])}")
+    for key, holds, text in (("minimum", operator.ge, ">="),
+                             ("exclusiveMinimum", operator.gt, ">"),
+                             ("maximum", operator.le, "<=")):
+        if key in schema and not holds(doc, schema[key]):  # NaN holds none
+            raise SchemaError(where, f"must be {text} {schema[key]}")
+    if isinstance(doc, list):
+        if len(doc) < schema.get("minItems", 0):
+            raise SchemaError(where, f"needs at least {schema['minItems']} item(s)")
         for i, item in enumerate(doc):
-            _check_node(item, schema[0], f"{pointer}/{i}")
-    else:
-        if isinstance(doc, bool) and schema is not bool and schema != (int, float):
-            raise SchemaError(pointer, f"expected {schema}, got boolean")
-        if not isinstance(doc, schema):
-            expected = getattr(schema, "__name__", str(schema))
-            raise SchemaError(pointer, f"expected {expected}, "
-                                       f"got {type(doc).__name__}")
-
-
-def _fill_defaults(doc: dict, defaults: dict) -> None:
-    for key, value in defaults.items():
-        if isinstance(value, dict):
-            _fill_defaults(doc.setdefault(key, {}), value)
-        else:
-            doc.setdefault(key, value)
+            _check(item, schema.get("items", {}), f"{pointer}/{i}")
+    if isinstance(doc, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in doc:
+                raise SchemaError(f"{pointer}/{key}", "required key missing")
+        for key, sub in properties.items():
+            if key not in doc and "default" in sub:
+                doc[key] = json.loads(json.dumps(sub["default"]))
+        for key, value in doc.items():
+            if key in properties:
+                _check(value, properties[key], f"{pointer}/{key}")
+            elif schema.get("additionalProperties") is False:
+                raise SchemaError(f"{pointer}/{key}", "unknown key")
 
 
 def _env_seed() -> int | None:
@@ -148,28 +120,20 @@ def _env_seed() -> int | None:
 
 
 def validate_run_config(doc: dict) -> dict:
-    """Validate against the schema (unknown keys rejected) and fill defaults."""
-    _check_node(doc, _SCHEMA, "")
-    if "dataset" not in doc:
-        raise SchemaError("/dataset", "required section missing")
-    if "path" not in doc["dataset"]:
-        raise SchemaError("/dataset/path", "required key missing")
-    if "detectors" not in doc or not doc["detectors"]:
-        raise SchemaError("/detectors", "at least one detector required")
+    """Check a run config against the schema and return a copy with every
+    default filled in, each detector's included."""
     resolved = json.loads(json.dumps(doc))  # deep copy
-    _fill_defaults(resolved, _DEFAULTS)
+    _check(resolved, run_config_schema(), "")
     env_seed = _env_seed()
     if env_seed is not None:
         resolved["seed"] = env_seed
         resolved["seed_source"] = "LOGLENS_SEED"
     window = resolved["window"]
     for i, det in enumerate(resolved["detectors"]):
-        if det.get("family") not in FAMILIES:
-            raise SchemaError(f"/detectors/{i}/family",
-                              f"must be one of {', '.join(FAMILIES)}")
         det.setdefault("window_size", window["window_size"])
         det.setdefault("step_size", window["step_size"])
         det.setdefault("seed", resolved["seed"])
+        resolved["detectors"][i] = DetectorConfig(**det).to_dict()
     return resolved
 
 
@@ -181,13 +145,10 @@ def _load_dataset(resolved: dict):
     ds = resolved["dataset"]
     if ds["format"] == "parsed":
         records, vocab = read_parsed(ds["path"])
-    elif ds["format"] == "raw":
+    else:
         spec = FormatSpec.from_json(ds.get("format_spec") or {})
         records, _ = read_raw(ds["path"], spec)
-        vocab, records = parse_templates(
-            records, ds.get("similarity_threshold", 0.5))
-    else:
-        raise SchemaError("/dataset/format", "must be 'parsed' or 'raw'")
+        vocab, records = parse_templates(records, ds["similarity_threshold"])
     part = ds["partition"]
     spec = PartitionSpec(part["mode"], part["partition_size"], part["stride"])
     return partition(records, spec), vocab

@@ -1,5 +1,10 @@
 from .base import (
+    FAMILIES,
+    FORECAST_FAMILIES,
+    SUPERVISED_FAMILIES,
+    UNSUPERVISED_FAMILIES,
     BaseDetector,
+    DetectorConfig,
     Verdict,
     combine_window_verdicts,
     target_ranks,
@@ -7,17 +12,7 @@ from .base import (
 from .forecast import LstmForecastDetector, TransformerForecastDetector
 from .autoencoder import AutoencoderDetector, nearest_rank_quantile
 from .supervised import BilstmAttentionDetector, CnnDetector
-from .config import (
-    DetectorConfig,
-    FAMILIES,
-    FORECAST_FAMILIES,
-    SUPERVISED_FAMILIES,
-    UNSUPERVISED_FAMILIES,
-    build_detector,
-    load_detector,
-    make_encoder,
-    save_detector,
-)
+from .config import build_detector, load_detector, make_encoder, save_detector
 
 __all__ = [
     "BaseDetector", "Verdict", "combine_window_verdicts", "target_ranks",

@@ -20,6 +20,8 @@ from ..rng import derive_seed
 from ..sequencing import EventSequence, Window
 from .base import WINDOW, BaseDetector, Verdict
 
+VALIDATION_FRACTION = 0.1  # share of training windows held out for the threshold
+
 
 def nearest_rank_quantile(values, q: float) -> float:
     """Nearest-rank quantile: the ceil(q*N)-th smallest value (1-based)."""
@@ -42,21 +44,8 @@ class AutoencoderDetector(BaseDetector):
 
     kind = "reconstruct"
     family = "autoencoder"
-
-    def __init__(self, window_size: int = 10, step_size: int = 1,
-                 hidden: int = 64, epochs: int = 10, batch_size: int = 128,
-                 lr: float = 1e-3, threshold_quantile: float = 0.98,
-                 validation_fraction: float = 0.1, seed: int = 0, encoder=None):
-        self.window_size = window_size
-        self.step_size = step_size
-        self.hidden = hidden
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.threshold_quantile = threshold_quantile
-        self.validation_fraction = validation_fraction
-        self.seed = seed
-        self.encoder = encoder
+    hyperparameters = ("window_size", "step_size", "hidden", "epochs",
+                       "batch_size", "lr", "threshold_quantile", "seed")
 
     # features ---------------------------------------------------------------
 
@@ -112,7 +101,7 @@ class AutoencoderDetector(BaseDetector):
         normal_order = perm[normal[perm]]
         if normal_order.size == 0:
             raise TrainingError("validation slice is empty: no normal windows")
-        val_count = max(1, int(round(self.validation_fraction * ids.shape[0])))
+        val_count = max(1, int(round(VALIDATION_FRACTION * ids.shape[0])))
         val_positions = np.sort(normal_order[:val_count])
         train_ids = ids[perm[~np.isin(perm, val_positions)]]
 

@@ -1,17 +1,17 @@
-"""Shared detector machinery: estimator parameter handling, the training
-loop, verdicts, and the window-to-sequence decision rule."""
+"""Shared detector machinery: the hyperparameter table (``DetectorConfig``),
+estimator parameter handling, the training loop, verdicts, and the
+window-to-sequence decision rule."""
 
 from __future__ import annotations
 
-import inspect
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import pairwise
 
 import numpy as np
 
 from ..autodiff import Adam, ParamSet, Tensor, no_grad
-from ..exceptions import StateError
+from ..exceptions import ConfigurationError, StateError
 from ..ingest import EventVocabulary
 from ..rng import Rng, derive_seed
 from ..sequencing import EventSequence, SemanticEncoder, WindowSpec, window_arrays
@@ -20,6 +20,61 @@ WINDOW = "window"
 SEQUENCE = "sequence"
 
 logger = logging.getLogger(__name__)
+
+FAMILIES = ("lstm_forecast", "transformer_forecast", "autoencoder",
+            "bilstm_attention", "cnn")
+FORECAST_FAMILIES = ("lstm_forecast", "transformer_forecast")
+SUPERVISED_FAMILIES = ("bilstm_attention", "cnn")
+UNSUPERVISED_FAMILIES = ("lstm_forecast", "transformer_forecast", "autoencoder")
+
+DEFAULT_SEMANTIC_DIM = 32
+
+
+@dataclass
+class DetectorConfig:
+    """Hyperparameters for one detector, and the one place their defaults
+    are written; every family accepts both input modes. ``embed_dim``
+    defaults to 16 for index inputs and 32 for semantic vectors when left
+    unset."""
+
+    family: str
+    semantics: bool = False
+    k: int = 10
+    window_size: int = 10
+    step_size: int = 1
+    hidden: int = 64
+    layers: int = 2
+    heads: int = 4
+    embed_dim: int | None = None
+    max_len: int = 50
+    epochs: int = 10
+    batch_size: int = 128
+    lr: float = 1e-3
+    threshold_quantile: float = 0.98
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise ConfigurationError(f"unknown detector family {self.family!r}")
+        if self.k < 1:
+            raise ConfigurationError("k must be >= 1")
+
+    @property
+    def resolved_embed_dim(self) -> int:
+        if self.embed_dim is not None:
+            return self.embed_dim
+        return DEFAULT_SEMANTIC_DIM if self.semantics else 16
+
+    @property
+    def name(self) -> str:
+        return f"{self.family}[{'semantic' if self.semantics else 'index'}]"
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "DetectorConfig":
+        return cls(**doc)
 
 
 @dataclass
@@ -60,21 +115,32 @@ def target_ranks(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 class BaseDetector:
-    """Estimator base: constructor arguments are hyperparameters, fitted state
-    lives in trailing-underscore attributes, ``fit`` returns ``self``."""
+    """Estimator base: constructor arguments are the family's
+    ``hyperparameters`` (``DetectorConfig`` fields, with its defaults) and an
+    optional semantic ``encoder``; fitted state lives in trailing-underscore
+    attributes, ``fit`` returns ``self``."""
 
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        signature = inspect.signature(cls.__init__)
-        return [name for name in signature.parameters if name != "self"]
+    family: str
+    hyperparameters: tuple[str, ...]
+
+    def __init__(self, encoder=None, **params):
+        unknown = sorted(set(params) - set(self.hyperparameters))
+        if unknown:
+            raise TypeError(f"{type(self).__name__} takes no hyperparameter "
+                            f"{', '.join(unknown)}")
+        config = DetectorConfig(self.family, semantics=encoder is not None, **params)
+        config.embed_dim = config.resolved_embed_dim
+        for name in self.hyperparameters:
+            setattr(self, name, getattr(config, name))
+        self.encoder = encoder
 
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {name: getattr(self, name)
+                for name in (*self.hyperparameters, "encoder")}
 
     def set_params(self, **params) -> "BaseDetector":
-        valid = set(self._param_names())
         for name, value in params.items():
-            if name not in valid:
+            if name not in self.hyperparameters and name != "encoder":
                 raise ValueError(
                     f"invalid parameter {name!r} for {type(self).__name__}"
                 )
@@ -82,8 +148,8 @@ class BaseDetector:
         return self
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{k}={v!r}" for k, v in self.get_params().items()
-                         if k != "encoder")
+        args = ", ".join(f"{name}={getattr(self, name)!r}"
+                         for name in self.hyperparameters)
         return f"{type(self).__name__}({args})"
 
     # fitted-state helpers -------------------------------------------------

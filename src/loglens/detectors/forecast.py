@@ -102,22 +102,8 @@ class LstmForecastDetector(_ForecastBase):
     inputs; the original forecasting formulation for log anomaly detection."""
 
     family = "lstm_forecast"
-
-    def __init__(self, window_size: int = 10, step_size: int = 1, k: int = 10,
-                 hidden: int = 64, layers: int = 2, embed_dim: int = 16,
-                 epochs: int = 10, batch_size: int = 128, lr: float = 1e-3,
-                 seed: int = 0, encoder=None):
-        self.window_size = window_size
-        self.step_size = step_size
-        self.k = k
-        self.hidden = hidden
-        self.layers = layers
-        self.embed_dim = embed_dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-        self.encoder = encoder
+    hyperparameters = ("window_size", "step_size", "k", "hidden", "layers",
+                       "embed_dim", "epochs", "batch_size", "lr", "seed")
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
         ps = ParamSet(derive_seed(self.seed, self.family))
@@ -142,23 +128,8 @@ class TransformerForecastDetector(_ForecastBase):
     the whole window jointly predicts one following event."""
 
     family = "transformer_forecast"
-
-    def __init__(self, window_size: int = 10, step_size: int = 1, k: int = 10,
-                 hidden: int = 64, layers: int = 2, heads: int = 4,
-                 embed_dim: int = 16, epochs: int = 10, batch_size: int = 128,
-                 lr: float = 1e-3, seed: int = 0, encoder=None):
-        self.window_size = window_size
-        self.step_size = step_size
-        self.k = k
-        self.hidden = hidden
-        self.layers = layers
-        self.heads = heads
-        self.embed_dim = embed_dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-        self.encoder = encoder
+    hyperparameters = ("window_size", "step_size", "k", "hidden", "layers",
+                       "heads", "embed_dim", "epochs", "batch_size", "lr", "seed")
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
         ps = ParamSet(derive_seed(self.seed, self.family))

@@ -29,9 +29,13 @@ from ..rng import derive_seed
 from ..sequencing import EventSequence, encode_indices, pad_or_truncate
 from .base import SEQUENCE, BaseDetector, Verdict
 
+FILTER_HEIGHTS = (3, 4, 5)  # CNN filter heights, in events
+
 
 class _SupervisedBase(BaseDetector):
     kind = "supervised"
+    hyperparameters = ("max_len", "hidden", "embed_dim", "epochs", "batch_size",
+                       "lr", "seed")
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
         raise NotImplementedError
@@ -101,18 +105,6 @@ class BilstmAttentionDetector(_SupervisedBase):
 
     family = "bilstm_attention"
 
-    def __init__(self, max_len: int = 50, hidden: int = 64, embed_dim: int = 16,
-                 epochs: int = 10, batch_size: int = 128, lr: float = 1e-3,
-                 seed: int = 0, encoder=None):
-        self.max_len = max_len
-        self.hidden = hidden
-        self.embed_dim = embed_dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-        self.encoder = encoder
-
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
         ps = ParamSet(derive_seed(self.seed, self.family))
         in_dim = self._input_params(ps, vocab)
@@ -143,33 +135,19 @@ class CnnDetector(_SupervisedBase):
 
     family = "cnn"
 
-    def __init__(self, max_len: int = 50, filter_heights: tuple = (3, 4, 5),
-                 n_filters: int = 64, embed_dim: int = 16, epochs: int = 10,
-                 batch_size: int = 128, lr: float = 1e-3, seed: int = 0,
-                 encoder=None):
-        self.max_len = max_len
-        self.filter_heights = filter_heights
-        self.n_filters = n_filters
-        self.embed_dim = embed_dim
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-        self.encoder = encoder
-
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        if max(self.filter_heights) > self.max_len:
+        if max(FILTER_HEIGHTS) > self.max_len:
             raise ConfigurationError(
                 f"max_len {self.max_len} shorter than filter height "
-                f"{max(self.filter_heights)}"
+                f"{max(FILTER_HEIGHTS)}"
             )
         ps = ParamSet(derive_seed(self.seed, self.family))
         in_dim = self._input_params(ps, vocab)
-        for height in self.filter_heights:
-            ps.uniform(f"conv{height}.w", (height * in_dim, self.n_filters),
+        for height in FILTER_HEIGHTS:
+            ps.uniform(f"conv{height}.w", (height * in_dim, self.hidden),
                        fan_in=height * in_dim)
-            ps.zeros(f"conv{height}.b", (self.n_filters,))
-        total = self.n_filters * len(self.filter_heights)
+            ps.zeros(f"conv{height}.b", (self.hidden,))
+        total = self.hidden * len(FILTER_HEIGHTS)
         ps.uniform("out.w", (total, 2), fan_in=total)
         ps.zeros("out.b", (2,))
         return ps
@@ -179,7 +157,7 @@ class CnnDetector(_SupervisedBase):
         pooled = [
             max_along(conv_full_width(x, params[f"conv{h}.w"], params[f"conv{h}.b"], h),
                       axis=1)
-            for h in self.filter_heights
+            for h in FILTER_HEIGHTS
         ]
         features = concat(pooled, axis=1)
         return linear(features, params["out.w"], params["out.b"])

@@ -1,9 +1,13 @@
+import copy
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from loglens.cli import main, validate_run_config, SchemaError
+from loglens.bench import EXPERIMENTS, NOISE_STRATEGIES
+from loglens.cli import main, run_config_schema, validate_run_config, SchemaError
+from loglens.detectors import FAMILIES, DetectorConfig
 from loglens.ingest import read_parsed
 from loglens.sequencing import read_sequences
 from loglens.syngen import GeneratorSpec, generate
@@ -155,6 +159,10 @@ class TestBenchCommand:
         resolved = json.loads((out_dir / "resolved-config.json").read_text())
         assert resolved["train_fraction"] == 0.8
         assert resolved["detectors"][0]["window_size"] == 3
+        # every detector default is made explicit
+        assert resolved["detectors"][1] == {
+            **DetectorConfig("cnn").to_dict(), **doc["detectors"][1],
+            "window_size": 3, "step_size": 1, "seed": 3}
         assert (out_dir / "report.md").exists()
         assert "| lstm_forecast |" in capsys.readouterr().out
 
@@ -249,6 +257,45 @@ class TestSchemaValidation:
             "mode": "identifier", "partition_size": 60, "stride": 0}
         assert main(["bench", "--config", str(config)]) == 0
 
+    @pytest.mark.parametrize("pointer, value", [
+        ("/detectors/0/batch_size", 0),
+        ("/detectors/0/hidden", 0),
+        ("/detectors/0/embed_dim", 0),
+        ("/detectors/0/layers", 0),
+        ("/detectors/0/heads", 0),
+        ("/detectors/0/k", 0),
+        ("/detectors/0/window_size", 0),
+        ("/detectors/1/step_size", 0),
+        ("/detectors/1/max_len", 0),
+        ("/detectors/0/threshold_quantile", 0),
+        ("/detectors/0/threshold_quantile", 1.5),
+        ("/detectors/0/threshold_quantile", float("nan")),
+        ("/detectors/0/epochs", -1),
+        ("/detectors/0/lr", 0),
+        ("/detectors/1/lr", float("nan")),
+        ("/window/window_size", 0),
+        ("/repeats", 0),
+        ("/experiment", "bogus"),
+        ("/dataset/format", "bogus"),
+        ("/dataset/partition/mode", "bogus"),
+        ("/noise/strategies/0", "bogus"),
+    ])
+    def test_out_of_range_or_unknown_value_exits_two(self, tmp_path, capsys,
+                                                     pointer, value):
+        csv_path = syn_csv(tmp_path, n_sequences=40)
+        config, doc = bench_config(tmp_path, csv_path,
+                                   noise={"strategies": ["delete"]})
+        *parents, last = pointer.strip("/").split("/")
+        node = doc
+        for part in parents:
+            node = node[int(part) if isinstance(node, list) else part]
+        node[int(last) if isinstance(node, list) else last] = value
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{pointer}:" in err
+        assert "Traceback" not in err
+
     def test_non_integer_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):
         csv_path = syn_csv(tmp_path, n_sequences=20)
         config, _ = bench_config(tmp_path, csv_path)
@@ -266,6 +313,92 @@ class TestSchemaValidation:
         assert main(["report", "--csv",
                      str(Path(doc["output_dir"]) / "report.csv")]) == 0
         assert "| lstm_forecast |" in capsys.readouterr().out
+
+
+# every key the schema knows, each with a valid value
+FULL_CONFIG = {
+    "dataset": {"path": "d.log", "format": "raw", "format_spec": {},
+                "similarity_threshold": 0.5,
+                "partition": {"mode": "fixed", "partition_size": 60,
+                              "stride": 30}},
+    "window": {"window_size": 4, "step_size": 2},
+    "detectors": [{"family": "autoencoder", "semantics": True, "k": 3,
+                   "window_size": 5, "step_size": 1, "hidden": 8, "layers": 1,
+                   "heads": 2, "embed_dim": 4, "max_len": 16, "epochs": 2,
+                   "batch_size": 16, "lr": 0.01, "threshold_quantile": 0.9,
+                   "seed": 4}],
+    "experiment": "noise_sweep",
+    "repeats": 2,
+    "seed": 1,
+    "train_fraction": 0.7,
+    "contamination_ratios": [0.05],
+    "noise": {"ratios": [0.1], "strategies": ["delete"],
+              "synonyms_path": "syn.json"},
+    "output_dir": "out",
+    "jobs": 1,
+}
+
+
+def key_paths(node, path=()):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield (*path, key)
+            yield from key_paths(value, (*path, key))
+    elif isinstance(node, list):
+        for i, item in enumerate(node):
+            yield from key_paths(item, (*path, i))
+
+
+class TestSchemaMatchesCode:
+    def test_enums_and_detector_keys_match_code(self):
+        schema = run_config_schema()["properties"]
+        item = schema["detectors"]["items"]["properties"]
+        assert tuple(item["family"]["enum"]) == FAMILIES
+        assert tuple(schema["experiment"]["enum"]) == EXPERIMENTS
+        strategies = schema["noise"]["properties"]["strategies"]["items"]
+        assert tuple(strategies["enum"]) == NOISE_STRATEGIES
+        assert set(item) == {f.name for f in fields(DetectorConfig)}
+        # DetectorConfig is the one place detector defaults are written
+        assert not any("default" in node for node in item.values())
+
+    def test_validator_agrees_with_jsonschema(self, monkeypatch):
+        """Every single-key mutation of a full config is accepted or refused
+        as jsonschema decides, except integral floats such as 3.0 for an
+        integer key: jsonschema takes them, this validator refuses them."""
+        jsonschema = pytest.importorskip("jsonschema")
+        monkeypatch.delenv("LOGLENS_SEED", raising=False)
+        reference = jsonschema.Draft202012Validator(run_config_schema())
+        assert reference.is_valid(FULL_CONFIG)
+        drop = object()
+        disagree, integral_floats = [], []
+        for path in key_paths(FULL_CONFIG):
+            doc = FULL_CONFIG
+            for part in path:
+                doc = doc[part]
+            wrong_type = float(doc) if type(doc) is int else (
+                1 if isinstance(doc, str) else "1")
+            if type(doc) is int:
+                integral_floats.append((path, wrong_type))
+            for value in (drop, None, wrong_type, -1, 0, 2.5, True, [], {},
+                          "not-an-enum-value"):
+                doc = copy.deepcopy(FULL_CONFIG)
+                node = doc
+                for part in path[:-1]:
+                    node = node[part]
+                if value is drop:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = value
+                try:
+                    validate_run_config(doc)
+                    ours = True
+                except SchemaError:
+                    ours = False
+                if ours != reference.is_valid(doc):
+                    assert not ours, (path, value)
+                    disagree.append((path, value))
+        assert len(integral_floats) >= 15
+        assert disagree == integral_floats
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "golden-report.csv"

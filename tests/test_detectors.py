@@ -244,9 +244,8 @@ class TestSupervised:
     def test_separable_labels_reach_high_accuracy(self):
         seqs = self.toy_data()
         for cls in (BilstmAttentionDetector, CnnDetector):
-            det = cls(max_len=12, embed_dim=8, epochs=20, batch_size=32,
-                      lr=1e-2, seed=1, **({"hidden": 16} if cls is BilstmAttentionDetector
-                                          else {"n_filters": 16})).fit(seqs, VOCAB)
+            det = cls(max_len=12, hidden=16, embed_dim=8, epochs=20, batch_size=32,
+                      lr=1e-2, seed=1).fit(seqs, VOCAB)
             verdicts = det.predict(seqs)
             accuracy = np.mean([v.anomalous == s.is_anomalous
                                 for v, s in zip(verdicts, seqs)])
@@ -285,7 +284,7 @@ class TestSupervised:
 
     def test_cnn_embedding_matrix_shape(self):
         seqs = self.toy_data()
-        det = CnnDetector(max_len=12, n_filters=8, embed_dim=6, epochs=1,
+        det = CnnDetector(max_len=12, hidden=8, embed_dim=6, epochs=1,
                           seed=1).fit(seqs, VOCAB)
         assert det.params_["input_table"].shape == (len(VOCAB) + 1, 6)
 
@@ -295,7 +294,7 @@ class TestSupervised:
 
     def test_classify_pure_function(self):
         seqs = self.toy_data()
-        det = CnnDetector(max_len=12, n_filters=8, embed_dim=6, epochs=2,
+        det = CnnDetector(max_len=12, hidden=8, embed_dim=6, epochs=2,
                           seed=1).fit(seqs, VOCAB)
         v1 = det.classify(seqs[0])
         v2 = det.classify(seqs[0])
@@ -303,7 +302,7 @@ class TestSupervised:
 
     def test_supervised_determinism(self):
         seqs = self.toy_data()
-        runs = [CnnDetector(max_len=12, n_filters=8, embed_dim=6, epochs=2,
+        runs = [CnnDetector(max_len=12, hidden=8, embed_dim=6, epochs=2,
                             seed=9).fit(seqs, VOCAB) for _ in range(2)]
         for name in runs[0].params_.names():
             assert np.array_equal(runs[0].params_[name].data,
@@ -346,3 +345,11 @@ class TestPersistence:
         assert det.k == 3 and det.hidden == 32
         with pytest.raises(ValueError):
             det.set_params(bogus=1)
+
+    @pytest.mark.parametrize("cls, params", [
+        (LstmForecastDetector, {"heads": 2}),
+        (CnnDetector, {"n_filters": 8}),
+    ])
+    def test_hyperparameter_the_family_does_not_read_raises(self, cls, params):
+        with pytest.raises(TypeError):
+            cls(**params)
