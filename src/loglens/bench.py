@@ -349,14 +349,19 @@ def config_digest(doc) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+def fit_set(config: DetectorConfig, train: list[EventSequence]) -> list[EventSequence]:
+    """The sequences a detector fits on: supervised families learn from both
+    labels, the others from the normal sequences only."""
+    if config.family in SUPERVISED_FAMILIES:
+        return train
+    return strip_anomalies(train)[0]
+
+
 def _fit_for_experiment(config: DetectorConfig, train, vocab):
     detector = build_detector(config, vocab)
-    if config.family in SUPERVISED_FAMILIES:
-        fit_set = train
-    else:
-        fit_set, _ = strip_anomalies(train)
+    sequences = fit_set(config, train)
     start = time.perf_counter()
-    detector.fit(fit_set, vocab)
+    detector.fit(sequences, vocab)
     return detector, time.perf_counter() - start
 
 

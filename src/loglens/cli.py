@@ -24,11 +24,11 @@ from pathlib import Path
 from .bench import (
     NOISE_STRATEGIES,
     builtin_synonyms,
+    fit_set,
     run_experiment,
 )
 from .detectors import (
     DetectorConfig,
-    SUPERVISED_FAMILIES,
     build_detector,
     load_detector,
     save_detector,
@@ -59,7 +59,7 @@ class SchemaError(ConfigurationError):
 # run config schema
 
 _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-               "integer": int, "number": (int, float)}
+               "integer": int, "number": (int, float), "null": type(None)}
 
 
 @functools.cache
@@ -73,19 +73,23 @@ def run_config_schema() -> dict:
 def _check(doc, schema: dict, pointer: str) -> None:
     """Check ``doc`` against one schema node and fill in its defaults in
     place. Covers only the keywords the run-config schema uses; JSON
-    booleans are never numbers, and an integer is never a float such as 3.0."""
+    booleans are never numbers, and an integer is never a float such as 3.0.
+    Bounds apply to numbers only."""
     where = pointer or "/"
-    kind = schema.get("type")
-    if kind is not None and (not isinstance(doc, _JSON_TYPES[kind])
-                             or isinstance(doc, bool) != (kind == "boolean")):
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(isinstance(doc, _JSON_TYPES[kind])
+                         and isinstance(doc, bool) == (kind == "boolean")
+                         for kind in kinds):
         got = "null" if doc is None else type(doc).__name__
-        raise SchemaError(where, f"expected {kind}, got {got}")
+        raise SchemaError(where, f"expected {' or '.join(kinds)}, got {got}")
     if "enum" in schema and doc not in schema["enum"]:
         raise SchemaError(where, f"must be one of {', '.join(schema['enum'])}")
     for key, holds, text in (("minimum", operator.ge, ">="),
                              ("exclusiveMinimum", operator.gt, ">"),
                              ("maximum", operator.le, "<=")):
-        if key in schema and not holds(doc, schema[key]):  # NaN holds none
+        if (key in schema and isinstance(doc, (int, float))
+                and not holds(doc, schema[key])):  # NaN holds none
             raise SchemaError(where, f"must be {text} {schema[key]}")
     if isinstance(doc, list):
         if len(doc) < schema.get("minItems", 0):
@@ -127,13 +131,15 @@ def validate_run_config(doc: dict) -> dict:
     env_seed = _env_seed()
     if env_seed is not None:
         resolved["seed"] = env_seed
-        resolved["seed_source"] = "LOGLENS_SEED"
     window = resolved["window"]
     for i, det in enumerate(resolved["detectors"]):
         det.setdefault("window_size", window["window_size"])
         det.setdefault("step_size", window["step_size"])
         det.setdefault("seed", resolved["seed"])
-        resolved["detectors"][i] = DetectorConfig(**det).to_dict()
+        try:  # cross-field checks a schema bound cannot express
+            resolved["detectors"][i] = DetectorConfig(**det).to_dict()
+        except ConfigurationError as err:
+            raise SchemaError(f"/detectors/{i}", str(err)) from None
     return resolved
 
 
@@ -204,8 +210,7 @@ def cmd_train(args) -> int:
     sequences, vocab = _load_dataset(resolved)
     config = _detector_configs(resolved)[0]
     detector = build_detector(config, vocab)
-    if config.family not in SUPERVISED_FAMILIES:
-        sequences = [s for s in sequences if s.label != "anomaly"]
+    sequences = fit_set(config, sequences)
     detector.fit(sequences, vocab)
     save_detector(detector, config, args.model_out)
     print(f"trained {config.name} on {len(sequences)} sequences "
@@ -262,7 +267,6 @@ def cmd_bench(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write_csv(out_dir / "report.csv")
     (out_dir / "report.md").write_text(report.to_markdown(), encoding="utf-8")
-    resolved["config_digest"] = report.config_digest
     (out_dir / "resolved-config.json").write_text(
         json.dumps(resolved, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(report.to_markdown())

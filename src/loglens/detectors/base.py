@@ -1,20 +1,21 @@
 """Shared detector machinery: the hyperparameter table (``DetectorConfig``),
-estimator parameter handling, the training loop, verdicts, and the
-window-to-sequence decision rule."""
+estimator parameter handling, the one ``fit`` and ``predict`` of every
+family, verdicts, and the window-to-sequence decision rule."""
 
 from __future__ import annotations
 
 import logging
+import time
 from dataclasses import asdict, dataclass
 from itertools import pairwise
 
 import numpy as np
 
-from ..autodiff import Adam, ParamSet, Tensor, no_grad
-from ..exceptions import ConfigurationError, StateError
+from ..autodiff import Adam, ParamSet, Tensor, cross_entropy, no_grad
+from ..exceptions import ConfigurationError, StateError, TrainingError
 from ..ingest import EventVocabulary
 from ..rng import Rng, derive_seed
-from ..sequencing import EventSequence, SemanticEncoder, WindowSpec, window_arrays
+from ..sequencing import EventSequence, Window, WindowSpec, window_arrays
 
 WINDOW = "window"
 SEQUENCE = "sequence"
@@ -28,6 +29,8 @@ SUPERVISED_FAMILIES = ("bilstm_attention", "cnn")
 UNSUPERVISED_FAMILIES = ("lstm_forecast", "transformer_forecast", "autoencoder")
 
 DEFAULT_SEMANTIC_DIM = 32
+FILTER_HEIGHTS = (3, 4, 5)  # CNN filter heights, in events
+PREDICT_BLOCK = 1024  # examples scored per call, unless a family says otherwise
 
 
 @dataclass
@@ -58,6 +61,13 @@ class DetectorConfig:
             raise ConfigurationError(f"unknown detector family {self.family!r}")
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
+        if self.family == "transformer_forecast" and (
+                self.heads < 1 or self.hidden % self.heads):
+            raise ConfigurationError(f"transformer_forecast: hidden {self.hidden} "
+                                     f"is not divisible by heads {self.heads}")
+        if self.family == "cnn" and self.max_len < max(FILTER_HEIGHTS):
+            raise ConfigurationError(f"cnn: max_len {self.max_len} is shorter than "
+                                     f"the tallest filter, {max(FILTER_HEIGHTS)}")
 
     @property
     def resolved_embed_dim(self) -> int:
@@ -118,7 +128,18 @@ class BaseDetector:
     """Estimator base: constructor arguments are the family's
     ``hyperparameters`` (``DetectorConfig`` fields, with its defaults) and an
     optional semantic ``encoder``; fitted state lives in trailing-underscore
-    attributes, ``fit`` returns ``self``."""
+    attributes, ``fit`` returns ``self``.
+
+    ``fit`` and ``predict`` are written once, here. A family supplies only
+    what is its own:
+
+    - its examples: ``_examples(sequences, clamp)`` returns inputs, targets,
+      the index of each example's sequence and the example's position in it;
+    - its model: ``_build_params(vocab)`` and ``_logits(params, table, ids)``,
+      trained with cross-entropy unless the family has its own ``_loss``;
+    - its score rule: ``_score(table, inputs, targets)`` gives one score per
+      example, and an example is anomalous iff its score exceeds ``_cutoff``.
+    """
 
     family: str
     hyperparameters: tuple[str, ...]
@@ -152,43 +173,39 @@ class BaseDetector:
                          for name in self.hyperparameters)
         return f"{type(self).__name__}({args})"
 
-    # fitted-state helpers -------------------------------------------------
+    # training -------------------------------------------------------------
 
-    def _require_fitted(self) -> None:
-        if getattr(self, "params_", None) is None:
-            raise StateError(f"{type(self).__name__} is not fitted")
+    def fit(self, sequences: list[EventSequence], vocab: EventVocabulary):
+        """Train on ``sequences``. Which sequences a family fits on (all of
+        them, or only the normal ones) is the caller's rule: see
+        ``bench.fit_set``."""
+        start = time.perf_counter()
+        self.vocab_size_ = len(vocab)
+        self.params_ = params = self._build_params(vocab)
+        table, _ = self._input_table(None)
+        order_rng = Rng(derive_seed(self.seed, self.family, "order"))
+        inputs, targets, held_out = self._training_examples(sequences, order_rng)
+        self.epoch_losses_ = self._train(
+            params, len(inputs),
+            lambda batch: self._loss(params, table, inputs[batch], targets[batch]),
+            order_rng)
+        self._calibrate(table, held_out)
+        self.training_seconds_ = time.perf_counter() - start
+        return self
 
-    @property
-    def is_semantic(self) -> bool:
-        if getattr(self, "encoder", None) is not None:
-            return True
-        return bool(getattr(self, "_loaded_semantic", False))
+    def _training_examples(self, sequences: list[EventSequence], order_rng: Rng):
+        """The inputs and targets ``fit`` trains on, and the inputs it holds
+        out to calibrate the score rule (none here)."""
+        inputs, targets, _, _ = self._examples(sequences, self.vocab_size_)
+        if len(inputs) == 0:
+            raise TrainingError("no training examples: every sequence is too short")
+        return inputs, targets, None
 
-    def _input_table(self, vocab: EventVocabulary | None):
-        """Input row matrix and the id space to encode events against.
+    def _loss(self, params: ParamSet, table, inputs, targets) -> Tensor:
+        return cross_entropy(self._logits(params, table, inputs), targets)
 
-        Semantic detectors given an (extended) vocabulary rebuild the frozen
-        table from their encoder so unseen templates still get meaningful
-        vectors; everything else clamps to the vocabulary seen at training.
-        """
-        encoder: SemanticEncoder | None = getattr(self, "encoder", None)
-        if encoder is not None and vocab is not None:
-            return Tensor(encoder.table_for(vocab)), len(vocab)
-        return self.params_["input_table"], self.vocab_size_
-
-    def _input_params(self, ps: ParamSet, vocab: EventVocabulary) -> int:
-        """Register the input table (frozen semantic vectors or a trainable
-        embedding) and return the width of its rows."""
-        if self.encoder is not None:
-            ps.constant("input_table", self.encoder.table_for(vocab))
-            return self.encoder.dim
-        ps.uniform("input_table", (vocab.n_ids, self.embed_dim), fan_in=self.embed_dim)
-        return self.embed_dim
-
-    # training and scoring ---------------------------------------------------
-
-    def _order_rng(self) -> Rng:
-        return Rng(derive_seed(self.seed, self.family, "order"))
+    def _calibrate(self, table, held_out) -> None:
+        """Fit the cutoff of the score rule on held-out inputs, if it has one."""
 
     def _train(self, params: ParamSet, count: int, batch_loss,
                order_rng: Rng) -> list[float]:
@@ -211,8 +228,52 @@ class BaseDetector:
             losses.append(total / count if count else 0.0)
         return losses
 
-    def _windows(self, sequences: list[EventSequence]):
-        return window_arrays(sequences, WindowSpec(self.window_size, self.step_size))
+    # input rows -----------------------------------------------------------
+
+    def _require_fitted(self) -> None:
+        if getattr(self, "params_", None) is None:
+            raise StateError(f"{type(self).__name__} is not fitted")
+
+    def _input_table(self, vocab: EventVocabulary | None):
+        """Input row matrix and the id space to encode events against.
+
+        A semantic detector given an (extended) vocabulary rebuilds its frozen
+        table from its encoder, so unseen templates still get meaningful
+        vectors. Otherwise the stored table serves, or identity (one-hot) rows
+        where none is stored, and ids clamp to the vocabulary seen at training.
+        """
+        if self.encoder is not None and vocab is not None:
+            return Tensor(self.encoder.table_for(vocab)), len(vocab)
+        if "input_table" in self.params_:
+            return self.params_["input_table"], self.vocab_size_
+        return Tensor(np.eye(self.vocab_size_ + 1)), self.vocab_size_
+
+    def _input_params(self, ps: ParamSet, vocab: EventVocabulary) -> int:
+        """Register the input table (frozen semantic vectors or a trainable
+        embedding) and return the width of its rows."""
+        if self.encoder is not None:
+            ps.constant("input_table", self.encoder.table_for(vocab))
+            return self.encoder.dim
+        ps.uniform("input_table", (vocab.n_ids, self.embed_dim), fan_in=self.embed_dim)
+        return self.embed_dim
+
+    # detection ------------------------------------------------------------
+
+    def predict(self, sequences: list[EventSequence],
+                vocab: EventVocabulary | None = None) -> list[Verdict]:
+        """One verdict per sequence. ``vocab`` may extend the training
+        vocabulary; only semantic detectors read its new templates."""
+        self._require_fitted()
+        table, clamp = self._input_table(vocab)
+        inputs, targets, owner, positions = self._examples(sequences, clamp)
+        scores = np.empty(len(inputs))
+        for lo, hi in pairwise(self._blocks(owner, len(sequences))):
+            scores[lo:hi] = self._score(table, inputs[lo:hi], targets[lo:hi])
+        return self._sequence_verdicts(len(sequences), owner, positions, scores)
+
+    def _blocks(self, owner: np.ndarray, n_sequences: int):
+        """Bounds of the example blocks that ``predict`` scores in one call."""
+        return [*range(0, len(owner), PREDICT_BLOCK), len(owner)]
 
     def _softmax(self, table, ids: np.ndarray) -> np.ndarray:
         """Class probabilities of the fitted model for each row of ``ids``."""
@@ -223,15 +284,14 @@ class BaseDetector:
         return e / e.sum(axis=1, keepdims=True)
 
     def _sequence_verdicts(self, n_sequences: int, owner: np.ndarray,
-                           positions: np.ndarray, anomalous: np.ndarray,
-                           scores: np.ndarray) -> list[Verdict]:
-        """Combine window verdicts, given in sequence order with the index of
+                           positions: np.ndarray, scores: np.ndarray) -> list[Verdict]:
+        """Combine example verdicts, given in sequence order with the index of
         their ``owner`` sequence, into one verdict per sequence. Sequences
-        without a window carry no evidence and are verdicted normal."""
+        without an example (too short to window) carry no evidence and are
+        verdicted normal."""
         windows = [Verdict(level=WINDOW, anomalous=a, score=score, position=p)
-                   for a, score, p in zip(anomalous.tolist(),
-                                          scores.astype(float).tolist(),
-                                          positions.tolist())]
+                   for a, score, p in zip((scores > self._cutoff).tolist(),
+                                          scores.tolist(), positions.tolist())]
         short = n_sequences - len(np.unique(owner))
         if short:
             logger.debug("%d of %d sequences have no window (<= window size "
@@ -240,3 +300,33 @@ class BaseDetector:
         bounds = np.searchsorted(owner, np.arange(n_sequences + 1)).tolist()
         return [combine_window_verdicts(windows[lo:hi])
                 for lo, hi in pairwise(bounds)]
+
+
+class WindowDetector(BaseDetector):
+    """Base of the families whose examples are windows of ``window_size``
+    events: forecasting and the autoencoder."""
+
+    def _windows(self, sequences: list[EventSequence], clamp: int):
+        """Every window of ``sequences`` as ``window_arrays`` gives them, with
+        input ids clamped to ``clamp`` and targets to the training
+        vocabulary."""
+        ids, targets, owner, positions = window_arrays(
+            sequences, WindowSpec(self.window_size, self.step_size))
+        return (np.minimum(ids, clamp), np.minimum(targets, self.vocab_size_),
+                owner, positions)
+
+    _examples = _windows
+
+    def detect_window(self, window: Window,
+                      vocab: EventVocabulary | None = None) -> Verdict:
+        """Verdict for one window, scored as ``predict`` scores it."""
+        self._require_fitted()
+        if len(window.inputs) != self.window_size:
+            raise ConfigurationError(f"window has {len(window.inputs)} inputs; "
+                                     f"the detector reads {self.window_size}")
+        table, clamp = self._input_table(vocab)
+        one = EventSequence([*window.inputs, window.target], None, "window")
+        ids, targets, _, _ = self._windows([one], clamp)
+        score = float(self._score(table, ids, targets)[0])
+        return Verdict(level=WINDOW, anomalous=score > self._cutoff, score=score,
+                       position=window.position)

@@ -8,9 +8,10 @@ binary parameter container plus a JSON sidecar.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
-from ..autodiff import load_params, save_params
+from ..autodiff import ParamSet, load_params, save_params
 from ..exceptions import ConfigurationError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
@@ -69,24 +70,16 @@ def load_detector(directory):
     """Rebuild a fitted detector from disk.
 
     Semantic models carry their frozen input table inside the parameter
-    container, so no encoder or vocabulary is needed; events beyond the stored
-    vocabulary map to the reserved unknown id.
+    container, so every detector is rebuilt without an encoder or vocabulary
+    and reads its stored table; events beyond the stored vocabulary map to
+    the reserved unknown id.
     """
     directory = Path(directory)
     sidecar = json.loads((directory / "detector.json").read_text(encoding="utf-8"))
     config = DetectorConfig.from_dict(sidecar["config"])
-    detector = build_detector(config, encoder=None) if not config.semantics else None
-    if detector is None:
-        # build without recreating the encoder; the stored table is reused
-        plain = DetectorConfig.from_dict({**sidecar["config"], "semantics": False})
-        detector = build_detector(plain)
-        detector._loaded_semantic = True
-    values = load_params(directory / "params.llns")
-    from ..autodiff import ParamSet
-
-    params = ParamSet(config.seed)
-    params.load_values(values)
-    detector.params_ = params
+    detector = build_detector(replace(config, semantics=False))
+    detector.params_ = ParamSet(config.seed)
+    detector.params_.load_values(load_params(directory / "params.llns"))
     detector.vocab_size_ = int(sidecar["vocab_size"])
     if sidecar.get("threshold") is not None:
         detector.threshold_ = float(sidecar["threshold"])

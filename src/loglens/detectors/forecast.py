@@ -10,15 +10,12 @@ space.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..autodiff import (
     ParamSet,
     Tensor,
     attention_params,
-    cross_entropy,
     embedding_lookup,
     linear,
     lstm_params,
@@ -27,74 +24,22 @@ from ..autodiff import (
     run_lstm,
     sinusoidal_encoding,
 )
-from ..exceptions import TrainingError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
-from ..sequencing import EventSequence, Window
-from .base import WINDOW, BaseDetector, Verdict, target_ranks
+from .base import WindowDetector, target_ranks
 
 
-class _ForecastBase(BaseDetector):
-    kind = "forecast"
+class _ForecastBase(WindowDetector):
+    """Score rule: the rank of the observed event among the predicted
+    next-event probabilities; a window is anomalous iff its event falls
+    outside the k most probable (ties count as inside)."""
 
-    def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        raise NotImplementedError
+    @property
+    def _cutoff(self) -> int:
+        return self.k
 
-    def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
-        raise NotImplementedError
-
-    # training -------------------------------------------------------------
-
-    def fit(self, sequences: list[EventSequence], vocab: EventVocabulary):
-        """Train next-event prediction on windows from (assumed normal)
-        sequences; anomaly stripping is the caller's responsibility."""
-        start = time.perf_counter()
-        n = len(vocab)
-        ids, targets, _, _ = self._windows(sequences)
-        if ids.shape[0] == 0:
-            raise TrainingError("no training windows: every sequence is too short")
-        ids, targets = np.minimum(ids, n), np.minimum(targets, n)
-        self.vocab_size_ = n
-        params = self._build_params(vocab)
-        self.params_ = params
-        table = params["input_table"]
-        self.epoch_losses_ = self._train(
-            params, ids.shape[0],
-            lambda batch: cross_entropy(self._logits(params, table, ids[batch]),
-                                        targets[batch]),
-            self._order_rng())
-        self.training_seconds_ = time.perf_counter() - start
-        return self
-
-    # detection ------------------------------------------------------------
-
-    def detect_window(self, window: Window, vocab: EventVocabulary | None = None) -> Verdict:
-        """Top-k verdict for one window: anomalous iff the observed target is
-        not among the k most probable events (ties count as inside)."""
-        self._require_fitted()
-        table, clamp = self._input_table(vocab)
-        ids = np.minimum(np.asarray([window.inputs], dtype=np.int64), clamp)
-        target = min(window.target, self.vocab_size_)
-        probs = self._softmax(table, ids)
-        rank = int(target_ranks(probs, np.asarray([target]))[0])
-        return Verdict(level=WINDOW, anomalous=rank > self.k, score=float(rank),
-                       position=window.position)
-
-    def predict(self, sequences: list[EventSequence],
-                vocab: EventVocabulary | None = None) -> list[Verdict]:
-        """Sequence-level verdicts: a sequence is anomalous iff any of its
-        windows is; windowless (short) sequences are verdicted normal."""
-        self._require_fitted()
-        table, clamp = self._input_table(vocab)
-        ids, targets, owner, positions = self._windows(sequences)
-        ids = np.minimum(ids, clamp)
-        targets = np.minimum(targets, self.vocab_size_)
-        ranks = np.empty(len(ids), dtype=np.int64)
-        for lo in range(0, len(ids), 1024):
-            probs = self._softmax(table, ids[lo:lo + 1024])
-            ranks[lo:lo + 1024] = target_ranks(probs, targets[lo:lo + 1024])
-        return self._sequence_verdicts(len(sequences), owner, positions,
-                                       ranks > self.k, ranks)
+    def _score(self, table, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        return target_ranks(self._softmax(table, ids), targets)
 
 
 class LstmForecastDetector(_ForecastBase):

@@ -5,15 +5,12 @@ trainable event-embedding matrix.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from ..autodiff import (
     ParamSet,
     Tensor,
     concat,
-    cross_entropy,
     embedding_lookup,
     linear,
     lstm_params,
@@ -23,25 +20,21 @@ from ..autodiff import (
     tanh,
 )
 from ..autodiff.nn import conv_full_width
-from ..exceptions import ConfigurationError, TrainingError
-from ..ingest import EventVocabulary, LABEL_ANOMALY
+from ..exceptions import TrainingError
+from ..ingest import EventVocabulary
 from ..rng import derive_seed
 from ..sequencing import EventSequence, encode_indices, pad_or_truncate
-from .base import SEQUENCE, BaseDetector, Verdict
-
-FILTER_HEIGHTS = (3, 4, 5)  # CNN filter heights, in events
+from .base import FILTER_HEIGHTS, BaseDetector, Verdict
 
 
 class _SupervisedBase(BaseDetector):
-    kind = "supervised"
+    """One example per sequence, its label the target. Score rule: a
+    sequence is anomalous iff its anomaly-class probability is strictly
+    greater than one half."""
+
     hyperparameters = ("max_len", "hidden", "embed_dim", "epochs", "batch_size",
                        "lr", "seed")
-
-    def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        raise NotImplementedError
-
-    def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
-        raise NotImplementedError
+    _cutoff = 0.5
 
     def _padded_ids(self, sequences: list[EventSequence], clamp: int) -> np.ndarray:
         pad_id = clamp  # the reserved unknown id doubles as padding
@@ -51,48 +44,24 @@ class _SupervisedBase(BaseDetector):
         ]
         return np.asarray(rows, dtype=np.int64)
 
-    def fit(self, sequences: list[EventSequence], vocab: EventVocabulary):
-        """Train the binary classifier; both labels must be present."""
-        start = time.perf_counter()
-        labels = np.asarray([1 if s.label == LABEL_ANOMALY else 0 for s in sequences],
-                            dtype=np.int64)
-        if len(set(labels.tolist())) < 2:
-            raise TrainingError("supervised training requires both classes")
-        n = len(vocab)
-        self.vocab_size_ = n
-        ids = self._padded_ids(sequences, n)
-        params = self._build_params(vocab)
-        self.params_ = params
+    def _examples(self, sequences: list[EventSequence], clamp: int):
+        n = len(sequences)
+        labels = np.asarray([s.is_anomalous for s in sequences], dtype=np.int64)
+        return self._padded_ids(sequences, clamp), labels, np.arange(n), np.full(n, None)
 
-        table = params["input_table"]
-        self.epoch_losses_ = self._train(
-            params, ids.shape[0],
-            lambda batch: cross_entropy(self._logits(params, table, ids[batch]),
-                                        labels[batch]),
-            self._order_rng())
-        self.training_seconds_ = time.perf_counter() - start
-        return self
+    def _training_examples(self, sequences, order_rng):
+        if len({s.is_anomalous for s in sequences}) < 2:
+            raise TrainingError("supervised training requires both classes")
+        return super()._training_examples(sequences, order_rng)
+
+    def _score(self, table, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        return self._softmax(table, ids)[:, 1]
 
     def classify(self, sequence: EventSequence,
                  vocab: EventVocabulary | None = None) -> Verdict:
-        """Sequence verdict: anomalous iff the anomaly-class probability is
-        strictly greater than one half."""
+        """The verdict ``predict`` gives ``sequence``."""
         (verdict,) = self.predict([sequence], vocab)
         return verdict
-
-    def predict(self, sequences: list[EventSequence],
-                vocab: EventVocabulary | None = None) -> list[Verdict]:
-        self._require_fitted()
-        table, clamp = self._input_table(vocab)
-        ids = self._padded_ids(sequences, clamp)
-        verdicts = []
-        for lo in range(0, ids.shape[0], 1024):
-            probs = self._softmax(table, ids[lo:lo + 1024])[:, 1]
-            verdicts.extend(
-                Verdict(level=SEQUENCE, anomalous=float(p) > 0.5, score=float(p))
-                for p in probs
-            )
-        return verdicts
 
 
 class BilstmAttentionDetector(_SupervisedBase):
@@ -136,11 +105,6 @@ class CnnDetector(_SupervisedBase):
     family = "cnn"
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        if max(FILTER_HEIGHTS) > self.max_len:
-            raise ConfigurationError(
-                f"max_len {self.max_len} shorter than filter height "
-                f"{max(FILTER_HEIGHTS)}"
-            )
         ps = ParamSet(derive_seed(self.seed, self.family))
         in_dim = self._input_params(ps, vocab)
         for height in FILTER_HEIGHTS:

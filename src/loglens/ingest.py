@@ -16,7 +16,7 @@ import re
 import time
 from dataclasses import dataclass
 
-from .exceptions import FormatError
+from .exceptions import ConfigurationError, FormatError
 
 PLACEHOLDER = "<*>"
 
@@ -226,7 +226,7 @@ def parse_templates(records: list[LogRecord], similarity_threshold: float = 0.5
     masked tokens found a new template. Deterministic given record order.
     """
     if not 0.0 < similarity_threshold <= 1.0:
-        raise ValueError("similarity_threshold must be in (0, 1]")
+        raise ConfigurationError("similarity_threshold must be in (0, 1]")
     template_tokens: list[list[str]] = []
     by_length: dict[int, list[int]] = {}
     assignments: list[int] = []

@@ -9,7 +9,7 @@ from loglens.bench import EXPERIMENTS, NOISE_STRATEGIES
 from loglens.cli import main, run_config_schema, validate_run_config, SchemaError
 from loglens.detectors import FAMILIES, DetectorConfig
 from loglens.ingest import read_parsed
-from loglens.sequencing import read_sequences
+from loglens.sequencing import PartitionSpec, partition, read_sequences
 from loglens.syngen import GeneratorSpec, generate
 
 HDFS_LINE = ("081109 203518 143 INFO dfs.DataNode$DataXceiver: "
@@ -31,6 +31,11 @@ def syn_csv(tmp_path, n_sequences=120, seed=5, rate=0.1):
                            anomaly_rate=rate, mean_length=14,
                            seed=seed)).write(path)
     return path
+
+
+def read_sequences_of(csv_path):
+    records, _ = read_parsed(csv_path)
+    return partition(records, PartitionSpec("identifier"))
 
 
 def bench_config(tmp_path, csv_path, **overrides):
@@ -79,6 +84,17 @@ class TestParseCommand:
         records, _ = read_parsed(out)
         assert records == []
 
+    def test_similarity_threshold_out_of_range_exits_two(self, tmp_path, capsys):
+        raw = tmp_path / "raw.log"
+        raw.write_text(HDFS_LINE)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(FORMAT_SPEC))
+        assert main(["parse", "--input", str(raw), "--format", str(spec),
+                     "--similarity-threshold", "0",
+                     "--out", str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "similarity_threshold" in err and "Traceback" not in err
+
     def test_missing_file_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(FORMAT_SPEC))
@@ -125,6 +141,20 @@ class TestTrainDetect:
         verdicts = [json.loads(l) for l in verdict_path.read_text().splitlines()]
         assert len(verdicts) == 150
         assert sum(v["anomalous"] for v in verdicts) == 0
+
+    @pytest.mark.parametrize("family", ["lstm_forecast", "cnn"])
+    def test_train_fits_on_the_bench_fit_set(self, tmp_path, capsys, family):
+        csv_path = syn_csv(tmp_path, n_sequences=80, rate=0.2)
+        config, doc = bench_config(tmp_path, csv_path)
+        doc["detectors"] = [d for d in doc["detectors"] if d["family"] == family]
+        config.write_text(json.dumps(doc))
+        sequences = read_sequences_of(csv_path)
+        normal = [s for s in sequences if not s.is_anomalous]
+        assert 0 < len(normal) < len(sequences)
+        assert main(["train", "--config", str(config),
+                     "--model-out", str(tmp_path / "model")]) == 0
+        expected = len(sequences) if family == "cnn" else len(normal)
+        assert f" on {expected} sequences " in capsys.readouterr().out
 
     def test_detect_with_k_at_vocab_size_flags_nothing(self, tmp_path):
         csv_path = syn_csv(tmp_path, n_sequences=100, rate=0.2)
@@ -174,6 +204,25 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(config)]) == 0
         second = (Path(doc["output_dir"]) / "report.csv").read_bytes()
         assert first == second
+
+    @pytest.mark.parametrize("env_seed", [None, "7"])
+    def test_resolved_config_reruns_identically(self, tmp_path, monkeypatch,
+                                                env_seed):
+        if env_seed is None:
+            monkeypatch.delenv("LOGLENS_SEED", raising=False)
+        else:
+            monkeypatch.setenv("LOGLENS_SEED", env_seed)
+        csv_path = syn_csv(tmp_path, n_sequences=60)
+        config, doc = bench_config(tmp_path, csv_path)
+        out_dir = Path(doc["output_dir"])
+        assert main(["bench", "--config", str(config)]) == 0
+        first = (out_dir / "report.csv").read_bytes()
+        digest = (out_dir / "report.md").read_text().splitlines()[2]
+        resolved = out_dir / "resolved-config.json"
+        assert resolved.read_text().count('"seed": 7') == (3 if env_seed else 0)
+        assert main(["bench", "--config", str(resolved)]) == 0
+        assert (out_dir / "report.csv").read_bytes() == first
+        assert (out_dir / "report.md").read_text().splitlines()[2] == digest
 
     def test_contamination_rows_per_ratio(self, tmp_path):
         csv_path = syn_csv(tmp_path, n_sequences=200, rate=0.2)
@@ -294,6 +343,33 @@ class TestSchemaValidation:
         assert main(["bench", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"{pointer}:" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("detector, message", [
+        ({"family": "transformer_forecast", "hidden": 8, "heads": 3},
+         "not divisible by heads 3"),
+        ({"family": "cnn", "max_len": 4}, "max_len 4 is shorter"),
+    ])
+    def test_cross_field_error_names_detector_before_reading_data(
+            self, tmp_path, capsys, detector, message):
+        config, doc = bench_config(tmp_path, tmp_path / "absent.csv")
+        doc["detectors"].append(detector)
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "/detectors/2:" in err and message in err
+        assert "absent.csv" not in err and "Traceback" not in err
+
+    def test_raw_similarity_threshold_out_of_range_exits_two(self, tmp_path,
+                                                             capsys):
+        raw = tmp_path / "raw.log"
+        raw.write_text(HDFS_LINE)
+        dataset = {"path": str(raw), "format": "raw", "format_spec": FORMAT_SPEC,
+                   "similarity_threshold": 1.5}
+        config, _ = bench_config(tmp_path, raw, dataset=dataset)
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "/dataset/similarity_threshold:" in err
         assert "Traceback" not in err
 
     def test_non_integer_env_seed_exits_two(self, tmp_path, monkeypatch, capsys):

@@ -5,6 +5,8 @@ from loglens.detectors import (
     AutoencoderDetector,
     BilstmAttentionDetector,
     CnnDetector,
+    FAMILIES,
+    SUPERVISED_FAMILIES,
     DetectorConfig,
     LstmForecastDetector,
     TransformerForecastDetector,
@@ -16,7 +18,7 @@ from loglens.detectors import (
     save_detector,
     target_ranks,
 )
-from loglens.exceptions import StateError, TrainingError
+from loglens.exceptions import ConfigurationError, StateError, TrainingError
 from loglens.ingest import EventVocabulary
 from loglens.rng import Rng
 from loglens.sequencing import EventSequence, SemanticEncoder, Window
@@ -334,9 +336,28 @@ class TestPersistence:
             seqs[0].label = "anomaly"
         det = build_detector(config, VOCAB).fit(seqs, VOCAB)
         save_detector(det, config, tmp_path / "model")
-        loaded, _ = load_detector(tmp_path / "model")
-        assert loaded.is_semantic
+        loaded, loaded_config = load_detector(tmp_path / "model")
+        assert loaded_config.semantics
         assert loaded.predict(seqs[:5]) == det.predict(seqs[:5], vocab=None)
+
+    @pytest.mark.parametrize("semantics", [False, True])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_round_trip_every_family_and_input_mode(self, tmp_path, family,
+                                                    semantics):
+        config = DetectorConfig(family=family, semantics=semantics, k=2,
+                                window_size=3, hidden=8, layers=1, heads=2,
+                                embed_dim=4, max_len=12, epochs=2, batch_size=16,
+                                lr=1e-2, threshold_quantile=0.9, seed=5)
+        seqs = random_sequences(Rng(17), 40, vocab_size=3, error_rate=0.3)
+        fit_on = seqs if family in SUPERVISED_FAMILIES else [
+            s for s in seqs if not s.is_anomalous]
+        det = build_detector(config, VOCAB).fit(fit_on, VOCAB)
+        save_detector(det, config, tmp_path / "model")
+        loaded, loaded_config = load_detector(tmp_path / "model")
+        assert loaded_config == config
+        test = random_sequences(Rng(19), 20, vocab_size=5)
+        assert loaded.predict(test) == det.predict(test)
+        assert getattr(loaded, "threshold_", None) == getattr(det, "threshold_", None)
 
     def test_get_set_params(self):
         det = LstmForecastDetector(k=7)
@@ -353,3 +374,13 @@ class TestPersistence:
     def test_hyperparameter_the_family_does_not_read_raises(self, cls, params):
         with pytest.raises(TypeError):
             cls(**params)
+
+    @pytest.mark.parametrize("family, params", [
+        ("transformer_forecast", {"hidden": 8, "heads": 3}),
+        ("cnn", {"max_len": 4}),
+    ])
+    def test_cross_field_config_error_raised_at_construction(self, family,
+                                                             params):
+        with pytest.raises(ConfigurationError):
+            DetectorConfig(family, **params)
+        DetectorConfig(family, **{**params, "hidden": 9, "max_len": 5})
