@@ -160,11 +160,17 @@ class BaseDetector:
                 for name in (*self.hyperparameters, "encoder")}
 
     def set_params(self, **params) -> "BaseDetector":
-        for name, value in params.items():
+        """Set hyperparameters (and ``encoder``) after ``DetectorConfig``'s
+        checks pass on the merged values; a refused call changes nothing."""
+        for name in params:
             if name not in self.hyperparameters and name != "encoder":
                 raise ValueError(
                     f"invalid parameter {name!r} for {type(self).__name__}"
                 )
+        merged = {**self.get_params(), **params}
+        encoder = merged.pop("encoder")
+        DetectorConfig(self.family, semantics=encoder is not None, **merged)
+        for name, value in params.items():
             setattr(self, name, value)
         return self
 

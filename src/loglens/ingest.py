@@ -15,6 +15,7 @@ import json
 import re
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .exceptions import ConfigurationError, FormatError
 
@@ -118,11 +119,17 @@ class FormatSpec:
 
 
 def read_raw(path, spec: FormatSpec) -> tuple[list[LogRecord], list[tuple[int, str]]]:
-    """Read a raw log file; lines that do not match become rejects, not errors."""
+    """Read a raw log file; lines that do not match become rejects, not errors.
+
+    A log is written in time order, so most lines repeat the previous line's
+    timestamp text: the last text and its epoch seconds are kept and reused,
+    which holds memory at one entry however many distinct stamps there are.
+    """
     line_pattern = re.compile(spec.timestamp_regex)
     id_pattern = re.compile(spec.identifier_regex) if spec.identifier_regex else None
     records: list[LogRecord] = []
     rejects: list[tuple[int, str]] = []
+    last_stamp, last_timestamp = None, 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -133,8 +140,12 @@ def read_raw(path, spec: FormatSpec) -> tuple[list[LogRecord], list[tuple[int, s
                 rejects.append((line_no, line))
                 continue
             try:
-                parsed = time.strptime(match.group(1), spec.timestamp_format)
-                timestamp = calendar.timegm(parsed)
+                stamp = match.group(1)
+                if stamp != last_stamp:
+                    last_timestamp = calendar.timegm(
+                        time.strptime(stamp, spec.timestamp_format))
+                    last_stamp = stamp
+                timestamp = last_timestamp
                 content = match.group(spec.content_group).strip()
             except (ValueError, IndexError):
                 rejects.append((line_no, line))
@@ -159,29 +170,45 @@ def write_rejects(rejects: list[tuple[int, str]], path) -> None:
 
 
 def read_parsed(path) -> tuple[list[LogRecord], EventVocabulary]:
-    """Load a pre-parsed CSV (LineId, Timestamp, Identifier, EventTemplate, Label)."""
+    """Load a pre-parsed CSV (LineId, Timestamp, Identifier, EventTemplate, Label).
+
+    Columns are found by name in the header, so their order is free; a row
+    that lacks one of them, whose LineId or Timestamp is not an integer, or
+    whose Label is neither empty, normal nor anomaly, is a ``FormatError``
+    naming its line.
+    """
     records: list[LogRecord] = []
     vocab = EventVocabulary()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for column in PARSED_COLUMNS:
             if column not in header:
                 raise FormatError(f"parsed CSV missing required column {column!r}")
+        # a repeated header name means its last column, as with csv.DictReader
+        index = {name: i for i, name in enumerate(header)}
+        fields = itemgetter(*(index[column] for column in PARSED_COLUMNS))
         for row in reader:
-            template = row["EventTemplate"]
-            event_id = vocab.add(template)
-            label = row["Label"].strip() or None
+            if not row:
+                continue
+            try:
+                line_id, stamp, identifier, template, label = fields(row)
+            except IndexError:
+                raise FormatError(f"parsed CSV line {reader.line_num}: "
+                                  f"{len(row)} fields, the header has "
+                                  f"{len(header)}") from None
+            try:
+                line_no, timestamp = int(line_id), int(stamp)
+            except ValueError:
+                raise FormatError(f"parsed CSV line {reader.line_num}: LineId and "
+                                  f"Timestamp must be integers, got {line_id!r} "
+                                  f"and {stamp!r}") from None
+            label = label.strip() or None
             if label is not None and label not in (LABEL_NORMAL, LABEL_ANOMALY):
-                raise FormatError(f"unrecognized label {label!r}")
-            records.append(LogRecord(
-                line_no=int(row["LineId"]),
-                timestamp=int(row["Timestamp"]),
-                identifier=row["Identifier"] or None,
-                content=template,
-                event_id=event_id,
-                label=label,
-            ))
+                raise FormatError(f"parsed CSV line {reader.line_num}: "
+                                  f"unrecognized label {label!r}")
+            records.append(LogRecord(line_no, timestamp, identifier or None,
+                                     template, vocab.add(template), label))
     return records, vocab
 
 
@@ -224,16 +251,25 @@ def parse_templates(records: list[LogRecord], similarity_threshold: float = 0.5
     agree and the fraction of position-wise equal tokens reaches the
     threshold; positions that disagree become placeholders. Otherwise its
     masked tokens found a new template. Deterministic given record order.
+
+    The scan's choice depends only on the masked tokens and the current
+    templates, so it is memoised by tokens until a template is created or
+    changed: a hit gets the same template, whose merge would change nothing.
     """
     if not 0.0 < similarity_threshold <= 1.0:
         raise ConfigurationError("similarity_threshold must be in (0, 1]")
-    template_tokens: list[list[str]] = []
+    template_tokens: list[tuple[str, ...]] = []
     by_length: dict[int, list[int]] = {}
     assignments: list[int] = []
+    chosen: dict[tuple[str, ...], int] = {}
 
     for rec in records:
-        tokens = [_mask_token(t) for t in rec.content.split()]
-        best_id, best_sim = None, similarity_threshold
+        tokens = tuple(_mask_token(t) for t in rec.content.split())
+        best_id = chosen.get(tokens)
+        if best_id is not None:
+            assignments.append(best_id)
+            continue
+        best_sim = similarity_threshold
         for tid in by_length.get(len(tokens), []):
             existing = template_tokens[tid]
             same = sum(1 for a, b in zip(tokens, existing) if a == b)
@@ -244,11 +280,16 @@ def parse_templates(records: list[LogRecord], similarity_threshold: float = 0.5
             best_id = len(template_tokens)
             template_tokens.append(tokens)
             by_length.setdefault(len(tokens), []).append(best_id)
+            chosen.clear()
         else:
             existing = template_tokens[best_id]
-            template_tokens[best_id] = [
-                a if a == b else PLACEHOLDER for a, b in zip(existing, tokens)
-            ]
+            merged = tuple(a if a == b else PLACEHOLDER
+                           for a, b in zip(existing, tokens))
+            if merged == existing:
+                chosen[tokens] = best_id
+            else:
+                template_tokens[best_id] = merged
+                chosen.clear()
         assignments.append(best_id)
 
     # merging can collapse two templates onto the same masked string; densify

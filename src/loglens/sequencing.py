@@ -4,6 +4,7 @@ forecasting, and encode events as indices or semantic vectors."""
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +72,11 @@ def _sequence_label(records: list[LogRecord]) -> str | None:
 
 
 def _to_sequence(records: list[LogRecord], origin: str) -> EventSequence:
-    ordered = sorted(records, key=lambda r: (r.timestamp, r.line_no))
+    return _sequence_of(sorted(records, key=lambda r: (r.timestamp, r.line_no)), origin)
+
+
+def _sequence_of(ordered: list[LogRecord], origin: str) -> EventSequence:
+    """The sequence of records already in (timestamp, line_no) order."""
     events = [r.event_id for r in ordered]
     if any(e is None for e in events):
         raise ConfigurationError("partition requires records with event ids")
@@ -109,18 +114,17 @@ def partition(records: list[LogRecord], spec: PartitionSpec) -> list[EventSequen
                 for i in sorted(groups_by_index)]
 
     # sliding: start every stride; the last start is the first one whose
-    # window already reaches past t_max (kept only if it has records)
+    # window already reaches past t_max (kept only if it has records). Sorted
+    # once, each window [lo, lo + size) is a contiguous slice.
     stride = spec.stride
+    ordered = sorted(records, key=lambda r: (r.timestamp, r.line_no))
+    stamps = [r.timestamp for r in ordered]
     sequences = []
-    span = t_max - t0
-    j = 0
-    while j == 0 or j * stride <= span - size + stride:
+    for j in range(max(1, (t_max - t0 - size) // stride + 2)):
         lo = t0 + j * stride
-        hi = lo + size
-        members = [r for r in records if lo <= r.timestamp < hi]
-        if members:
-            sequences.append(_to_sequence(members, str(j)))
-        j += 1
+        first, end = bisect_left(stamps, lo), bisect_left(stamps, lo + size)
+        if end > first:
+            sequences.append(_sequence_of(ordered[first:end], str(j)))
     return sequences
 
 

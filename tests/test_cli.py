@@ -122,6 +122,23 @@ class TestSyngenPartition:
                      "identifier", "--out", str(out)]) == 0
         assert len(read_sequences(out)) == 20
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("2,101,a", "3 fields"),
+        ("two,101,blk_1,a,normal", "'two'"),
+        ("2,noon,blk_1,a,normal", "'noon'"),
+        ("2,101,blk_1,a,weird", "'weird'"),
+    ])
+    def test_malformed_parsed_row_exits_two_naming_its_line(
+            self, tmp_path, capsys, bad_row, message):
+        csv_path = tmp_path / "bad.csv"
+        csv_path.write_text("LineId,Timestamp,Identifier,EventTemplate,Label\n"
+                            f"1,100,blk_1,a,normal\n{bad_row}\n")
+        code = main(["partition", "--input", str(csv_path), "--mode",
+                     "identifier", "--out", str(tmp_path / "seqs.jsonl")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and message in err and "Traceback" not in err
+
 
 class TestTrainDetect:
     def test_train_then_detect_on_clean_pattern(self, tmp_path):

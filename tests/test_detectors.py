@@ -367,6 +367,18 @@ class TestPersistence:
         with pytest.raises(ValueError):
             det.set_params(bogus=1)
 
+    @pytest.mark.parametrize("det, params", [
+        (CnnDetector(max_len=8), {"max_len": 3}),
+        (LstmForecastDetector(k=4), {"k": 0}),
+        (TransformerForecastDetector(hidden=8, heads=2), {"heads": 3}),
+    ])
+    def test_set_params_runs_config_checks_and_leaves_detector_unchanged(
+            self, det, params):
+        before = det.get_params()
+        with pytest.raises(ConfigurationError):
+            det.set_params(**params)
+        assert det.get_params() == before
+
     @pytest.mark.parametrize("cls, params", [
         (LstmForecastDetector, {"heads": 2}),
         (CnnDetector, {"n_filters": 8}),

@@ -1,13 +1,17 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from loglens.exceptions import FormatError
 from loglens.ingest import (
+    PLACEHOLDER,
     EventVocabulary,
     FormatSpec,
     LogRecord,
     parse_templates,
     read_parsed,
     read_raw,
+    _mask_token,
     tokenize_template,
     write_parsed,
     write_rejects,
@@ -55,6 +59,17 @@ class TestReadRaw:
         out = tmp_path / "mixed.log.rejects"
         write_rejects(rejects, out)
         assert out.read_text() == "6\tthis is not a log line\n"
+
+    def test_stamps_that_repeat_change_and_fail(self, tmp_path):
+        stamps = ["081109 203518", "081109 203518", "081109 203519",
+                  "081109 253518", "081109 253518", "081109 203518"]
+        path = tmp_path / "stamps.log"
+        path.write_text("".join(f"{s} 1 INFO x: line {i}\n"
+                                for i, s in enumerate(stamps)))
+        records, rejects = read_raw(path, HDFS_SPEC)
+        base = records[0].timestamp
+        assert [r.timestamp - base for r in records] == [0, 0, 1, 0]
+        assert [line_no for line_no, _ in rejects] == [4, 5]  # hour 25
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -112,6 +127,62 @@ class TestParseTemplates:
         v2, r2 = parse_templates(make_records(contents))
         assert v1.templates == v2.templates
         assert [r.event_id for r in r1] == [r.event_id for r in r2]
+
+
+def reference_scan(contents, similarity_threshold):
+    """``parse_templates``'s template scan with no memo: every record is
+    compared with every template of its length."""
+    template_tokens, by_length, assignments = [], {}, []
+    for content in contents:
+        tokens = [_mask_token(t) for t in content.split()]
+        best_id, best_sim = None, similarity_threshold
+        for tid in by_length.get(len(tokens), []):
+            same = sum(1 for a, b in zip(tokens, template_tokens[tid]) if a == b)
+            sim = same / len(tokens) if tokens else 1.0
+            if sim >= best_sim and (best_id is None or sim > best_sim):
+                best_id, best_sim = tid, sim
+        if best_id is None:
+            best_id = len(template_tokens)
+            template_tokens.append(tokens)
+            by_length.setdefault(len(tokens), []).append(best_id)
+        else:
+            existing = template_tokens[best_id]
+            template_tokens[best_id] = [a if a == b else PLACEHOLDER
+                                        for a, b in zip(existing, tokens)]
+        assignments.append(best_id)
+    vocab = EventVocabulary()
+    remap = [vocab.add(" ".join(tokens)) for tokens in template_tokens]
+    return vocab.templates, [remap[tid] for tid in assignments]
+
+
+# words, parameters (a digit or a path separator) and a literal placeholder
+TOKENS = ["a", "b", "c", "7", "/p", PLACEHOLDER]
+
+
+@st.composite
+def log_streams(draw):
+    """Lines drawn from a few distinct contents of one length, and empty
+    ones: contents repeat and compete for the same templates, as in a log."""
+    rnd = draw(st.randoms(use_true_random=False))
+    length = rnd.randint(3, 6)
+    pool = [" ".join(rnd.choices(TOKENS, k=length)) for _ in range(rnd.randint(2, 12))]
+    return rnd.choices(pool + [""], k=rnd.randint(10, 60))
+
+
+THRESHOLDS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(contents=log_streams(), threshold=THRESHOLDS)
+# the fourth line merges template 0 onto template 1's string
+@example(contents=["c a", "1 1", "c b", "a 1"], threshold=0.5)
+# merges move template 0 away from "a b c", which then founds its own
+@example(contents=["a b c", "a b c", "a b d", "a e 1", "a b c"], threshold=0.6)
+def test_parse_templates_matches_unmemoised_scan(contents, threshold):
+    vocab, records = parse_templates(make_records(contents), threshold)
+    templates, event_ids = reference_scan(contents, threshold)
+    assert vocab.templates == templates
+    assert [r.event_id for r in records] == event_ids
 
 
 class TestTokenizeTemplate:

@@ -107,6 +107,33 @@ class TestPartition:
             assert max(membership.values()) <= bound
             assert min(membership.values()) >= 1
 
+    @pytest.mark.parametrize("timestamps, size, stride, expected", [
+        # one timestamp: a single window holds every record
+        ([5, 5, 5], 4, 2, {"0": [0, 1, 2]}),
+        # the whole span is shorter than one window
+        ([0, 3, 5], 10, 3, {"0": [0, 1, 2]}),
+        # given out of time order: windows [0, 4), [2, 6), [4, 8)
+        ([7, 0, 3, 1], 4, 2, {"0": [1, 3, 2], "1": [2], "2": [0]}),
+        # a gap leaves the windows from [4, 10) to [12, 18) empty
+        ([0, 1, 18], 6, 4, {"0": [0, 1], "4": [2]}),
+    ])
+    def test_sliding_edge_cases(self, timestamps, size, stride, expected):
+        seqs = partition(timed_records(timestamps),
+                         PartitionSpec("sliding", size, stride))
+        assert {s.origin: s.events for s in seqs} == expected
+
+    def test_sliding_orders_equal_timestamps_by_line_no(self):
+        records = [LogRecord(line_no, 7, None, "x", event_id)
+                   for line_no, event_id in ((3, 2), (1, 0), (2, 1))]
+        (seq,) = partition(records, PartitionSpec("sliding", 2, 1))
+        assert seq.events == [0, 1, 2]
+
+    def test_sliding_refuses_record_without_event_id(self):
+        records = timed_records([0, 1, 2])
+        records[1].event_id = None
+        with pytest.raises(ConfigurationError, match="event ids"):
+            partition(records, PartitionSpec("sliding", 2, 1))
+
     def test_identifier_mode_without_identifiers(self):
         with pytest.raises(ConfigurationError):
             partition(timed_records([1, 2]), PartitionSpec("identifier"))
