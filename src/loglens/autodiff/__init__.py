@@ -1,3 +1,4 @@
+from . import heap  # noqa: F401  (sets the allocator thresholds on import)
 from .tensor import (
     Tensor,
     as_tensor,
@@ -6,14 +7,13 @@ from .tensor import (
     matmul,
     tanh,
     sigmoid,
-    lstm_step,
+    lstm_sequence,
     relu,
     softmax,
     cross_entropy,
     mse,
     embedding_lookup,
     concat,
-    stack,
     narrow,
     unfold_windows,
     max_along,
@@ -23,7 +23,6 @@ from .nn import (
     ParamSet,
     linear,
     lstm_params,
-    lstm_cell,
     run_lstm,
     attention_params,
     multihead_attention,
@@ -36,10 +35,10 @@ from .serialize import save_params, load_params
 from .gradcheck import finite_difference_check
 
 __all__ = [
-    "Tensor", "as_tensor", "add", "mul", "matmul", "tanh", "sigmoid", "lstm_step", "relu",
-    "softmax", "cross_entropy", "mse", "embedding_lookup", "concat", "stack",
+    "Tensor", "as_tensor", "add", "mul", "matmul", "tanh", "sigmoid", "lstm_sequence", "relu",
+    "softmax", "cross_entropy", "mse", "embedding_lookup", "concat",
     "narrow", "unfold_windows", "max_along", "no_grad",
-    "ParamSet", "linear", "lstm_params", "lstm_cell", "run_lstm",
+    "ParamSet", "linear", "lstm_params", "run_lstm",
     "attention_params", "multihead_attention", "sinusoidal_encoding",
     "conv2d", "conv_full_width",
     "SGD", "Adam", "make_optimizer", "optimize_step",

@@ -12,7 +12,7 @@ from ..rng import Rng
 from .tensor import (
     Tensor,
     concat,
-    lstm_step,
+    lstm_sequence,
     matmul,
     narrow,
     relu,
@@ -110,31 +110,20 @@ def lstm_params(ps: ParamSet, prefix: str, in_dim: int, units: int) -> None:
     ps.zeros(f"{prefix}.b", (4 * units,))
 
 
-def lstm_cell(x: Tensor, h: Tensor, c: Tensor,
-              wx: Tensor, wh: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One gated recurrence step on a (batch, dim) slice.
+def run_lstm(xs, ps: ParamSet, prefix: str, units: int,
+             reverse: bool = False) -> Tensor:
+    """Unroll one LSTM layer from a zero state over ``xs``, a list of T
+    (batch, dim) inputs or one (T, batch, dim) tensor, as one graph node.
 
     Gate order in the packed weight matrices is input, forget, output,
-    candidate. Input/forget/output gates are sigmoid, the candidate is tanh,
-    so the new hidden state lies strictly inside (-1, 1). The step is one
-    fused graph node; ``h_next`` and ``c_next`` are views of its output.
+    candidate; the hidden states, returned as (T, batch, units), lie strictly
+    inside (-1, 1). ``reverse`` runs the steps from last to first.
     """
-    units = wh.shape[0]
-    packed = lstm_step(x, h, c, wx, wh, b)
-    return narrow(packed, -1, 0, units), narrow(packed, -1, units, units)
-
-
-def run_lstm(xs: list[Tensor], ps: ParamSet, prefix: str, units: int) -> list[Tensor]:
-    """Unroll one LSTM layer over a list of (batch, dim) inputs."""
-    batch = xs[0].shape[0]
-    wx, wh, b = ps[f"{prefix}.wx"], ps[f"{prefix}.wh"], ps[f"{prefix}.b"]
-    h = Tensor(np.zeros((batch, units)))
-    c = Tensor(np.zeros((batch, units)))
-    hs = []
-    for x in xs:
-        h, c = lstm_cell(x, h, c, wx, wh, b)
-        hs.append(h)
-    return hs
+    batch = xs.shape[1] if isinstance(xs, Tensor) else xs[0].shape[0]
+    zeros = Tensor(np.zeros((batch, units)))
+    packed = lstm_sequence(xs, zeros, zeros, ps[f"{prefix}.wx"], ps[f"{prefix}.wh"],
+                           ps[f"{prefix}.b"], reverse)
+    return narrow(packed, -1, 0, units)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ reverse topological order and accumulates gradients into the leaves that were
 created with ``requires_grad=True``.
 
 The operation set is deliberately small: exactly what the detector families
-need (dense algebra, activations, a fused LSTM step, softmax/cross-entropy/mse
+need (dense algebra, activations, a fused LSTM layer, softmax/cross-entropy/mse
 losses, embedding lookup, window unfolding for convolutions, axis
 reductions). Forward passes on finite inputs stay finite; all arithmetic is
 float64. Inside ``no_grad()`` no graph is recorded, which scoring uses.
@@ -29,14 +29,13 @@ __all__ = [
     "matmul",
     "tanh",
     "sigmoid",
-    "lstm_step",
+    "lstm_sequence",
     "relu",
     "softmax",
     "cross_entropy",
     "mse",
     "embedding_lookup",
     "concat",
-    "stack",
     "narrow",
     "unfold_windows",
     "max_along",
@@ -281,8 +280,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = _make(a.data * b.data, (a, b))
     if out.requires_grad:
         def backward(g, a=a, b=b):
-            _accumulate(a, g * b.data)
-            _accumulate(b, g * a.data)
+            if a.requires_grad:
+                _accumulate(a, g * b.data)
+            if b.requires_grad:
+                _accumulate(b, g * a.data)
         _bind(out, backward)
     return out
 
@@ -294,7 +295,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = _make(np.matmul(a.data, b.data), (a, b))
     if out.requires_grad:
         def backward(g, a=a, b=b):
-            _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+            if a.requires_grad:
+                _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+            if not b.requires_grad:
+                return
             if a.ndim > 2 and b.ndim == 2:
                 # one GEMM over the flattened leading rows, not a stack of
                 # per-matrix products summed away by _unbroadcast
@@ -317,10 +321,16 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def _sigmoid(d: np.ndarray) -> np.ndarray:
-    """Logistic function, evaluated without overflow for either sign."""
+def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function, evaluated without overflow for either sign.
+
+    With ``e = exp(-|d|)`` it is ``1 / (1 + e)`` for ``d >= 0`` and
+    ``e / (1 + e)`` below. As ``e <= 1``, ``maximum(e, d >= 0)`` is that
+    numerator, so one division serves both signs and rounds exactly as the
+    two-branch form does. ``out`` may be ``d`` itself.
+    """
     e = np.exp(-np.abs(d))
-    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.divide(np.maximum(e, d >= 0), 1.0 + e, out=out)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -334,46 +344,109 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def lstm_step(x: Tensor, h: Tensor, c: Tensor,
-              wx: Tensor, wh: Tensor, b: Tensor) -> Tensor:
-    """One LSTM step as a single node: the packed ``[h_next | c_next]``.
+def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
+                  reverse: bool = False) -> Tensor:
+    """An LSTM layer unrolled over T steps, as a single node.
 
-    Gates are ``x @ wx + h @ wh + b`` split into input, forget, output
-    (sigmoid) and candidate (tanh); ``c_next = f * c + i * g`` and
-    ``h_next = o * tanh(c_next)``. The backward pass is the analytic one,
-    evaluated in the same order as the graph of elementary ops would be.
+    ``xs`` is a list of T (batch, dim) inputs or one (T, batch, dim) tensor,
+    and ``(h0, c0)`` the (batch, units) state before the first step. Gates
+    are ``x_t @ wx + h @ wh + b`` split into input, forget, output (sigmoid)
+    and candidate (tanh); ``c_t = f * c + i * g`` and ``h_t = o * tanh(c_t)``.
+    The result is (T, batch, 2 * units): each step's packed ``[h_t | c_t]``.
+    With ``reverse`` the steps run from the last input to the first, and step
+    t's state is still written at index t.
+
+    The backward pass is analytic backpropagation through time. Every step
+    makes the same GEMMs, of the same shapes, and the same float operations
+    in the same order as the graph of elementary ops for that step would, so
+    values and gradients are bit-identical to that graph's.
     """
-    x, h, c = as_tensor(x), as_tensor(h), as_tensor(c)
-    units = wh.shape[0]
-    if x.shape[-1] != wx.shape[0] or h.shape[-1] != units or c.shape[-1] != units:
+    seq = xs if isinstance(xs, Tensor) else None
+    if seq is None:
+        xs = [as_tensor(x) for x in xs]
+    xd = seq.data if seq is not None else [x.data for x in xs]
+    n_steps, units = len(xd), wh.shape[0]
+    batch = h0.shape[0] if h0.ndim == 2 else -1
+    state = (batch, units)
+    if (n_steps == 0 or any(x.shape != (batch, wx.shape[0]) for x in xd)
+            or h0.shape != state or c0.shape != state
+            or wx.shape[1:] != (4 * units,) or wh.shape[1:] != (4 * units,)):
         raise DimensionError(
-            f"lstm_step: x{x.shape} h{h.shape} c{c.shape} vs "
+            f"lstm_sequence: {n_steps} inputs of shape "
+            f"{xd[0].shape if n_steps else None}, h0{h0.shape} c0{c0.shape} vs "
             f"wx{wx.shape} wh{wh.shape}"
         )
-    gates = np.matmul(x.data, wx.data) + np.matmul(h.data, wh.data) + b.data
-    i = _sigmoid(gates[..., :units])
-    f = _sigmoid(gates[..., units:2 * units])
-    o = _sigmoid(gates[..., 2 * units:3 * units])
-    g = np.tanh(gates[..., 3 * units:])
-    c_next = f * c.data + i * g
-    tc = np.tanh(c_next)
-    out = _make(np.concatenate([o * tc, c_next], axis=-1), (x, h, c, wx, wh, b))
+    u, u3 = units, 3 * units
+    order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
+    acts = np.empty((n_steps, batch, 4 * units))   # [i | f | o | g] per step
+    tcs = np.empty((n_steps, batch, units))        # tanh(c_t) per step
+    packed = np.empty((n_steps, batch, 2 * units))
+    h, c = h0.data, c0.data
+    for t in order:
+        a = acts[t]
+        np.matmul(xd[t], wx.data, out=a)
+        a += np.matmul(h, wh.data)
+        a += b.data
+        _sigmoid(a[:, :u3], out=a[:, :u3])
+        np.tanh(a[:, u3:], out=a[:, u3:])
+        h, c_prev, c = packed[t, :, :u], c, packed[t, :, u:]
+        np.multiply(a[:, u:2 * u], c_prev, out=c)
+        c += a[:, :u] * a[:, u3:]
+        np.tanh(c, out=tcs[t])
+        np.multiply(a[:, 2 * u:u3], tcs[t], out=h)
+    # The graph walk reaches listed inputs from the end, and the backward
+    # runs them in reverse. Listed like this, the first step's input runs
+    # last and the others from the last time index down: the order the
+    # per-step graphs of the forecast and bidirectional models gave, which
+    # fixes how an embedding table sums the gradients of its lookups.
+    inputs = (seq,) if seq is not None else (
+        *(xs[t] for t in range(n_steps - 1, -1, -1) if t != order[0]), xs[order[0]])
+    out = _make(packed, (*inputs, h0, c0, wx, wh, b))
     if out.requires_grad:
-        def backward(grad, x=x, h=h, c=c, wx=wx, wh=wh, b=b):
-            gh, gc = grad[..., :units], grad[..., units:]
-            gc = gc + gh * o * (1.0 - tc * tc)
-            dgates = np.concatenate([
-                gc * g * i * (1.0 - i),
-                gc * c.data * f * (1.0 - f),
-                gh * tc * o * (1.0 - o),
-                gc * i * (1.0 - g * g),
-            ], axis=-1)
-            _accumulate(x, np.matmul(dgates, wx.data.swapaxes(-1, -2)))
-            _accumulate(wx, np.matmul(x.data.swapaxes(-1, -2), dgates))
-            _accumulate(h, np.matmul(dgates, wh.data.swapaxes(-1, -2)))
-            _accumulate(wh, np.matmul(h.data.swapaxes(-1, -2), dgates))
-            _accumulate(b, dgates)
-            _accumulate(c, gc * f)
+        def backward(grad):
+            dg = np.empty((batch, 4 * units))
+            dseq = np.empty(seq.shape) if seq is not None and seq.requires_grad else None
+            carry_h = carry_c = None
+            for t in reversed(order):
+                first = t == order[0]
+                if first:
+                    h_prev, c_prev = h0.data, c0.data
+                else:
+                    prev = packed[t + 1 if reverse else t - 1]
+                    h_prev, c_prev = prev[:, :u], prev[:, u:]
+                a, tc = acts[t], tcs[t]
+                i, f, o, g = a[:, :u], a[:, u:2 * u], a[:, 2 * u:u3], a[:, u3:]
+                gh, gc = grad[t, :, :u], grad[t, :, u:]
+                if carry_h is not None:
+                    gh, gc = gh + carry_h, gc + carry_c
+                gc = gc + gh * o * (1.0 - tc * tc)
+                np.multiply(gc, g, out=dg[:, :u])
+                np.multiply(gc, c_prev, out=dg[:, u:2 * u])
+                np.multiply(gh, tc, out=dg[:, 2 * u:u3])
+                dg[:, :u3] *= a[:, :u3]
+                dg[:, :u3] *= 1.0 - a[:, :u3]
+                np.multiply(gc, i, out=dg[:, u3:])
+                dg[:, u3:] *= 1.0 - g * g
+                if dseq is not None:
+                    np.matmul(dg, wx.data.T, out=dseq[t])
+                elif seq is None and xs[t].requires_grad:
+                    _accumulate(xs[t], np.matmul(dg, wx.data.T))
+                if wx.requires_grad:
+                    _accumulate(wx, np.matmul(xd[t].T, dg))
+                if not first:
+                    carry_h = np.matmul(dg, wh.data.T)
+                elif h0.requires_grad:
+                    _accumulate(h0, np.matmul(dg, wh.data.T))
+                if wh.requires_grad:
+                    _accumulate(wh, np.matmul(h_prev.T, dg))
+                if b.requires_grad:
+                    _accumulate(b, dg)
+                if not first:
+                    carry_c = gc * f
+                elif c0.requires_grad:
+                    _accumulate(c0, gc * f)
+            if dseq is not None:
+                _accumulate(seq, dseq)
         _bind(out, backward)
     return out
 
@@ -447,8 +520,10 @@ def mse(x: Tensor, y: Tensor) -> Tensor:
     if out.requires_grad:
         def backward(g, x=x, y=y, diff=diff):
             scale = 2.0 / diff.size
-            _accumulate(x, g * scale * diff)
-            _accumulate(y, -g * scale * diff)
+            if x.requires_grad:
+                _accumulate(x, g * scale * diff)
+            if y.requires_grad:
+                _accumulate(y, -g * scale * diff)
         _bind(out, backward)
     return out
 
@@ -490,17 +565,6 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 sl[axis] = slice(start, start + size)
                 _accumulate(t, g[tuple(sl)])
                 start += size
-        _bind(out, backward)
-    return out
-
-
-def stack(tensors, axis: int = 0) -> Tensor:
-    tensors = [as_tensor(t) for t in tensors]
-    out = _make(np.stack([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        def backward(g, tensors=tensors, axis=axis):
-            for i, t in enumerate(tensors):
-                _accumulate(t, np.take(g, i, axis=axis))
         _bind(out, backward)
     return out
 

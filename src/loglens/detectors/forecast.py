@@ -20,6 +20,7 @@ from ..autodiff import (
     linear,
     lstm_params,
     multihead_attention,
+    narrow,
     relu,
     run_lstm,
     sinusoidal_encoding,
@@ -61,10 +62,12 @@ class LstmForecastDetector(_ForecastBase):
         return ps
 
     def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
-        xs = [embedding_lookup(table, ids[:, t]) for t in range(ids.shape[1])]
+        batch, steps = ids.shape
+        hs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
         for layer in range(self.layers):
-            xs = run_lstm(xs, params, f"lstm{layer}", self.hidden)
-        return linear(xs[-1], params["out.w"], params["out.b"])
+            hs = run_lstm(hs, params, f"lstm{layer}", self.hidden)
+        last = narrow(hs, 0, steps - 1, 1).reshape(batch, self.hidden)
+        return linear(last, params["out.w"], params["out.b"])
 
 
 class TransformerForecastDetector(_ForecastBase):

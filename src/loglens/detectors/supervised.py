@@ -16,7 +16,6 @@ from ..autodiff import (
     lstm_params,
     max_along,
     run_lstm,
-    stack,
     tanh,
 )
 from ..autodiff.nn import conv_full_width
@@ -88,10 +87,8 @@ class BilstmAttentionDetector(_SupervisedBase):
         steps = ids.shape[1]
         xs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
         forward = run_lstm(xs, params, "fw", self.hidden)
-        backward = run_lstm(list(reversed(xs)), params, "bw", self.hidden)
-        backward.reverse()
-        hidden = stack([concat([f, b], axis=1) for f, b in zip(forward, backward)],
-                       axis=1)                                   # (B, T, 2u)
+        backward = run_lstm(xs, params, "bw", self.hidden, reverse=True)
+        hidden = concat([forward, backward], axis=2).transpose((1, 0, 2))  # (B, T, 2u)
         weights = tanh((hidden * params["attn.w"]).sum(axis=2))  # (B, T), in (-1, 1)
         weighted = (hidden * weights.reshape(ids.shape[0], steps, 1)).sum(axis=1)
         return linear(weighted, params["out.w"], params["out.b"])

@@ -273,14 +273,13 @@ class TestSupervised:
         seqs = self.toy_data()
         det = BilstmAttentionDetector(max_len=12, hidden=8, embed_dim=4,
                                       epochs=3, seed=1).fit(seqs, VOCAB)
-        from loglens.autodiff import embedding_lookup, run_lstm, stack, concat, tanh
+        from loglens.autodiff import embedding_lookup, run_lstm, concat, tanh
         ids = det._padded_ids(seqs[:4], det.vocab_size_)
         xs = [embedding_lookup(det.params_["input_table"], ids[:, t])
               for t in range(ids.shape[1])]
         fw = run_lstm(xs, det.params_, "fw", det.hidden)
-        bw = run_lstm(list(reversed(xs)), det.params_, "bw", det.hidden)
-        bw.reverse()
-        hidden = stack([concat([f, b], axis=1) for f, b in zip(fw, bw)], axis=1)
+        bw = run_lstm(xs, det.params_, "bw", det.hidden, reverse=True)
+        hidden = concat([fw, bw], axis=2).transpose((1, 0, 2))
         weights = tanh((hidden * det.params_["attn.w"]).sum(axis=2)).data
         assert np.all(np.abs(weights) < 1.0)
 

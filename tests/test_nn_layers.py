@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from loglens.autodiff import (
     ParamSet,
@@ -7,9 +9,8 @@ from loglens.autodiff import (
     attention_params,
     conv2d,
     finite_difference_check,
-    lstm_cell,
     lstm_params,
-    lstm_step,
+    lstm_sequence,
     matmul,
     multihead_attention,
     narrow,
@@ -18,6 +19,7 @@ from loglens.autodiff import (
     sinusoidal_encoding,
     tanh,
 )
+from loglens.autodiff.tensor import _sigmoid
 from loglens.exceptions import ConfigurationError, DimensionError
 from loglens.rng import Rng
 
@@ -42,6 +44,37 @@ class TestParamSet:
     def test_uniform_bound(self):
         w = ParamSet(3).uniform("w", (200,), fan_in=16)
         assert np.all(np.abs(w.data) <= 0.25)
+
+
+def lstm_cell(x, h, c, wx, wh, b):
+    """One step of the LSTM node: ``h_next`` and ``c_next`` as (batch, units)."""
+    batch, units = h.shape
+    packed = lstm_sequence([x], h, c, wx, wh, b)
+    return (narrow(packed, -1, 0, units).reshape(batch, units),
+            narrow(packed, -1, units, units).reshape(batch, units))
+
+
+def elementary_lstm(xs, h, c, wx, wh, b, reverse=False):
+    """The LSTM recurrence as a graph of elementary ops, one step at a time:
+    the per-step hidden and cell states in time order."""
+    u = wh.shape[0]
+    hs, cs = [None] * len(xs), [None] * len(xs)
+    for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
+        gates = matmul(xs[t], wx) + matmul(h, wh) + b
+        i = sigmoid(narrow(gates, -1, 0, u))
+        f = sigmoid(narrow(gates, -1, u, u))
+        o = sigmoid(narrow(gates, -1, 2 * u, u))
+        g = tanh(narrow(gates, -1, 3 * u, u))
+        c = f * c + i * g
+        h = o * tanh(c)
+        hs[t], cs[t] = h, c
+    return hs, cs
+
+
+def where_sigmoid(d):
+    """The two-branch logistic function the one-division form replaces."""
+    e = np.exp(-np.abs(d))
+    return np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class TestLstmCell:
@@ -80,10 +113,13 @@ class TestLstmCell:
         with pytest.raises(DimensionError):
             lstm_cell(Tensor(np.zeros((1, 5))), Tensor(np.zeros((1, 3))),
                       Tensor(np.zeros((1, 3))), wx, wh, b)
-        for h, c in (((1, 2), (1, 3)), ((1, 3), (1, 4))):
+        for h, c in (((1, 2), (1, 3)), ((1, 3), (1, 4)), ((2, 3), (2, 3))):
             with pytest.raises(DimensionError):
-                lstm_step(Tensor(np.zeros((1, 2))), Tensor(np.zeros(h)),
-                          Tensor(np.zeros(c)), wx, wh, b)
+                lstm_sequence([Tensor(np.zeros((1, 2)))], Tensor(np.zeros(h)),
+                              Tensor(np.zeros(c)), wx, wh, b)
+        with pytest.raises(DimensionError):
+            lstm_sequence([], Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))),
+                          wx, wh, b)
 
     def test_unrolled_gradient_vs_finite_difference(self):
         rng = Rng(22)
@@ -93,60 +129,128 @@ class TestLstmCell:
 
         def loss():
             hs = run_lstm(xs, ps, "l", 3)
-            return (hs[-1] * hs[-1]).sum()
+            last = narrow(hs, 0, 3, 1)
+            return (last * last).sum()
 
         leaves = [ps["l.wx"], ps["l.wh"], ps["l.b"]]
         assert finite_difference_check(loss, leaves) < 1e-3
 
-    def step_leaves(self, seed, batch=3, d=2, u=3):
+    def sequence_leaves(self, seed, steps, batch=3, d=2, u=3, inputs_trainable=True):
         rng = Rng(seed)
-        shapes = [(batch, d), (batch, u), (batch, u), (d, 4 * u), (u, 4 * u), (4 * u,)]
-        return [Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in shapes]
+        xs = [Tensor(rng.uniform(-1, 1, (batch, d)), requires_grad=inputs_trainable)
+              for _ in range(steps)]
+        shapes = [(batch, u), (batch, u), (d, 4 * u), (u, 4 * u), (4 * u,)]
+        return xs, [Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in shapes]
 
-    def test_fused_step_gradient_vs_finite_difference(self):
-        x, h, c, wx, wh, b = leaves = self.step_leaves(23)
-        wts = Tensor(Rng(24).uniform(-1, 1, (3, 6)))
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_sequence_gradient_vs_finite_difference(self, steps, reverse):
+        xs, state_and_weights = self.sequence_leaves(23 + steps, steps)
+        u = 3
+        h_wts, c_wts = (Tensor(w) for w in Rng(24).uniform(-1, 1, (2, steps, 3, u)))
 
         def loss():
-            # uses both halves of the packed [h | c] output
-            return (lstm_step(x, h, c, wx, wh, b) * wts).sum()
+            packed = lstm_sequence(xs, *state_and_weights, reverse=reverse)
+            return ((narrow(packed, -1, 0, u) * h_wts).sum()
+                    + (narrow(packed, -1, u, u) * c_wts).sum())
 
-        assert finite_difference_check(loss, leaves) < 1e-4
+        assert finite_difference_check(loss, xs + state_and_weights) < 1e-4
 
-    def test_two_step_run_lstm_gradient(self):
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    def test_stacked_run_lstm_gradient_vs_finite_difference(self, steps):
         rng = Rng(25)
         ps = ParamSet(25)
-        lstm_params(ps, "l", 2, 3)
-        xs = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True) for _ in range(2)]
-        wts = [Tensor(rng.uniform(-1, 1, (2, 3))) for _ in range(2)]
+        lstm_params(ps, "l0", 2, 3)
+        lstm_params(ps, "l1", 3, 2)
+        xs = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
+              for _ in range(steps)]
+        wts = Tensor(rng.uniform(-1, 1, (steps, 2, 2)))
 
         def loss():
-            hs = run_lstm(xs, ps, "l", 3)
-            return (hs[0] * wts[0]).sum() + (hs[1] * wts[1]).sum()
+            hs = run_lstm(run_lstm(xs, ps, "l0", 3), ps, "l1", 2, reverse=True)
+            return (hs * wts).sum()
 
-        leaves = [ps["l.wx"], ps["l.wh"], ps["l.b"], *xs]
+        leaves = [ps[n] for n in ps.names()] + xs
         assert finite_difference_check(loss, leaves) < 1e-4
 
-    def test_fused_step_bit_identical_to_elementary_ops(self):
-        def elementary(x, h, c, wx, wh, b):
-            u = wh.shape[0]
-            gates = matmul(x, wx) + matmul(h, wh) + b
-            i = sigmoid(narrow(gates, -1, 0, u))
-            f = sigmoid(narrow(gates, -1, u, u))
-            o = sigmoid(narrow(gates, -1, 2 * u, u))
-            g = tanh(narrow(gates, -1, 3 * u, u))
-            c_next = f * c + i * g
-            return o * tanh(c_next), c_next
-
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("inputs_trainable", [True, False])
+    def test_sequence_bit_identical_to_elementary_ops(self, steps, reverse,
+                                                      inputs_trainable):
+        u = 5
         results = []
-        for cell in (lstm_cell, elementary):
-            leaves = self.step_leaves(26, batch=4, d=3, u=5)
-            h_weights, c_weights = (Tensor(w) for w in Rng(27).uniform(-1, 1, (2, 4, 5)))
-            h, c = cell(*leaves)
-            ((h * h_weights).sum() + (c * c_weights).sum()).backward()
-            results.append([h.data, c.data] + [leaf.grad for leaf in leaves])
+        for fused in (True, False):
+            xs, state_and_weights = self.sequence_leaves(
+                26, steps, batch=4, d=3, u=u, inputs_trainable=inputs_trainable)
+            h_wts, c_wts = Rng(27).uniform(-1, 1, (2, steps, 4, u))
+            if fused:
+                packed = lstm_sequence(xs, *state_and_weights, reverse=reverse)
+                hs = narrow(packed, -1, 0, u)
+                cs = narrow(packed, -1, u, u)
+                loss = (hs * Tensor(h_wts)).sum() + (cs * Tensor(c_wts)).sum()
+                values = [packed.data[..., :u], packed.data[..., u:]]
+            else:
+                hs, cs = elementary_lstm(xs, *state_and_weights, reverse=reverse)
+                # loss terms added in the order the steps ran
+                ran = reversed(range(steps)) if reverse else range(steps)
+                loss = sum((hs[t] * Tensor(h_wts[t])).sum()
+                           + (cs[t] * Tensor(c_wts[t])).sum() for t in ran)
+                values = [np.stack([h.data for h in hs]), np.stack([c.data for c in cs])]
+            loss.backward()
+            results.append(values + [leaf.grad for leaf in xs + state_and_weights])
         for fused, reference in zip(*results):
-            assert np.array_equal(fused, reference)
+            assert (fused is None) == (reference is None)
+            if fused is not None:
+                assert np.array_equal(fused, reference)
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("inputs_trainable", [True, False])
+    def test_run_lstm_bit_identical_to_elementary_ops(self, steps, inputs_trainable):
+        results = []
+        for fused in (True, False):
+            xs, _ = self.sequence_leaves(28, steps, batch=4, d=3,
+                                         inputs_trainable=inputs_trainable)
+            ps = ParamSet(28)
+            lstm_params(ps, "l", 3, 5)
+            wts = Rng(29).uniform(-1, 1, (steps, 4, 5))
+            if fused:
+                hs = run_lstm(xs, ps, "l", 5)
+                (hs * Tensor(wts)).sum().backward()
+                values = hs.data
+            else:
+                zeros = Tensor(np.zeros((4, 5)))
+                hs, _ = elementary_lstm(xs, zeros, zeros, ps["l.wx"], ps["l.wh"], ps["l.b"])
+                sum((h * Tensor(w)).sum() for h, w in zip(hs, wts)).backward()
+                values = np.stack([h.data for h in hs])
+            results.append([values] + [x.grad for x in xs]
+                           + [ps[n].grad for n in ps.names()])
+        for fused, reference in zip(*results):
+            assert (fused is None) == (reference is None)
+            if fused is not None:
+                assert np.array_equal(fused, reference)
+
+
+class TestSigmoid:
+    @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=2),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_one_division_form_equals_two_branch_form(self, d):
+        assert where_sigmoid(d).tobytes() == _sigmoid(d).tobytes()
+
+    def test_special_values(self):
+        d = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0])
+        assert _sigmoid(d).tobytes() == where_sigmoid(d).tobytes()
+        assert _sigmoid(d)[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
+        for x in d:
+            assert np.asarray(_sigmoid(np.float64(x))).tobytes() == \
+                np.asarray(where_sigmoid(np.float64(x))).tobytes()
+
+    def test_in_place(self):
+        d = Rng(30).uniform(-30, 30, (4, 6))
+        expected = where_sigmoid(d)
+        view = d[:, :4]
+        assert _sigmoid(view, out=view) is view
+        assert np.array_equal(d[:, :4], expected[:, :4])
 
 
 class TestMultiheadAttention:

@@ -1,24 +1,29 @@
 import math
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from loglens.autodiff import (
+    ParamSet,
     Tensor,
     cross_entropy,
     embedding_lookup,
     finite_difference_check,
+    lstm_params,
     matmul,
     max_along,
     mse,
     narrow,
     no_grad,
     relu,
+    run_lstm,
     sigmoid,
     softmax,
     tanh,
 )
+from loglens.autodiff import tensor as tensor_module
 from loglens.exceptions import DimensionError
 from loglens.rng import Rng
 
@@ -162,6 +167,69 @@ class TestMse:
         y = rand_tensor(rng, (4,))
         err = finite_difference_check(lambda: mse(x, y), [x, y])
         assert err < TOL
+
+
+class TestConstantOperandGradients:
+    """Backward computes no gradient for an operand that does not require
+    one, and the trainable leaves' gradients do not depend on whether it
+    does."""
+
+    def run(self, build, constant_trainable):
+        """Build ``build(trainable, constant)``'s loss, then backpropagate it
+        while counting ``np.matmul`` calls and recording every tensor a
+        gradient is accumulated into."""
+        rng = Rng(50)
+        trainable = [rand_tensor(rng, (3, 4)), rand_tensor(rng, (4,))]
+        constant = rand_tensor(rng, (3, 4), requires_grad=constant_trainable)
+        loss = build(trainable, constant)
+        targets = []
+
+        def accumulate(t, g, inner=tensor_module._accumulate):
+            targets.append(t)
+            inner(t, g)
+
+        with mock.patch.object(np, "matmul", wraps=np.matmul) as matmuls, \
+                mock.patch.object(tensor_module, "_accumulate", accumulate):
+            loss.backward()
+        touched = any(t is constant for t in targets)
+        return [t.grad for t in trainable], matmuls.call_count, touched
+
+    @pytest.mark.parametrize("build, matmuls_saved", [
+        (lambda tr, c: matmul(tr[0] * tr[1], c.transpose((1, 0))).sum(), 1),
+        (lambda tr, c: matmul(c.transpose((1, 0)), tr[0] * tr[1]).sum(), 1),
+        (lambda tr, c: (tr[0] * c * tr[1]).sum(), 0),
+        (lambda tr, c: mse(tr[0] * tr[1], c), 0),
+        (lambda tr, c: (mse(c, tr[0]) - c.sum()) * tr[1].sum(), 0),
+    ], ids=["matmul-right", "matmul-left", "mul", "mse-right", "mse-left"])
+    def test_constant_operand_gets_no_gradient(self, build, matmuls_saved):
+        grads, matmuls, touched = self.run(build, constant_trainable=False)
+        reference, reference_matmuls, reference_touched = self.run(
+            build, constant_trainable=True)
+        assert not touched and reference_touched
+        assert matmuls == reference_matmuls - matmuls_saved
+        for g, r in zip(grads, reference):
+            assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    def test_lstm_constant_inputs_get_no_gradient(self, steps):
+        def run(inputs_trainable):
+            rng = Rng(51)
+            ps = ParamSet(51)
+            lstm_params(ps, "l", 4, 2)
+            xs = [rand_tensor(rng, (3, 4), requires_grad=inputs_trainable)
+                  for _ in range(steps)]
+            weights = Tensor(rng.uniform(-1, 1, (steps, 3, 2)))
+            loss = (run_lstm(xs, ps, "l", 2) * weights).sum()
+            with mock.patch.object(np, "matmul", wraps=np.matmul) as matmuls:
+                loss.backward()
+            return [ps[n].grad for n in ps.names()], matmuls.call_count, xs
+
+        grads, matmuls, xs = run(False)
+        reference, reference_matmuls, _ = run(True)
+        assert all(x.grad is None for x in xs)
+        assert matmuls == reference_matmuls - steps  # no x_t gradient GEMM
+        for g, r in zip(grads, reference):
+            assert np.array_equal(g, r)
 
 
 class TestEmbedding:
