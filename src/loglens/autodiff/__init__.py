@@ -8,6 +8,8 @@ from .tensor import (
     tanh,
     sigmoid,
     lstm_sequence,
+    PrefixTree,
+    lstm_tree,
     relu,
     softmax,
     cross_entropy,
@@ -18,12 +20,14 @@ from .tensor import (
     unfold_windows,
     max_along,
     no_grad,
+    grad_enabled,
 )
 from .nn import (
     ParamSet,
     linear,
     lstm_params,
     run_lstm,
+    run_lstm_tree,
     attention_params,
     multihead_attention,
     sinusoidal_encoding,
@@ -35,10 +39,11 @@ from .serialize import save_params, load_params
 from .gradcheck import finite_difference_check
 
 __all__ = [
-    "Tensor", "as_tensor", "add", "mul", "matmul", "tanh", "sigmoid", "lstm_sequence", "relu",
+    "Tensor", "as_tensor", "add", "mul", "matmul", "tanh", "sigmoid", "lstm_sequence",
+    "PrefixTree", "lstm_tree", "relu",
     "softmax", "cross_entropy", "mse", "embedding_lookup", "concat",
-    "narrow", "unfold_windows", "max_along", "no_grad",
-    "ParamSet", "linear", "lstm_params", "run_lstm",
+    "narrow", "unfold_windows", "max_along", "no_grad", "grad_enabled",
+    "ParamSet", "linear", "lstm_params", "run_lstm", "run_lstm_tree",
     "attention_params", "multihead_attention", "sinusoidal_encoding",
     "conv2d", "conv_full_width",
     "SGD", "Adam", "make_optimizer", "optimize_step",

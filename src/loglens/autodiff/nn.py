@@ -10,9 +10,11 @@ import numpy as np
 from ..exceptions import ConfigurationError, DimensionError
 from ..rng import Rng
 from .tensor import (
+    PrefixTree,
     Tensor,
     concat,
     lstm_sequence,
+    lstm_tree,
     matmul,
     narrow,
     relu,
@@ -124,6 +126,29 @@ def run_lstm(xs, ps: ParamSet, prefix: str, units: int,
     packed = lstm_sequence(xs, zeros, zeros, ps[f"{prefix}.wx"], ps[f"{prefix}.wh"],
                            ps[f"{prefix}.b"], reverse)
     return narrow(packed, -1, 0, units)
+
+
+def run_lstm_tree(table: Tensor, ids: np.ndarray, ps: ParamSet, prefixes,
+                  units: int, reverse: bool = False) -> tuple[PrefixTree, list]:
+    """The hidden states ``run_lstm`` gives, layer after layer of
+    ``prefixes``, over the rows of ``table`` that ``ids`` (batch, T) picks,
+    computed once per distinct prefix of ``ids`` (with ``reverse``, once per
+    distinct suffix). Forward only.
+
+    Returns the tree and its last layer's per-node hidden states; with
+    ``reverse``, tree step s is time step T - 1 - s. Every step keeps two
+    rows or more. With an odd ``units`` every step keeps ``batch`` rows: the
+    GEMMs of a ``4 * units``-column gate block then round a row differently
+    at some row counts (README, "Determinism").
+    """
+    batch = ids.shape[0]
+    tree = PrefixTree(ids[:, ::-1] if reverse else ids,
+                      min_rows=batch if units % 2 else 2)
+    xs = [table.data[tokens] for tokens in tree.tokens]
+    for prefix in prefixes:
+        xs = lstm_tree(xs, tree, ps[f"{prefix}.wx"], ps[f"{prefix}.wh"],
+                       ps[f"{prefix}.b"])
+    return tree, xs
 
 
 # ---------------------------------------------------------------------------

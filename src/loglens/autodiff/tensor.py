@@ -30,6 +30,8 @@ __all__ = [
     "tanh",
     "sigmoid",
     "lstm_sequence",
+    "PrefixTree",
+    "lstm_tree",
     "relu",
     "softmax",
     "cross_entropy",
@@ -40,6 +42,7 @@ __all__ = [
     "unfold_windows",
     "max_along",
     "no_grad",
+    "grad_enabled",
 ]
 
 
@@ -193,6 +196,11 @@ def no_grad():
         _grad_enabled.reset(token)
 
 
+def grad_enabled() -> bool:
+    """Whether ops record a graph in the calling thread (not in ``no_grad``)."""
+    return _grad_enabled.get()
+
+
 def _make(data: np.ndarray, parents: tuple) -> Tensor:
     out = Tensor(data)
     if not _grad_enabled.get():
@@ -344,6 +352,24 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
+def _lstm_step(x, h, c, wx, wh, b, a, h_out, c_out, tc_out):
+    """One LSTM step over rows of arrays, written into ``a`` (the gates
+    ``[i | f | o | g]``), ``c_out``, ``tc_out`` (``tanh(c_out)``) and
+    ``h_out``; returns ``(h_out, c_out)``. The gate arithmetic of both LSTM
+    ops, defined once: ``(x @ wx + h @ wh) + b``, then ``(f * c) + (i * g)``."""
+    u, u3 = h_out.shape[1], 3 * h_out.shape[1]
+    np.matmul(x, wx, out=a)
+    a += np.matmul(h, wh)
+    a += b
+    _sigmoid(a[:, :u3], out=a[:, :u3])
+    np.tanh(a[:, u3:], out=a[:, u3:])
+    np.multiply(a[:, u:2 * u], c, out=c_out)
+    c_out += a[:, :u] * a[:, u3:]
+    np.tanh(c_out, out=tc_out)
+    np.multiply(a[:, 2 * u:u3], tc_out, out=h_out)
+    return h_out, c_out
+
+
 def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                   reverse: bool = False) -> Tensor:
     """An LSTM layer unrolled over T steps, as a single node.
@@ -383,17 +409,8 @@ def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     packed = np.empty((n_steps, batch, 2 * units))
     h, c = h0.data, c0.data
     for t in order:
-        a = acts[t]
-        np.matmul(xd[t], wx.data, out=a)
-        a += np.matmul(h, wh.data)
-        a += b.data
-        _sigmoid(a[:, :u3], out=a[:, :u3])
-        np.tanh(a[:, u3:], out=a[:, u3:])
-        h, c_prev, c = packed[t, :, :u], c, packed[t, :, u:]
-        np.multiply(a[:, u:2 * u], c_prev, out=c)
-        c += a[:, :u] * a[:, u3:]
-        np.tanh(c, out=tcs[t])
-        np.multiply(a[:, 2 * u:u3], tcs[t], out=h)
+        h, c = _lstm_step(xd[t], h, c, wx.data, wh.data, b.data, acts[t],
+                          packed[t, :, :u], packed[t, :, u:], tcs[t])
     # The graph walk reaches listed inputs from the end, and the backward
     # runs them in reverse. Listed like this, the first step's input runs
     # last and the others from the last time index down: the order the
@@ -449,6 +466,81 @@ def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                 _accumulate(seq, dseq)
         _bind(out, backward)
     return out
+
+
+class PrefixTree:
+    """The distinct prefixes of the rows of a (batch, T) id matrix.
+
+    Step t's nodes are the distinct prefixes ``ids[:, :t + 1]``. Node j of
+    step t extends node ``parents[t][j]`` of step t - 1 by the id
+    ``tokens[t][j]``, and row r's prefix is node ``inverse[t][r]``. Once
+    every row has a prefix of its own, nodes follow row order: a step's
+    ``inverse`` is then None (the identity), and so is ``parents`` from the
+    step after on.
+
+    A step with fewer than ``min_rows`` nodes (at most ``batch``) repeats
+    its last node up to that many, so that each GEMM over the nodes has at
+    least as many rows: numpy computes a one-row product as a GEMV, which
+    rounds differently from the GEMM of two or more rows.
+    """
+
+    def __init__(self, ids, min_rows: int = 2):
+        ids = np.asarray(ids, dtype=np.int64)
+        batch, steps = ids.shape
+        min_rows = min(min_rows, batch)
+        width = int(ids.max()) + 1 if ids.size else 1
+        self.parents, self.tokens, self.inverse = [], [], []
+        node = np.zeros(batch, dtype=np.int64)   # each row's node at t - 1
+        distinct = False
+        for t in range(steps):
+            if distinct:
+                parent, token, inverse = None, ids[:, t], None
+            else:
+                keys, inverse = np.unique(node * width + ids[:, t],
+                                          return_inverse=True)
+                if len(keys) == batch:
+                    parent, token, inverse, distinct = node, ids[:, t], None, True
+                else:
+                    keys = np.pad(keys, (0, max(0, min_rows - len(keys))), "edge")
+                    parent, token = keys // width, keys % width
+                    node = inverse
+            self.parents.append(parent)
+            self.tokens.append(token)
+            self.inverse.append(inverse)
+        self.states = sum(len(token) for token in self.tokens)
+
+    def rows(self, node_values: list, t: int) -> np.ndarray:
+        """Step t's per-node values (nodes, ...) spread over the rows."""
+        inverse = self.inverse[t]
+        return node_values[t] if inverse is None else node_values[t][inverse]
+
+
+def lstm_tree(xs, tree: PrefixTree, wx: Tensor, wh: Tensor, b: Tensor) -> list:
+    """An LSTM layer over the nodes of ``tree``, forward only: no graph.
+
+    ``xs[t]`` is the (nodes, dim) input of step t's nodes. A node's state is
+    its parent's state (zero at the first step) advanced by its input,
+    through the same ``_lstm_step`` as ``lstm_sequence``, so it is the state
+    ``lstm_sequence`` gives each row whose prefix the node is, bit for bit
+    wherever BLAS rounds a GEMM row alike at both row counts. Returns each
+    step's (nodes, units) hidden states.
+    """
+    units = wh.shape[0]
+    if not xs or len(xs) != len(tree.tokens) or any(
+            x.shape != (len(token), wx.shape[0]) for x, token in zip(xs, tree.tokens)):
+        raise DimensionError(f"lstm_tree: inputs {[x.shape for x in xs]} do not "
+                             f"match a {len(tree.tokens)}-step tree and wx{wx.shape}")
+    hs = []
+    h = c = np.zeros((len(tree.tokens[0]), units))
+    for t, (x, parent) in enumerate(zip(xs, tree.parents)):
+        if t and parent is not None:
+            h, c = h[parent], c[parent]
+        n = len(x)
+        h, c = _lstm_step(x, h, c, wx.data, wh.data, b.data, np.empty((n, 4 * units)),
+                          np.empty((n, units)), np.empty((n, units)),
+                          np.empty((n, units)))
+        hs.append(h)
+    return hs
 
 
 def relu(x: Tensor) -> Tensor:

@@ -357,9 +357,10 @@ def fit_set(config: DetectorConfig, train: list[EventSequence]) -> list[EventSeq
     return strip_anomalies(train)[0]
 
 
-def _fit_for_experiment(config: DetectorConfig, train, vocab):
+def _fit_for_experiment(config: DetectorConfig, sequences, vocab):
+    """A detector built from ``config`` and fitted on ``sequences`` as given,
+    and the seconds the fit took."""
     detector = build_detector(config, vocab)
-    sequences = fit_set(config, train)
     start = time.perf_counter()
     detector.fit(sequences, vocab)
     return detector, time.perf_counter() - start
@@ -385,25 +386,23 @@ def _run_detector(config: DetectorConfig, experiment: str, train, test, vocab,
     run_config = replace(
         config, seed=derive_seed(run_seed, config.family, config.semantics))
     rows = []
-    if experiment in ("accuracy", "efficiency"):
-        detector, train_s = _fit_for_experiment(run_config, train, vocab)
-        precision, recall, f1, test_s = _evaluate(detector, test)
-        rows.append(("-", precision, recall, f1, train_s, test_s))
-    elif experiment == "contamination_sweep":
+    if experiment == "contamination_sweep":
         ratios = contamination_ratios or DEFAULT_CONTAMINATION_RATIOS
         normal_train, removed = strip_anomalies(train)
         for ratio in ratios:
             contaminated = contaminate(normal_train, removed, ratio,
                                        seed=run_seed)
-            detector = build_detector(run_config, vocab)
-            start = time.perf_counter()
-            detector.fit(contaminated, vocab)
-            train_s = time.perf_counter() - start
+            detector, train_s = _fit_for_experiment(run_config, contaminated, vocab)
             precision, recall, f1, test_s = _evaluate(detector, test)
             rows.append((f"{ratio:g}", precision, recall, f1, train_s, test_s))
+        return rows
+    detector, train_s = _fit_for_experiment(run_config, fit_set(run_config, train),
+                                            vocab)
+    if experiment in ("accuracy", "efficiency"):
+        precision, recall, f1, test_s = _evaluate(detector, test)
+        rows.append(("-", precision, recall, f1, train_s, test_s))
     else:  # noise_sweep
         ratios = noise_ratios or DEFAULT_NOISE_RATIOS
-        detector, train_s = _fit_for_experiment(run_config, train, vocab)
         table = synonym_table if synonym_table is not None else builtin_synonyms()
         for ratio in ratios:
             spec = NoiseSpec(ratio=ratio, strategies=tuple(noise_strategies),

@@ -270,12 +270,31 @@ class BaseDetector:
         """One verdict per sequence. ``vocab`` may extend the training
         vocabulary; only semantic detectors read its new templates."""
         self._require_fitted()
+        start = time.perf_counter()
         table, clamp = self._input_table(vocab)
         inputs, targets, owner, positions = self._examples(sequences, clamp)
         scores = np.empty(len(inputs))
+        self._states = [0, 0]
         for lo, hi in pairwise(self._blocks(owner, len(sequences))):
             scores[lo:hi] = self._score(table, inputs[lo:hi], targets[lo:hi])
-        return self._sequence_verdicts(len(sequences), owner, positions, scores)
+        verdicts = self._sequence_verdicts(len(sequences), owner, positions, scores)
+        seconds = time.perf_counter() - start
+        logger.debug("%s predict: %d examples in %.4f s, %.0f examples/s",
+                     self.family, len(inputs), seconds, len(inputs) / max(seconds, 1e-9))
+        computed, full = self._states
+        if full:
+            logger.debug("%s predict: %d LSTM states computed for %d rows x "
+                         "steps x layers", self.family, computed, full)
+        self._states = None
+        return verdicts
+
+    _states = None  # in predict: [LSTM states computed, rows x steps x layers]
+
+    def _count_states(self, computed: int, full: int) -> None:
+        """Add one scoring call's LSTM state counts to ``predict``'s log."""
+        if self._states is not None:
+            self._states[0] += computed
+            self._states[1] += full
 
     def _blocks(self, owner: np.ndarray, n_sequences: int):
         """Bounds of the example blocks that ``predict`` scores in one call."""

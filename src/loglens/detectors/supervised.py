@@ -12,10 +12,12 @@ from ..autodiff import (
     Tensor,
     concat,
     embedding_lookup,
+    grad_enabled,
     linear,
     lstm_params,
     max_along,
     run_lstm,
+    run_lstm_tree,
     tanh,
 )
 from ..autodiff.nn import conv_full_width
@@ -84,13 +86,24 @@ class BilstmAttentionDetector(_SupervisedBase):
         return ps
 
     def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
-        steps = ids.shape[1]
-        xs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
-        forward = run_lstm(xs, params, "fw", self.hidden)
-        backward = run_lstm(xs, params, "bw", self.hidden, reverse=True)
-        hidden = concat([forward, backward], axis=2).transpose((1, 0, 2))  # (B, T, 2u)
+        (batch, steps), u = ids.shape, self.hidden
+        if grad_enabled():
+            xs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
+            forward = run_lstm(xs, params, "fw", u)
+            backward = run_lstm(xs, params, "bw", u, reverse=True)
+            both = concat([forward, backward], axis=2)
+        else:  # scoring: each distinct prefix and suffix once
+            fw_tree, fw = run_lstm_tree(table, ids, params, ["fw"], u)
+            bw_tree, bw = run_lstm_tree(table, ids, params, ["bw"], u, reverse=True)
+            self._count_states(fw_tree.states + bw_tree.states, 2 * ids.size)
+            both = np.empty((steps, batch, 2 * u))
+            for t in range(steps):
+                both[t, :, :u] = fw_tree.rows(fw, t)
+                both[t, :, u:] = bw_tree.rows(bw, steps - 1 - t)
+            both = Tensor(both)
+        hidden = both.transpose((1, 0, 2))  # (B, T, 2u)
         weights = tanh((hidden * params["attn.w"]).sum(axis=2))  # (B, T), in (-1, 1)
-        weighted = (hidden * weights.reshape(ids.shape[0], steps, 1)).sum(axis=1)
+        weighted = (hidden * weights.reshape(batch, steps, 1)).sum(axis=1)
         return linear(weighted, params["out.w"], params["out.b"])
 
 

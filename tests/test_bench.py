@@ -10,7 +10,7 @@ from loglens.bench import (
     split,
     strip_anomalies,
 )
-from loglens.detectors import DetectorConfig
+from loglens.detectors import DetectorConfig, LstmForecastDetector
 from loglens.exceptions import ConfigurationError, DimensionError
 from loglens.ingest import EventVocabulary
 from loglens.rng import Rng
@@ -251,6 +251,23 @@ class TestRunExperiment:
         per_run = [r for r in report.rows if r.run == "1"]
         assert len(per_run) == 2
         assert {r.setting for r in per_run} == {"0", "0.05"}
+
+    def test_contamination_sweep_fits_on_contaminated_set(self, monkeypatch):
+        # the sweep's fit set is its contaminated set, anomalies included: an
+        # unsupervised family's usual fit set (the normal sequences) is not
+        # taken in its place
+        fitted = []
+        fit = LstmForecastDetector.fit
+
+        def record(detector, sequences, vocab):
+            fitted.append(sum(s.is_anomalous for s in sequences))
+            return fit(detector, sequences, vocab)
+
+        monkeypatch.setattr(LstmForecastDetector, "fit", record)
+        run_experiment(bench_sequences(), VOCAB, quick_configs()[:1],
+                       experiment="contamination_sweep", repeats=1, seed=4,
+                       contamination_ratios=[0.0, 0.05])
+        assert fitted[0] == 0 and fitted[1] > 0
 
     def test_noise_sweep_runs(self):
         report = run_experiment(bench_sequences(), VOCAB, quick_configs(),
