@@ -34,7 +34,7 @@ from .nn import (
     conv2d,
     conv_full_width,
 )
-from .optim import SGD, Adam, make_optimizer, optimize_step
+from .optim import Adam
 from .serialize import save_params, load_params
 from .gradcheck import finite_difference_check
 
@@ -46,6 +46,6 @@ __all__ = [
     "ParamSet", "linear", "lstm_params", "run_lstm", "run_lstm_tree",
     "attention_params", "multihead_attention", "sinusoidal_encoding",
     "conv2d", "conv_full_width",
-    "SGD", "Adam", "make_optimizer", "optimize_step",
+    "Adam",
     "save_params", "load_params", "finite_difference_check",
 ]

@@ -1,22 +1,11 @@
-"""Parameter update rules. SGD and Adam operate in place on a ParamSet."""
+"""The parameter update rule: Adam, in place on a ParamSet."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..exceptions import ConfigurationError, TrainingError
+from ..exceptions import TrainingError
 from .nn import ParamSet
-
-
-class SGD:
-    def __init__(self, lr: float):
-        self.lr = float(lr)
-
-    def step(self, params: ParamSet) -> None:
-        for name, p in params.trainable():
-            if p.grad is None:
-                raise TrainingError(f"no gradient for trainable parameter {name!r}")
-            p.data -= self.lr * p.grad
 
 
 class Adam:
@@ -51,16 +40,3 @@ class Adam:
             v_hat = v / (1 - b2 ** self.t)
             p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-
-def make_optimizer(name: str, lr: float):
-    if name == "sgd":
-        return SGD(lr)
-    if name == "adam":
-        return Adam(lr)
-    raise ConfigurationError(f"unknown optimizer {name!r}")
-
-
-def optimize_step(params: ParamSet, optimizer) -> None:
-    """Apply one update from gradients already accumulated on ``params``."""
-    optimizer.step(params)
-    params.zero_grad()

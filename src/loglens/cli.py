@@ -212,14 +212,14 @@ def cmd_train(args) -> int:
     detector = build_detector(config, vocab)
     sequences = fit_set(config, sequences)
     detector.fit(sequences, vocab)
-    save_detector(detector, config, args.model_out)
+    save_detector(detector, args.model_out)
     print(f"trained {config.name} on {len(sequences)} sequences "
           f"-> {args.model_out}")
     return 0
 
 
 def cmd_detect(args) -> int:
-    detector, config = load_detector(args.model)
+    detector = load_detector(args.model)
     if str(args.input).endswith(".csv"):
         records, _ = read_parsed(args.input)
         sequences = partition(records, PartitionSpec("identifier"))

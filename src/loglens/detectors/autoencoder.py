@@ -43,28 +43,27 @@ class AutoencoderDetector(WindowDetector):
     """
 
     family = "autoencoder"
-    hyperparameters = ("window_size", "step_size", "hidden", "epochs",
-                       "batch_size", "lr", "threshold_quantile", "seed")
 
     @property
     def _cutoff(self) -> float:
         return self.threshold_
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        ps = ParamSet(derive_seed(self.seed, self.family))
+        hidden, window_size = self.config.hidden, self.config.window_size
+        ps = ParamSet(derive_seed(self.config.seed, self.family))
         width = vocab.n_ids if self.encoder is None else self._input_params(ps, vocab)
-        feature_dim = width * self.window_size
-        bottleneck = max(1, self.hidden // 4)
+        feature_dim = width * window_size
+        bottleneck = max(1, hidden // 4)
         # one-hot windows drive only window_size of the feature units, so the
         # first layer scales by the active count, not the nominal width
-        active = self.window_size if self.encoder is None else feature_dim
-        ps.uniform("enc.w1", (feature_dim, self.hidden), fan_in=active)
-        ps.zeros("enc.b1", (self.hidden,))
-        ps.uniform("enc.w2", (self.hidden, bottleneck), fan_in=self.hidden)
+        active = window_size if self.encoder is None else feature_dim
+        ps.uniform("enc.w1", (feature_dim, hidden), fan_in=active)
+        ps.zeros("enc.b1", (hidden,))
+        ps.uniform("enc.w2", (hidden, bottleneck), fan_in=hidden)
         ps.zeros("enc.b2", (bottleneck,))
-        ps.uniform("dec.w1", (bottleneck, self.hidden), fan_in=bottleneck)
-        ps.zeros("dec.b1", (self.hidden,))
-        ps.uniform("dec.w2", (self.hidden, feature_dim), fan_in=self.hidden)
+        ps.uniform("dec.w1", (bottleneck, hidden), fan_in=bottleneck)
+        ps.zeros("dec.b1", (hidden,))
+        ps.uniform("dec.w2", (hidden, feature_dim), fan_in=hidden)
         ps.zeros("dec.b2", (feature_dim,))
         return ps
 
@@ -104,7 +103,7 @@ class AutoencoderDetector(WindowDetector):
 
     def _calibrate(self, table, held_out: np.ndarray) -> None:
         self.threshold_ = nearest_rank_quantile(self._score(table, held_out, None),
-                                                self.threshold_quantile)
+                                                self.config.threshold_quantile)
 
     # detection -----------------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """Shared detector machinery: the hyperparameter table (``DetectorConfig``),
-estimator parameter handling, the one ``fit`` and ``predict`` of every
-family, verdicts, and the window-to-sequence decision rule."""
+the one ``fit`` and ``predict`` of every family, verdicts, and the
+window-to-sequence decision rule."""
 
 from __future__ import annotations
 
@@ -33,12 +33,12 @@ FILTER_HEIGHTS = (3, 4, 5)  # CNN filter heights, in events
 PREDICT_BLOCK = 1024  # examples scored per call, unless a family says otherwise
 
 
-@dataclass
+@dataclass(frozen=True)
 class DetectorConfig:
     """Hyperparameters for one detector, and the one place their defaults
     are written; every family accepts both input modes. ``embed_dim``
     defaults to 16 for index inputs and 32 for semantic vectors when left
-    unset."""
+    unset. Frozen: a changed config is a ``replace``, which runs the checks."""
 
     family: str
     semantics: bool = False
@@ -125,9 +125,9 @@ def target_ranks(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 
 class BaseDetector:
-    """Estimator base: constructor arguments are the family's
-    ``hyperparameters`` (``DetectorConfig`` fields, with its defaults) and an
-    optional semantic ``encoder``; fitted state lives in trailing-underscore
+    """Estimator base: a detector is its frozen ``DetectorConfig``
+    (``self.config``, which every hyperparameter is read from) and an optional
+    semantic ``encoder``; fitted state lives in trailing-underscore
     attributes, ``fit`` returns ``self``.
 
     ``fit`` and ``predict`` are written once, here. A family supplies only
@@ -142,42 +142,10 @@ class BaseDetector:
     """
 
     family: str
-    hyperparameters: tuple[str, ...]
 
-    def __init__(self, encoder=None, **params):
-        unknown = sorted(set(params) - set(self.hyperparameters))
-        if unknown:
-            raise TypeError(f"{type(self).__name__} takes no hyperparameter "
-                            f"{', '.join(unknown)}")
-        config = DetectorConfig(self.family, semantics=encoder is not None, **params)
-        config.embed_dim = config.resolved_embed_dim
-        for name in self.hyperparameters:
-            setattr(self, name, getattr(config, name))
+    def __init__(self, config: DetectorConfig, encoder=None):
+        self.config = config
         self.encoder = encoder
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name)
-                for name in (*self.hyperparameters, "encoder")}
-
-    def set_params(self, **params) -> "BaseDetector":
-        """Set hyperparameters (and ``encoder``) after ``DetectorConfig``'s
-        checks pass on the merged values; a refused call changes nothing."""
-        for name in params:
-            if name not in self.hyperparameters and name != "encoder":
-                raise ValueError(
-                    f"invalid parameter {name!r} for {type(self).__name__}"
-                )
-        merged = {**self.get_params(), **params}
-        encoder = merged.pop("encoder")
-        DetectorConfig(self.family, semantics=encoder is not None, **merged)
-        for name, value in params.items():
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}"
-                         for name in self.hyperparameters)
-        return f"{type(self).__name__}({args})"
 
     # training -------------------------------------------------------------
 
@@ -189,7 +157,7 @@ class BaseDetector:
         self.vocab_size_ = len(vocab)
         self.params_ = params = self._build_params(vocab)
         table, _ = self._input_table(None)
-        order_rng = Rng(derive_seed(self.seed, self.family, "order"))
+        order_rng = Rng(derive_seed(self.config.seed, self.family, "order"))
         inputs, targets, held_out = self._training_examples(sequences, order_rng)
         self.epoch_losses_ = self._train(
             params, len(inputs),
@@ -215,17 +183,18 @@ class BaseDetector:
 
     def _train(self, params: ParamSet, count: int, batch_loss,
                order_rng: Rng) -> list[float]:
-        """Mini-batch Adam over ``count`` examples for ``self.epochs`` epochs,
+        """Mini-batch Adam over ``count`` examples for ``epochs`` epochs,
         reshuffled each epoch from ``order_rng``. ``batch_loss(index)`` returns
         the mean loss of the examples at ``index``; the result is each
         epoch's mean loss."""
-        optimizer = Adam(self.lr)
+        config = self.config
+        optimizer = Adam(config.lr)
         losses = []
-        for _ in range(self.epochs):
+        for _ in range(config.epochs):
             perm = order_rng.permutation(count)
             total = 0.0
-            for lo in range(0, count, self.batch_size):
-                batch = perm[lo:lo + self.batch_size]
+            for lo in range(0, count, config.batch_size):
+                batch = perm[lo:lo + config.batch_size]
                 loss = batch_loss(batch)
                 params.zero_grad()
                 loss.backward()
@@ -260,8 +229,9 @@ class BaseDetector:
         if self.encoder is not None:
             ps.constant("input_table", self.encoder.table_for(vocab))
             return self.encoder.dim
-        ps.uniform("input_table", (vocab.n_ids, self.embed_dim), fan_in=self.embed_dim)
-        return self.embed_dim
+        dim = self.config.resolved_embed_dim
+        ps.uniform("input_table", (vocab.n_ids, dim), fan_in=dim)
+        return dim
 
     # detection ------------------------------------------------------------
 
@@ -321,7 +291,7 @@ class BaseDetector:
         if short:
             logger.debug("%d of %d sequences have no window (<= window size "
                          "%d events); verdicted normal", short, n_sequences,
-                         self.window_size)
+                         self.config.window_size)
         bounds = np.searchsorted(owner, np.arange(n_sequences + 1)).tolist()
         return [combine_window_verdicts(windows[lo:hi])
                 for lo, hi in pairwise(bounds)]
@@ -336,7 +306,7 @@ class WindowDetector(BaseDetector):
         input ids clamped to ``clamp`` and targets to the training
         vocabulary."""
         ids, targets, owner, positions = window_arrays(
-            sequences, WindowSpec(self.window_size, self.step_size))
+            sequences, WindowSpec(self.config.window_size, self.config.step_size))
         return (np.minimum(ids, clamp), np.minimum(targets, self.vocab_size_),
                 owner, positions)
 
@@ -346,9 +316,9 @@ class WindowDetector(BaseDetector):
                       vocab: EventVocabulary | None = None) -> Verdict:
         """Verdict for one window, scored as ``predict`` scores it."""
         self._require_fitted()
-        if len(window.inputs) != self.window_size:
+        if len(window.inputs) != self.config.window_size:
             raise ConfigurationError(f"window has {len(window.inputs)} inputs; "
-                                     f"the detector reads {self.window_size}")
+                                     f"the detector reads {self.config.window_size}")
         table, clamp = self._input_table(vocab)
         one = EventSequence([*window.inputs, window.target], None, "window")
         ids, targets, _, _ = self._windows([one], clamp)

@@ -8,11 +8,10 @@ binary parameter container plus a JSON sidecar.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 from ..autodiff import ParamSet, load_params, save_params
-from ..exceptions import ConfigurationError
+from ..exceptions import ConfigurationError, FormatError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
 from ..sequencing import SemanticEncoder
@@ -26,38 +25,33 @@ _CLASSES = {cls.family: cls for cls in (
     BilstmAttentionDetector, CnnDetector)}
 
 
-def make_encoder(config: DetectorConfig, vocab: EventVocabulary) -> SemanticEncoder | None:
+def make_encoder(config: DetectorConfig,
+                 vocab: EventVocabulary | None) -> SemanticEncoder | None:
+    """The semantic encoder a config asks for, built from ``vocab`` with a
+    seed derived from the config seed; ``None`` for index inputs."""
     if not config.semantics:
         return None
+    if vocab is None:
+        raise ConfigurationError("semantic detector needs a vocabulary")
     return SemanticEncoder(vocab, dim=config.resolved_embed_dim,
                            seed=derive_seed(config.seed, "semantic"))
 
 
-def build_detector(config: DetectorConfig, vocab: EventVocabulary | None = None,
-                   encoder: SemanticEncoder | None = None):
-    """Instantiate the estimator a config describes.
-
-    When ``semantics`` is set and no encoder is supplied, one is built from
-    ``vocab`` with a seed derived from the config seed.
-    """
-    if config.semantics and encoder is None:
-        if vocab is None:
-            raise ConfigurationError("semantic detector needs a vocabulary or encoder")
-        encoder = make_encoder(config, vocab)
-    cls = _CLASSES[config.family]
-    return cls(encoder=encoder, **{n: getattr(config, n) for n in cls.hyperparameters})
+def build_detector(config: DetectorConfig, vocab: EventVocabulary | None = None):
+    """Instantiate the estimator a config describes."""
+    return _CLASSES[config.family](config, make_encoder(config, vocab))
 
 
 # ---------------------------------------------------------------------------
 # persistence: parameter container + JSON sidecar
 
 
-def save_detector(detector, config: DetectorConfig, directory) -> None:
+def save_detector(detector, directory) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     save_params(detector.params_.copy_values(), directory / "params.llns")
     sidecar = {
-        "config": config.to_dict(),
+        "config": detector.config.to_dict(),
         "vocab_size": detector.vocab_size_,
         "threshold": getattr(detector, "threshold_", None),
         "training_seconds": getattr(detector, "training_seconds_", None),
@@ -67,22 +61,31 @@ def save_detector(detector, config: DetectorConfig, directory) -> None:
 
 
 def load_detector(directory):
-    """Rebuild a fitted detector from disk.
+    """Rebuild a fitted detector from disk, with the config it was saved with.
 
     Semantic models carry their frozen input table inside the parameter
     container, so every detector is rebuilt without an encoder or vocabulary
     and reads its stored table; events beyond the stored vocabulary map to
-    the reserved unknown id.
+    the reserved unknown id. A malformed ``detector.json`` raises
+    ``FormatError`` naming the file and the key.
     """
     directory = Path(directory)
-    sidecar = json.loads((directory / "detector.json").read_text(encoding="utf-8"))
-    config = DetectorConfig.from_dict(sidecar["config"])
-    detector = build_detector(replace(config, semantics=False))
+    path = directory / "detector.json"
+    sidecar = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(sidecar, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    try:
+        config = DetectorConfig.from_dict(sidecar["config"])
+        fitted = {"vocab_size_": int(sidecar["vocab_size"])}
+        for key in ("threshold", "training_seconds"):
+            if sidecar.get(key) is not None:
+                fitted[f"{key}_"] = float(sidecar[key])
+    except KeyError as err:
+        raise FormatError(f"{path}: missing key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise FormatError(f"{path}: {err}") from None
+    detector = _CLASSES[config.family](config)
     detector.params_ = ParamSet(config.seed)
     detector.params_.load_values(load_params(directory / "params.llns"))
-    detector.vocab_size_ = int(sidecar["vocab_size"])
-    if sidecar.get("threshold") is not None:
-        detector.threshold_ = float(sidecar["threshold"])
-    if sidecar.get("training_seconds") is not None:
-        detector.training_seconds_ = float(sidecar["training_seconds"])
-    return detector, config
+    vars(detector).update(fitted)
+    return detector

@@ -10,6 +10,8 @@ space.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..autodiff import (
@@ -38,8 +40,16 @@ class _ForecastBase(WindowDetector):
     outside the k most probable (ties count as inside)."""
 
     @property
-    def _cutoff(self) -> int:
-        return self.k
+    def k(self) -> int:
+        """The one hyperparameter settable after ``fit``: scoring reads it and
+        training does not. Setting it runs ``DetectorConfig``'s checks."""
+        return self.config.k
+
+    @k.setter
+    def k(self, value: int) -> None:
+        self.config = replace(self.config, k=value)
+
+    _cutoff = k
 
     def _score(self, table, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return target_ranks(self._softmax(table, ids), targets)
@@ -50,32 +60,31 @@ class LstmForecastDetector(_ForecastBase):
     inputs; the original forecasting formulation for log anomaly detection."""
 
     family = "lstm_forecast"
-    hyperparameters = ("window_size", "step_size", "k", "hidden", "layers",
-                       "embed_dim", "epochs", "batch_size", "lr", "seed")
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        ps = ParamSet(derive_seed(self.seed, self.family))
+        hidden = self.config.hidden
+        ps = ParamSet(derive_seed(self.config.seed, self.family))
         in_dim = self._input_params(ps, vocab)
-        for layer in range(self.layers):
-            lstm_params(ps, f"lstm{layer}", in_dim, self.hidden)
-            in_dim = self.hidden
-        ps.uniform("out.w", (self.hidden, vocab.n_ids), fan_in=self.hidden)
+        for layer in range(self.config.layers):
+            lstm_params(ps, f"lstm{layer}", in_dim, hidden)
+            in_dim = hidden
+        ps.uniform("out.w", (hidden, vocab.n_ids), fan_in=hidden)
         ps.zeros("out.b", (vocab.n_ids,))
         return ps
 
     def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
-        batch, steps = ids.shape
+        (batch, steps), hidden = ids.shape, self.config.hidden
+        layers = self.config.layers
         if not grad_enabled():  # scoring: each distinct prefix once
             tree, states = run_lstm_tree(
-                table, ids, params, [f"lstm{n}" for n in range(self.layers)],
-                self.hidden)
-            self._count_states(tree.states * self.layers, ids.size * self.layers)
+                table, ids, params, [f"lstm{n}" for n in range(layers)], hidden)
+            self._count_states(tree.states * layers, ids.size * layers)
             last = Tensor(tree.rows(states, steps - 1))
             return linear(last, params["out.w"], params["out.b"])
         hs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
-        for layer in range(self.layers):
-            hs = run_lstm(hs, params, f"lstm{layer}", self.hidden)
-        last = narrow(hs, 0, steps - 1, 1).reshape(batch, self.hidden)
+        for layer in range(layers):
+            hs = run_lstm(hs, params, f"lstm{layer}", hidden)
+        last = narrow(hs, 0, steps - 1, 1).reshape(batch, hidden)
         return linear(last, params["out.w"], params["out.b"])
 
 
@@ -85,30 +94,27 @@ class TransformerForecastDetector(_ForecastBase):
     the whole window jointly predicts one following event."""
 
     family = "transformer_forecast"
-    hyperparameters = ("window_size", "step_size", "k", "hidden", "layers",
-                       "heads", "embed_dim", "epochs", "batch_size", "lr", "seed")
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        ps = ParamSet(derive_seed(self.seed, self.family))
+        hidden = self.config.hidden
+        ps = ParamSet(derive_seed(self.config.seed, self.family))
         in_dim = self._input_params(ps, vocab)
-        ps.uniform("proj.w", (in_dim, self.hidden), fan_in=in_dim)
-        ps.zeros("proj.b", (self.hidden,))
-        for layer in range(self.layers):
-            attention_params(ps, f"block{layer}.attn", self.hidden)
-            ps.uniform(f"block{layer}.ff.w1", (self.hidden, 2 * self.hidden),
-                       fan_in=self.hidden)
-            ps.zeros(f"block{layer}.ff.b1", (2 * self.hidden,))
-            ps.uniform(f"block{layer}.ff.w2", (2 * self.hidden, self.hidden),
-                       fan_in=2 * self.hidden)
-            ps.zeros(f"block{layer}.ff.b2", (self.hidden,))
-        ps.uniform("out.w", (self.hidden, vocab.n_ids), fan_in=self.hidden)
+        ps.uniform("proj.w", (in_dim, hidden), fan_in=in_dim)
+        ps.zeros("proj.b", (hidden,))
+        for layer in range(self.config.layers):
+            attention_params(ps, f"block{layer}.attn", hidden)
+            ps.uniform(f"block{layer}.ff.w1", (hidden, 2 * hidden), fan_in=hidden)
+            ps.zeros(f"block{layer}.ff.b1", (2 * hidden,))
+            ps.uniform(f"block{layer}.ff.w2", (2 * hidden, hidden), fan_in=2 * hidden)
+            ps.zeros(f"block{layer}.ff.b2", (hidden,))
+        ps.uniform("out.w", (hidden, vocab.n_ids), fan_in=hidden)
         ps.zeros("out.b", (vocab.n_ids,))
         return ps
 
     def _position_table(self, length: int) -> np.ndarray:
         cached = getattr(self, "_positions", None)
-        if cached is None or cached.shape != (length, self.hidden):
-            cached = sinusoidal_encoding(length, self.hidden)
+        if cached is None or cached.shape != (length, self.config.hidden):
+            cached = sinusoidal_encoding(length, self.config.hidden)
             self._positions = cached
         return cached
 
@@ -116,10 +122,10 @@ class TransformerForecastDetector(_ForecastBase):
         x = embedding_lookup(table, ids)                       # (B, m, d_in)
         x = linear(x, params["proj.w"], params["proj.b"])      # (B, m, H)
         x = x + Tensor(self._position_table(ids.shape[1]))
-        for layer in range(self.layers):
+        for layer in range(self.config.layers):
             p = lambda name: params[f"block{layer}.{name}"]
-            x = x + multihead_attention(x, self.heads, p("attn.wq"), p("attn.wk"),
-                                        p("attn.wv"), p("attn.wo"))
+            x = x + multihead_attention(x, self.config.heads, p("attn.wq"),
+                                        p("attn.wk"), p("attn.wv"), p("attn.wo"))
             hidden = relu(linear(x, p("ff.w1"), p("ff.b1")))
             x = x + linear(hidden, p("ff.w2"), p("ff.b2"))
         pooled = x.mean(axis=1)

@@ -33,16 +33,12 @@ class _SupervisedBase(BaseDetector):
     sequence is anomalous iff its anomaly-class probability is strictly
     greater than one half."""
 
-    hyperparameters = ("max_len", "hidden", "embed_dim", "epochs", "batch_size",
-                       "lr", "seed")
     _cutoff = 0.5
 
     def _padded_ids(self, sequences: list[EventSequence], clamp: int) -> np.ndarray:
-        pad_id = clamp  # the reserved unknown id doubles as padding
-        rows = [
-            pad_or_truncate(encode_indices(seq.events, clamp), self.max_len, pad_id)
-            for seq in sequences
-        ]
+        max_len, pad_id = self.config.max_len, clamp  # the unknown id pads too
+        rows = [pad_or_truncate(encode_indices(seq.events, clamp), max_len, pad_id)
+                for seq in sequences]
         return np.asarray(rows, dtype=np.int64)
 
     def _examples(self, sequences: list[EventSequence], clamp: int):
@@ -76,17 +72,18 @@ class BilstmAttentionDetector(_SupervisedBase):
     family = "bilstm_attention"
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        ps = ParamSet(derive_seed(self.seed, self.family))
+        hidden = self.config.hidden
+        ps = ParamSet(derive_seed(self.config.seed, self.family))
         in_dim = self._input_params(ps, vocab)
-        lstm_params(ps, "fw", in_dim, self.hidden)
-        lstm_params(ps, "bw", in_dim, self.hidden)
-        ps.uniform("attn.w", (self.max_len, 2 * self.hidden), fan_in=2 * self.hidden)
-        ps.uniform("out.w", (2 * self.hidden, 2), fan_in=2 * self.hidden)
+        lstm_params(ps, "fw", in_dim, hidden)
+        lstm_params(ps, "bw", in_dim, hidden)
+        ps.uniform("attn.w", (self.config.max_len, 2 * hidden), fan_in=2 * hidden)
+        ps.uniform("out.w", (2 * hidden, 2), fan_in=2 * hidden)
         ps.zeros("out.b", (2,))
         return ps
 
     def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
-        (batch, steps), u = ids.shape, self.hidden
+        (batch, steps), u = ids.shape, self.config.hidden
         if grad_enabled():
             xs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
             forward = run_lstm(xs, params, "fw", u)
@@ -115,13 +112,14 @@ class CnnDetector(_SupervisedBase):
     family = "cnn"
 
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
-        ps = ParamSet(derive_seed(self.seed, self.family))
+        hidden = self.config.hidden
+        ps = ParamSet(derive_seed(self.config.seed, self.family))
         in_dim = self._input_params(ps, vocab)
         for height in FILTER_HEIGHTS:
-            ps.uniform(f"conv{height}.w", (height * in_dim, self.hidden),
+            ps.uniform(f"conv{height}.w", (height * in_dim, hidden),
                        fan_in=height * in_dim)
-            ps.zeros(f"conv{height}.b", (self.hidden,))
-        total = self.hidden * len(FILTER_HEIGHTS)
+            ps.zeros(f"conv{height}.b", (hidden,))
+        total = hidden * len(FILTER_HEIGHTS)
         ps.uniform("out.w", (total, 2), fan_in=total)
         ps.zeros("out.b", (2,))
         return ps

@@ -192,6 +192,31 @@ class TestTrainDetect:
         assert sum(v["anomalous"] for v in verdicts) == 0
 
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda doc: {**doc, "config": {**doc["config"], "n_filters": 8}},
+         "'n_filters'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "vocab_size"},
+         "missing key 'vocab_size'"),
+        (lambda doc: [doc], "expected a JSON object"),
+    ], ids=["unknown-config-key", "missing-vocab-size", "array"])
+    def test_malformed_detector_json_exits_2(self, tmp_path, capsys, corrupt,
+                                             message):
+        csv_path = syn_csv(tmp_path, n_sequences=40, rate=0.2)
+        config, doc = bench_config(tmp_path, csv_path)
+        doc["detectors"] = doc["detectors"][:1]
+        config.write_text(json.dumps(doc))
+        model_dir = tmp_path / "model"
+        assert main(["train", "--config", str(config),
+                     "--model-out", str(model_dir)]) == 0
+        sidecar = model_dir / "detector.json"
+        sidecar.write_text(json.dumps(corrupt(json.loads(sidecar.read_text()))))
+        capsys.readouterr()
+        assert main(["detect", "--model", str(model_dir), "--input",
+                     str(csv_path), "--out", str(tmp_path / "v.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert str(sidecar) in err and message in err
+
+
 class TestBenchCommand:
     def test_writes_reports_and_resolved_config(self, tmp_path, capsys):
         csv_path = syn_csv(tmp_path)

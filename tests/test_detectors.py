@@ -1,15 +1,13 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from loglens.detectors import (
-    AutoencoderDetector,
-    BilstmAttentionDetector,
-    CnnDetector,
     FAMILIES,
     SUPERVISED_FAMILIES,
     DetectorConfig,
     LstmForecastDetector,
-    TransformerForecastDetector,
     Verdict,
     build_detector,
     combine_window_verdicts,
@@ -43,11 +41,13 @@ def random_sequences(rng, n, length=12, vocab_size=3, error_rate=0.0):
     return seqs
 
 
-def fast_lstm(**kw):
+def fast_lstm(encoder=None, **kw):
     defaults = dict(window_size=2, step_size=1, k=1, hidden=16, layers=1,
                     embed_dim=8, epochs=8, batch_size=32, lr=5e-3, seed=1)
     defaults.update(kw)
-    return LstmForecastDetector(**defaults)
+    config = DetectorConfig("lstm_forecast", semantics=encoder is not None,
+                            **defaults)
+    return LstmForecastDetector(config, encoder)
 
 
 class TestTopKRule:
@@ -150,9 +150,10 @@ class TestForecastTraining:
         assert previous == set()
 
     def test_transformer_learns_pattern(self):
-        det = TransformerForecastDetector(
-            window_size=2, k=1, hidden=16, layers=1, heads=2, embed_dim=8,
-            epochs=15, batch_size=32, lr=5e-3, seed=1).fit(pattern_sequences(), VOCAB)
+        det = build_detector(DetectorConfig(
+            "transformer_forecast", window_size=2, k=1, hidden=16, layers=1, heads=2,
+            embed_dim=8, epochs=15, batch_size=32, lr=5e-3, seed=1),
+            VOCAB).fit(pattern_sequences(), VOCAB)
         bad = EventSequence([0, 1, 0] + [0, 1, 2] * 3, "anomaly", "bad")
         good = EventSequence([0, 1, 2] * 4, "normal", "good")
         assert det.predict([bad])[0].anomalous
@@ -190,7 +191,8 @@ class TestAutoencoder:
         defaults = dict(window_size=2, hidden=32, epochs=15, batch_size=32,
                         lr=5e-3, threshold_quantile=0.99, seed=1)
         defaults.update(kw)
-        return AutoencoderDetector(**defaults).fit(pattern_sequences(), VOCAB)
+        return build_detector(DetectorConfig("autoencoder", **defaults),
+                              VOCAB).fit(pattern_sequences(), VOCAB)
 
     def test_training_windows_reconstruct_better_than_random(self):
         det = self.fit_ae(window_size=4)
@@ -222,7 +224,7 @@ class TestAutoencoder:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_detect_without_threshold_raises(self):
-        det = AutoencoderDetector(window_size=2)
+        det = build_detector(DetectorConfig("autoencoder", window_size=2))
         with pytest.raises(StateError):
             det.detect_window(Window(inputs=[0, 1], target=2, position=2))
 
@@ -245,23 +247,25 @@ class TestSupervised:
 
     def test_separable_labels_reach_high_accuracy(self):
         seqs = self.toy_data()
-        for cls in (BilstmAttentionDetector, CnnDetector):
-            det = cls(max_len=12, hidden=16, embed_dim=8, epochs=20, batch_size=32,
-                      lr=1e-2, seed=1).fit(seqs, VOCAB)
+        for family in SUPERVISED_FAMILIES:
+            det = build_detector(DetectorConfig(
+                family, max_len=12, hidden=16, embed_dim=8, epochs=20, batch_size=32,
+                lr=1e-2, seed=1), VOCAB).fit(seqs, VOCAB)
             verdicts = det.predict(seqs)
             accuracy = np.mean([v.anomalous == s.is_anomalous
                                 for v, s in zip(verdicts, seqs)])
-            assert accuracy >= 0.99, f"{cls.__name__} accuracy {accuracy}"
+            assert accuracy >= 0.99, f"{family} accuracy {accuracy}"
 
     def test_single_class_data_raises(self):
         with pytest.raises(TrainingError):
-            BilstmAttentionDetector(max_len=8, epochs=1).fit(
-                pattern_sequences(5), VOCAB)
+            build_detector(DetectorConfig("bilstm_attention", max_len=8, epochs=1),
+                           VOCAB).fit(pattern_sequences(5), VOCAB)
 
     def test_zero_attention_weights_reduce_to_bias(self):
         seqs = self.toy_data()
-        det = BilstmAttentionDetector(max_len=12, hidden=8, embed_dim=4,
-                                      epochs=1, seed=1).fit(seqs, VOCAB)
+        det = build_detector(DetectorConfig("bilstm_attention", max_len=12, hidden=8,
+                                            embed_dim=4, epochs=1, seed=1),
+                             VOCAB).fit(seqs, VOCAB)
         det.params_["attn.w"].data[:] = 0.0
         probs = [det.classify(s).score for s in seqs[:6]]
         assert np.allclose(probs, probs[0])  # depends only on the output bias
@@ -271,22 +275,23 @@ class TestSupervised:
 
     def test_attention_weights_in_open_unit_interval(self):
         seqs = self.toy_data()
-        det = BilstmAttentionDetector(max_len=12, hidden=8, embed_dim=4,
-                                      epochs=3, seed=1).fit(seqs, VOCAB)
+        det = build_detector(DetectorConfig("bilstm_attention", max_len=12, hidden=8,
+                                            embed_dim=4, epochs=3, seed=1),
+                             VOCAB).fit(seqs, VOCAB)
         from loglens.autodiff import embedding_lookup, run_lstm, concat, tanh
         ids = det._padded_ids(seqs[:4], det.vocab_size_)
         xs = [embedding_lookup(det.params_["input_table"], ids[:, t])
               for t in range(ids.shape[1])]
-        fw = run_lstm(xs, det.params_, "fw", det.hidden)
-        bw = run_lstm(xs, det.params_, "bw", det.hidden, reverse=True)
+        fw = run_lstm(xs, det.params_, "fw", det.config.hidden)
+        bw = run_lstm(xs, det.params_, "bw", det.config.hidden, reverse=True)
         hidden = concat([fw, bw], axis=2).transpose((1, 0, 2))
         weights = tanh((hidden * det.params_["attn.w"]).sum(axis=2)).data
         assert np.all(np.abs(weights) < 1.0)
 
     def test_cnn_embedding_matrix_shape(self):
         seqs = self.toy_data()
-        det = CnnDetector(max_len=12, hidden=8, embed_dim=6, epochs=1,
-                          seed=1).fit(seqs, VOCAB)
+        det = build_detector(DetectorConfig("cnn", max_len=12, hidden=8, embed_dim=6,
+                                            epochs=1, seed=1), VOCAB).fit(seqs, VOCAB)
         assert det.params_["input_table"].shape == (len(VOCAB) + 1, 6)
 
     def test_probability_half_is_normal(self):
@@ -295,16 +300,17 @@ class TestSupervised:
 
     def test_classify_pure_function(self):
         seqs = self.toy_data()
-        det = CnnDetector(max_len=12, hidden=8, embed_dim=6, epochs=2,
-                          seed=1).fit(seqs, VOCAB)
+        det = build_detector(DetectorConfig("cnn", max_len=12, hidden=8, embed_dim=6,
+                                            epochs=2, seed=1), VOCAB).fit(seqs, VOCAB)
         v1 = det.classify(seqs[0])
         v2 = det.classify(seqs[0])
         assert v1 == v2
 
     def test_supervised_determinism(self):
         seqs = self.toy_data()
-        runs = [CnnDetector(max_len=12, hidden=8, embed_dim=6, epochs=2,
-                            seed=9).fit(seqs, VOCAB) for _ in range(2)]
+        config = DetectorConfig("cnn", max_len=12, hidden=8, embed_dim=6, epochs=2,
+                                seed=9)
+        runs = [build_detector(config, VOCAB).fit(seqs, VOCAB) for _ in range(2)]
         for name in runs[0].params_.names():
             assert np.array_equal(runs[0].params_[name].data,
                                   runs[1].params_[name].data)
@@ -316,9 +322,9 @@ class TestPersistence:
                                 hidden=16, layers=1, embed_dim=8, epochs=4,
                                 batch_size=32, seed=1)
         det = build_detector(config, VOCAB).fit(pattern_sequences(), VOCAB)
-        save_detector(det, config, tmp_path / "model")
-        loaded, loaded_config = load_detector(tmp_path / "model")
-        assert loaded_config == config
+        save_detector(det, tmp_path / "model")
+        loaded = load_detector(tmp_path / "model")
+        assert loaded.config == config
         rng = Rng(11)
         test = random_sequences(rng, 10, vocab_size=4)
         original = det.predict(test)
@@ -334,9 +340,9 @@ class TestPersistence:
         if not any(s.is_anomalous for s in seqs):
             seqs[0].label = "anomaly"
         det = build_detector(config, VOCAB).fit(seqs, VOCAB)
-        save_detector(det, config, tmp_path / "model")
-        loaded, loaded_config = load_detector(tmp_path / "model")
-        assert loaded_config.semantics
+        save_detector(det, tmp_path / "model")
+        loaded = load_detector(tmp_path / "model")
+        assert loaded.config.semantics
         assert loaded.predict(seqs[:5]) == det.predict(seqs[:5], vocab=None)
 
     @pytest.mark.parametrize("semantics", [False, True])
@@ -351,40 +357,32 @@ class TestPersistence:
         fit_on = seqs if family in SUPERVISED_FAMILIES else [
             s for s in seqs if not s.is_anomalous]
         det = build_detector(config, VOCAB).fit(fit_on, VOCAB)
-        save_detector(det, config, tmp_path / "model")
-        loaded, loaded_config = load_detector(tmp_path / "model")
-        assert loaded_config == config
+        save_detector(det, tmp_path / "model")
+        loaded = load_detector(tmp_path / "model")
+        assert loaded.config == config
         test = random_sequences(Rng(19), 20, vocab_size=5)
         assert loaded.predict(test) == det.predict(test)
         assert getattr(loaded, "threshold_", None) == getattr(det, "threshold_", None)
 
-    def test_get_set_params(self):
-        det = LstmForecastDetector(k=7)
-        assert det.get_params()["k"] == 7
-        det.set_params(k=3, hidden=32)
-        assert det.k == 3 and det.hidden == 32
-        with pytest.raises(ValueError):
-            det.set_params(bogus=1)
-
-    @pytest.mark.parametrize("det, params", [
-        (CnnDetector(max_len=8), {"max_len": 3}),
-        (LstmForecastDetector(k=4), {"k": 0}),
-        (TransformerForecastDetector(hidden=8, heads=2), {"heads": 3}),
-    ])
-    def test_set_params_runs_config_checks_and_leaves_detector_unchanged(
-            self, det, params):
-        before = det.get_params()
+    def test_config_is_frozen_and_k_setter_runs_config_checks(self):
+        det = fast_lstm(k=7, epochs=1).fit(pattern_sequences(), VOCAB)
+        det.k = 3
+        assert det.k == det.config.k == 3
+        before = det.config
         with pytest.raises(ConfigurationError):
-            det.set_params(**params)
-        assert det.get_params() == before
-
-    @pytest.mark.parametrize("cls, params", [
-        (LstmForecastDetector, {"heads": 2}),
-        (CnnDetector, {"n_filters": 8}),
-    ])
-    def test_hyperparameter_the_family_does_not_read_raises(self, cls, params):
-        with pytest.raises(TypeError):
-            cls(**params)
+            det.k = 0
+        assert det.config == before
+        with pytest.raises(FrozenInstanceError):
+            det.config.hidden = 32
+        for config, params in [
+            (DetectorConfig("cnn", max_len=8), {"max_len": 3}),
+            (DetectorConfig("lstm_forecast", k=4), {"k": 0}),
+            (DetectorConfig("transformer_forecast", hidden=8, heads=2), {"heads": 3}),
+        ]:
+            det = build_detector(config)
+            with pytest.raises(ConfigurationError):
+                replace(det.config, **params)
+            assert det.config == config
 
     @pytest.mark.parametrize("family, params", [
         ("transformer_forecast", {"hidden": 8, "heads": 3}),

@@ -19,7 +19,12 @@ from loglens.autodiff import (
     run_lstm,
     run_lstm_tree,
 )
-from loglens.detectors import BilstmAttentionDetector, LstmForecastDetector
+from loglens.detectors import (
+    BilstmAttentionDetector,
+    DetectorConfig,
+    LstmForecastDetector,
+    build_detector,
+)
 from loglens.exceptions import DimensionError
 from loglens.ingest import EventVocabulary
 from loglens.rng import Rng
@@ -200,8 +205,9 @@ class TestDetectorsScoreAsTheyTrain:
     @pytest.mark.parametrize("hidden, layers", [(8, 2), (13, 1)])
     def test_lstm_forecast(self, semantic, hidden, layers):
         encoder = SemanticEncoder(VOCAB, dim=32, seed=2) if semantic else None
-        det = LstmForecastDetector(encoder=encoder, window_size=4, hidden=hidden,
-                                   layers=layers, embed_dim=16, epochs=1, seed=3)
+        det = LstmForecastDetector(DetectorConfig(
+            "lstm_forecast", semantics=semantic, window_size=4, hidden=hidden,
+            layers=layers, embed_dim=16, epochs=1, seed=3), encoder)
         det.fit(sequences(20, 12, 1), VOCAB)
         table, clamp = det._input_table(VOCAB)
         ids, _, _, _ = det._examples(sequences(30, 12, 2), clamp)
@@ -214,8 +220,9 @@ class TestDetectorsScoreAsTheyTrain:
     @pytest.mark.parametrize("hidden", [8, 13])
     def test_bilstm_attention(self, semantic, hidden):
         encoder = SemanticEncoder(VOCAB, dim=32, seed=2) if semantic else None
-        det = BilstmAttentionDetector(encoder=encoder, max_len=10, hidden=hidden,
-                                      embed_dim=16, epochs=1, seed=3)
+        det = BilstmAttentionDetector(DetectorConfig(
+            "bilstm_attention", semantics=semantic, max_len=10, hidden=hidden,
+            embed_dim=16, epochs=1, seed=3), encoder)
         det.fit(sequences(20, 8, 1), VOCAB)
         table, clamp = det._input_table(VOCAB)
         ids, _, _, _ = det._examples(sequences(30, 7, 2) + sequences(3, 14, 4), clamp)
@@ -225,8 +232,9 @@ class TestDetectorsScoreAsTheyTrain:
         assert got.tobytes() == expected.tobytes()
 
     def test_detect_window_scores_as_predict(self):
-        det = LstmForecastDetector(window_size=5, k=2, hidden=16, layers=2,
-                                   embed_dim=8, epochs=2, seed=4)
+        det = build_detector(DetectorConfig("lstm_forecast", window_size=5, k=2,
+                                            hidden=16, layers=2, embed_dim=8,
+                                            epochs=2, seed=4))
         det.fit(sequences(30, 12, 5), VOCAB)
         # one window per sequence, so each sequence verdict is its window's
         stream = sequences(200, 6, 6)
@@ -238,8 +246,8 @@ class TestDetectorsScoreAsTheyTrain:
                                                         repr(verdict.score))
 
     def test_predict_logs_throughput_and_states(self, caplog):
-        det = LstmForecastDetector(window_size=3, hidden=8, layers=2, embed_dim=8,
-                                   epochs=1, seed=1)
+        det = build_detector(DetectorConfig("lstm_forecast", window_size=3, hidden=8,
+                                            layers=2, embed_dim=8, epochs=1, seed=1))
         det.fit(sequences(10, 8, 1), VOCAB)
         with caplog.at_level(logging.DEBUG, logger="loglens.detectors.base"):
             det.predict(sequences(4, 8, 2))

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from loglens.autodiff import (
-    Adam,
-    ParamSet,
-    SGD,
-    load_params,
-    make_optimizer,
-    optimize_step,
-    save_params,
-)
+from loglens.autodiff import Adam, ParamSet, load_params, save_params
 from loglens.exceptions import FormatError, TrainingError
 
 
@@ -23,11 +15,6 @@ def single_param(value, grad):
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        ps, p = single_param([1.0], [0.5])
-        SGD(lr=0.1).step(ps)
-        assert p.data.tolist() == [0.95]
-
     def test_zero_gradient_leaves_params_unchanged(self):
         ps, p = single_param([1.0, -2.0], [0.0, 0.0])
         before = p.data.copy()
@@ -45,12 +32,6 @@ class TestOptimizers:
         ps, _ = single_param([1.0], None)
         with pytest.raises(TrainingError, match="p"):
             Adam(lr=0.1).step(ps)
-
-    def test_optimize_step_clears_gradients(self):
-        ps, p = single_param([1.0], [1.0])
-        optimize_step(ps, make_optimizer("sgd", 0.5))
-        assert p.grad is None
-        assert p.data.tolist() == [0.5]
 
 
 class TestParamContainer:
