@@ -374,6 +374,8 @@ class TestPersistence:
         assert det.config == before
         with pytest.raises(FrozenInstanceError):
             det.config.hidden = 32
+
+    def test_replace_config_runs_checks_leaves_detector_unchanged(self):
         for config, params in [
             (DetectorConfig("cnn", max_len=8), {"max_len": 3}),
             (DetectorConfig("lstm_forecast", k=4), {"k": 0}),
