@@ -3,6 +3,7 @@ dense/LSTM/attention/convolution building blocks, and positional encodings."""
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
@@ -21,6 +22,8 @@ from .tensor import (
     softmax,
     unfold_windows,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class ParamSet:
@@ -139,7 +142,8 @@ def run_lstm_tree(table: Tensor, ids: np.ndarray, ps: ParamSet, prefixes,
     ``reverse``, tree step s is time step T - 1 - s. Every step keeps two
     rows or more. With an odd ``units`` every step keeps ``batch`` rows: the
     GEMMs of a ``4 * units``-column gate block then round a row differently
-    at some row counts (README, "Determinism").
+    at some row counts (README, "Determinism"). Logs, at DEBUG, the states
+    computed against the rows x steps x layers a per-step run computes.
     """
     batch = ids.shape[0]
     tree = PrefixTree(ids[:, ::-1] if reverse else ids,
@@ -148,6 +152,8 @@ def run_lstm_tree(table: Tensor, ids: np.ndarray, ps: ParamSet, prefixes,
     for prefix in prefixes:
         xs = lstm_tree(xs, tree, ps[f"{prefix}.wx"], ps[f"{prefix}.wh"],
                        ps[f"{prefix}.b"])
+    logger.debug("%d LSTM states computed for %d rows x steps x layers",
+                 tree.states * len(prefixes), ids.size * len(prefixes))
     return tree, xs
 
 

@@ -357,15 +357,6 @@ def fit_set(config: DetectorConfig, train: list[EventSequence]) -> list[EventSeq
     return strip_anomalies(train)[0]
 
 
-def _fit_for_experiment(config: DetectorConfig, sequences, vocab):
-    """A detector built from ``config`` and fitted on ``sequences`` as given,
-    and the seconds the fit took."""
-    detector = build_detector(config, vocab)
-    start = time.perf_counter()
-    detector.fit(sequences, vocab)
-    return detector, time.perf_counter() - start
-
-
 def _evaluate(detector, test, vocab=None):
     start = time.perf_counter()
     verdicts = detector.predict(test, vocab=vocab)
@@ -392,12 +383,13 @@ def _run_detector(config: DetectorConfig, experiment: str, train, test, vocab,
         for ratio in ratios:
             contaminated = contaminate(normal_train, removed, ratio,
                                        seed=run_seed)
-            detector, train_s = _fit_for_experiment(run_config, contaminated, vocab)
+            detector = build_detector(run_config, vocab).fit(contaminated, vocab)
             precision, recall, f1, test_s = _evaluate(detector, test)
-            rows.append((f"{ratio:g}", precision, recall, f1, train_s, test_s))
+            rows.append((f"{ratio:g}", precision, recall, f1,
+                         detector.training_seconds_, test_s))
         return rows
-    detector, train_s = _fit_for_experiment(run_config, fit_set(run_config, train),
-                                            vocab)
+    detector = build_detector(run_config, vocab).fit(fit_set(run_config, train), vocab)
+    train_s = detector.training_seconds_
     if experiment in ("accuracy", "efficiency"):
         precision, recall, f1, test_s = _evaluate(detector, test)
         rows.append(("-", precision, recall, f1, train_s, test_s))

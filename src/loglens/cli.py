@@ -23,7 +23,6 @@ from pathlib import Path
 
 from .bench import (
     NOISE_STRATEGIES,
-    builtin_synonyms,
     fit_set,
     run_experiment,
 )
@@ -249,8 +248,6 @@ def cmd_bench(args) -> int:
     if noise.get("synonyms_path"):
         synonym_table = json.loads(
             Path(noise["synonyms_path"]).read_text(encoding="utf-8"))
-    elif resolved["experiment"] == "noise_sweep":
-        synonym_table = builtin_synonyms()
     report = run_experiment(
         sequences, vocab, configs,
         experiment=resolved["experiment"],

@@ -6,7 +6,6 @@ from .base import (
     BaseDetector,
     DetectorConfig,
     Verdict,
-    combine_window_verdicts,
     target_ranks,
 )
 from .forecast import LstmForecastDetector, TransformerForecastDetector
@@ -15,7 +14,7 @@ from .supervised import BilstmAttentionDetector, CnnDetector
 from .config import build_detector, load_detector, make_encoder, save_detector
 
 __all__ = [
-    "BaseDetector", "Verdict", "combine_window_verdicts", "target_ranks",
+    "BaseDetector", "Verdict", "target_ranks",
     "LstmForecastDetector", "TransformerForecastDetector",
     "AutoencoderDetector", "nearest_rank_quantile",
     "BilstmAttentionDetector", "CnnDetector",

@@ -83,7 +83,7 @@ class AutoencoderDetector(WindowDetector):
         """Features of the windows to train on, each its own reconstruction
         target, and a normal slice of the windows held out for the threshold
         (windows of labeled-anomalous sequences never calibrate it)."""
-        ids, _, owner, _ = self._windows(sequences, self.vocab_size_)
+        ids, _, owner, _ = self._examples(sequences, self.vocab_size_)
         perm = order_rng.permutation(ids.shape[0])
         normal = ~np.asarray([seq.is_anomalous for seq in sequences], dtype=bool)[owner]
         normal_order = perm[normal[perm]]

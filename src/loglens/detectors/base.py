@@ -6,19 +6,16 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from itertools import pairwise
 
 import numpy as np
 
-from ..autodiff import Adam, ParamSet, Tensor, cross_entropy, no_grad
+from ..autodiff import Adam, ParamSet, Tensor, cross_entropy, no_grad, softmax
 from ..exceptions import ConfigurationError, StateError, TrainingError
 from ..ingest import EventVocabulary
 from ..rng import Rng, derive_seed
 from ..sequencing import EventSequence, Window, WindowSpec, window_arrays
-
-WINDOW = "window"
-SEQUENCE = "sequence"
 
 logger = logging.getLogger(__name__)
 
@@ -61,6 +58,8 @@ class DetectorConfig:
             raise ConfigurationError(f"unknown detector family {self.family!r}")
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
+        if self.max_len < 1:
+            raise ConfigurationError("max_len must be >= 1")
         if self.family == "transformer_forecast" and (
                 self.heads < 1 or self.hidden % self.heads):
             raise ConfigurationError(f"transformer_forecast: hidden {self.hidden} "
@@ -89,29 +88,18 @@ class DetectorConfig:
 
 @dataclass
 class Verdict:
-    """Detection outcome at window or sequence level.
+    """Detection outcome for one sequence.
 
     ``score`` is family-specific: probability rank for forecasting,
     reconstruction error for the autoencoder, anomaly-class probability for
-    supervised classifiers. ``position`` is the window's target index inside
-    its sequence (window-level only).
+    supervised classifiers. ``position`` is the target index of the first
+    anomalous window inside its sequence (``None`` when no window is
+    anomalous, and for the supervised families).
     """
 
-    level: str
     anomalous: bool
     score: float
     position: int | None = None
-
-
-def combine_window_verdicts(verdicts: list[Verdict]) -> Verdict:
-    """Sequence verdict: anomalous iff any window is; score is the max window
-    score. An empty list (short sequence, no windows) is normal."""
-    if not verdicts:
-        return Verdict(level=SEQUENCE, anomalous=False, score=0.0)
-    anomalous = any(v.anomalous for v in verdicts)
-    score = max(v.score for v in verdicts)
-    position = next((v.position for v in verdicts if v.anomalous), None)
-    return Verdict(level=SEQUENCE, anomalous=anomalous, score=score, position=position)
 
 
 def target_ranks(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -244,27 +232,13 @@ class BaseDetector:
         table, clamp = self._input_table(vocab)
         inputs, targets, owner, positions = self._examples(sequences, clamp)
         scores = np.empty(len(inputs))
-        self._states = [0, 0]
         for lo, hi in pairwise(self._blocks(owner, len(sequences))):
             scores[lo:hi] = self._score(table, inputs[lo:hi], targets[lo:hi])
         verdicts = self._sequence_verdicts(len(sequences), owner, positions, scores)
         seconds = time.perf_counter() - start
         logger.debug("%s predict: %d examples in %.4f s, %.0f examples/s",
                      self.family, len(inputs), seconds, len(inputs) / max(seconds, 1e-9))
-        computed, full = self._states
-        if full:
-            logger.debug("%s predict: %d LSTM states computed for %d rows x "
-                         "steps x layers", self.family, computed, full)
-        self._states = None
         return verdicts
-
-    _states = None  # in predict: [LSTM states computed, rows x steps x layers]
-
-    def _count_states(self, computed: int, full: int) -> None:
-        """Add one scoring call's LSTM state counts to ``predict``'s log."""
-        if self._states is not None:
-            self._states[0] += computed
-            self._states[1] += full
 
     def _blocks(self, owner: np.ndarray, n_sequences: int):
         """Bounds of the example blocks that ``predict`` scores in one call."""
@@ -273,35 +247,38 @@ class BaseDetector:
     def _softmax(self, table, ids: np.ndarray) -> np.ndarray:
         """Class probabilities of the fitted model for each row of ``ids``."""
         with no_grad():
-            logits = self._logits(self.params_, table, ids).data
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+            return softmax(self._logits(self.params_, table, ids), axis=1).data
 
     def _sequence_verdicts(self, n_sequences: int, owner: np.ndarray,
                            positions: np.ndarray, scores: np.ndarray) -> list[Verdict]:
-        """Combine example verdicts, given in sequence order with the index of
-        their ``owner`` sequence, into one verdict per sequence. Sequences
-        without an example (too short to window) carry no evidence and are
-        verdicted normal."""
-        windows = [Verdict(level=WINDOW, anomalous=a, score=score, position=p)
-                   for a, score, p in zip((scores > self._cutoff).tolist(),
-                                          scores.tolist(), positions.tolist())]
-        short = n_sequences - len(np.unique(owner))
+        """One verdict per sequence from its examples' ``scores``, given in
+        sequence order with the index of their ``owner`` sequence: anomalous
+        iff any example is, scored by its highest example score, positioned at
+        its first anomalous example. A sequence without examples (too short
+        to window) carries no evidence: normal, score 0.0, no position."""
+        owners, starts = np.unique(owner, return_index=True)
+        flagged = scores > self._cutoff
+        hits, first = np.unique(owner[flagged], return_index=True)
+        short = n_sequences - len(owners)
         if short:
             logger.debug("%d of %d sequences have no window (<= window size "
                          "%d events); verdicted normal", short, n_sequences,
                          self.config.window_size)
-        bounds = np.searchsorted(owner, np.arange(n_sequences + 1)).tolist()
-        return [combine_window_verdicts(windows[lo:hi])
-                for lo, hi in pairwise(bounds)]
+        anomalous = np.zeros(n_sequences, dtype=bool)
+        anomalous[hits] = True
+        best = np.zeros(n_sequences)
+        best[owners] = np.maximum.reduceat(scores, starts)
+        position = np.full(n_sequences, None)
+        position[hits] = positions[flagged][first].tolist()
+        return [Verdict(*row) for row in zip(anomalous.tolist(), best.tolist(),
+                                             position.tolist())]
 
 
 class WindowDetector(BaseDetector):
     """Base of the families whose examples are windows of ``window_size``
     events: forecasting and the autoencoder."""
 
-    def _windows(self, sequences: list[EventSequence], clamp: int):
+    def _examples(self, sequences: list[EventSequence], clamp: int):
         """Every window of ``sequences`` as ``window_arrays`` gives them, with
         input ids clamped to ``clamp`` and targets to the training
         vocabulary."""
@@ -310,18 +287,12 @@ class WindowDetector(BaseDetector):
         return (np.minimum(ids, clamp), np.minimum(targets, self.vocab_size_),
                 owner, positions)
 
-    _examples = _windows
-
     def detect_window(self, window: Window,
                       vocab: EventVocabulary | None = None) -> Verdict:
-        """Verdict for one window, scored as ``predict`` scores it."""
-        self._require_fitted()
+        """``predict``'s verdict for the sequence that is this one window,
+        positioned at the window's target."""
         if len(window.inputs) != self.config.window_size:
             raise ConfigurationError(f"window has {len(window.inputs)} inputs; "
                                      f"the detector reads {self.config.window_size}")
-        table, clamp = self._input_table(vocab)
         one = EventSequence([*window.inputs, window.target], None, "window")
-        ids, targets, _, _ = self._windows([one], clamp)
-        score = float(self._score(table, ids, targets)[0])
-        return Verdict(level=WINDOW, anomalous=score > self._cutoff, score=score,
-                       position=window.position)
+        return replace(self.predict([one], vocab)[0], position=window.position)

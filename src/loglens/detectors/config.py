@@ -66,8 +66,9 @@ def load_detector(directory):
     Semantic models carry their frozen input table inside the parameter
     container, so every detector is rebuilt without an encoder or vocabulary
     and reads its stored table; events beyond the stored vocabulary map to
-    the reserved unknown id. A malformed ``detector.json`` raises
-    ``FormatError`` naming the file and the key.
+    the reserved unknown id. A malformed ``detector.json``, or one whose
+    config describes other parameters than ``params.llns`` holds, raises
+    ``FormatError`` naming the file and the key or parameter.
     """
     directory = Path(directory)
     path = directory / "detector.json"
@@ -84,8 +85,24 @@ def load_detector(directory):
         raise FormatError(f"{path}: missing key {err}") from None
     except (TypeError, ValueError) as err:
         raise FormatError(f"{path}: {err}") from None
+    stored = load_params(directory / "params.llns")
+    _check_params(path, config, fitted["vocab_size_"], stored)
     detector = _CLASSES[config.family](config)
     detector.params_ = ParamSet(config.seed)
-    detector.params_.load_values(load_params(directory / "params.llns"))
+    detector.params_.load_values(stored)
     vars(detector).update(fitted)
     return detector
+
+
+def _check_params(path, config: DetectorConfig, vocab_size: int, stored: dict) -> None:
+    """Refuse ``stored`` parameters unless their names and shapes are the ones
+    ``config`` builds for ``vocab_size`` event ids."""
+    vocab = EventVocabulary([f"event {i}" for i in range(vocab_size)])
+    params = build_detector(config, vocab)._build_params(vocab)
+    expected = {name: tensor.shape for name, tensor in params.items()}
+    got = {name: array.shape for name, array in stored.items()}
+    for name in dict.fromkeys([*expected, *got]):
+        if expected.get(name) != got.get(name):
+            raise FormatError(
+                f"{path}: parameter {name!r} is {got.get(name, 'missing')} in "
+                f"params.llns, {expected.get(name, 'absent')} in the config")

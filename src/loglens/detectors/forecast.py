@@ -78,7 +78,6 @@ class LstmForecastDetector(_ForecastBase):
         if not grad_enabled():  # scoring: each distinct prefix once
             tree, states = run_lstm_tree(
                 table, ids, params, [f"lstm{n}" for n in range(layers)], hidden)
-            self._count_states(tree.states * layers, ids.size * layers)
             last = Tensor(tree.rows(states, steps - 1))
             return linear(last, params["out.w"], params["out.b"])
         hs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]

@@ -24,7 +24,7 @@ from ..autodiff.nn import conv_full_width
 from ..exceptions import TrainingError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
-from ..sequencing import EventSequence, encode_indices, pad_or_truncate
+from ..sequencing import EventSequence
 from .base import FILTER_HEIGHTS, BaseDetector, Verdict
 
 
@@ -36,10 +36,13 @@ class _SupervisedBase(BaseDetector):
     _cutoff = 0.5
 
     def _padded_ids(self, sequences: list[EventSequence], clamp: int) -> np.ndarray:
-        max_len, pad_id = self.config.max_len, clamp  # the unknown id pads too
-        rows = [pad_or_truncate(encode_indices(seq.events, clamp), max_len, pad_id)
-                for seq in sequences]
-        return np.asarray(rows, dtype=np.int64)
+        """Each sequence's first ``max_len`` event ids, right-padded, with
+        ids clamped to ``clamp`` (the unknown id, which pads too)."""
+        ids = np.full((len(sequences), self.config.max_len), clamp, dtype=np.int64)
+        for row, seq in zip(ids, sequences):
+            events = seq.events[:len(row)]
+            row[:len(events)] = events
+        return np.minimum(ids, clamp)
 
     def _examples(self, sequences: list[EventSequence], clamp: int):
         n = len(sequences)
@@ -92,7 +95,6 @@ class BilstmAttentionDetector(_SupervisedBase):
         else:  # scoring: each distinct prefix and suffix once
             fw_tree, fw = run_lstm_tree(table, ids, params, ["fw"], u)
             bw_tree, bw = run_lstm_tree(table, ids, params, ["bw"], u, reverse=True)
-            self._count_states(fw_tree.states + bw_tree.states, 2 * ids.size)
             both = np.empty((steps, batch, 2 * u))
             for t in range(steps):
                 both[t, :, :u] = fw_tree.rows(fw, t)

@@ -171,22 +171,6 @@ def window_arrays(sequences: list[EventSequence], spec: WindowSpec
     return rows[:, :m], rows[:, m], owner, positions
 
 
-def encode_indices(events: list[int], vocab_size: int) -> list[int]:
-    """Clamp event ids to the vocabulary known at training time; anything
-    beyond maps to the reserved unknown id (== vocab_size)."""
-    return [e if e < vocab_size else vocab_size for e in events]
-
-
-def pad_or_truncate(events: list[int], target_len: int, pad_id: int) -> list[int]:
-    """Fixed-length view: keep the first ``target_len`` events, right-pad
-    shorter sequences with ``pad_id``."""
-    if target_len < 1:
-        raise ConfigurationError("target_len must be >= 1")
-    if len(events) >= target_len:
-        return list(events[:target_len])
-    return list(events) + [pad_id] * (target_len - len(events))
-
-
 # ---------------------------------------------------------------------------
 # semantic encoding
 

@@ -1,6 +1,7 @@
 import copy
 import json
 from dataclasses import fields
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -192,18 +193,25 @@ class TestTrainDetect:
         assert sum(v["anomalous"] for v in verdicts) == 0
 
 
-    @pytest.mark.parametrize("corrupt, message", [
+    @pytest.mark.parametrize("corrupt, message, detector", [
         (lambda doc: {**doc, "config": {**doc["config"], "n_filters": 8}},
-         "'n_filters'"),
+         "'n_filters'", {}),
         (lambda doc: {k: v for k, v in doc.items() if k != "vocab_size"},
-         "missing key 'vocab_size'"),
-        (lambda doc: [doc], "expected a JSON object"),
-    ], ids=["unknown-config-key", "missing-vocab-size", "array"])
+         "missing key 'vocab_size'", {}),
+        (lambda doc: [doc], "expected a JSON object", {}),
+        # a config that disagrees with the stored params: more layers than
+        # were trained, and a wider LSTM than was trained
+        (lambda doc: {**doc, "config": {**doc["config"], "layers": 2}},
+         "'block1.attn.wq'", {"family": "transformer_forecast", "heads": 2}),
+        (lambda doc: {**doc, "config": {**doc["config"], "hidden": 16}},
+         "'lstm0.wx'", {}),
+    ], ids=["unknown-config-key", "missing-vocab-size", "array",
+            "more-layers-than-stored", "wider-than-stored"])
     def test_malformed_detector_json_exits_2(self, tmp_path, capsys, corrupt,
-                                             message):
+                                             message, detector):
         csv_path = syn_csv(tmp_path, n_sequences=40, rate=0.2)
         config, doc = bench_config(tmp_path, csv_path)
-        doc["detectors"] = doc["detectors"][:1]
+        doc["detectors"] = [{**doc["detectors"][0], **detector}]
         config.write_text(json.dumps(doc))
         model_dir = tmp_path / "model"
         assert main(["train", "--config", str(config),
@@ -265,6 +273,20 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(resolved)]) == 0
         assert (out_dir / "report.csv").read_bytes() == first
         assert (out_dir / "report.md").read_text().splitlines()[2] == digest
+
+    def test_noise_sweep_defaults_to_the_builtin_synonyms(self, tmp_path):
+        csv_path = syn_csv(tmp_path, n_sequences=60)
+        synonyms = tmp_path / "synonyms.json"
+        synonyms.write_bytes(resources.files("loglens").joinpath(
+            "data/synonyms.json").read_bytes())
+        reports = []
+        for noise in ({}, {"synonyms_path": str(synonyms)}):
+            config, doc = bench_config(
+                tmp_path, csv_path, experiment="noise_sweep",
+                noise={"ratios": [0.2], "strategies": ["pseudo_event"], **noise})
+            assert main(["bench", "--config", str(config)]) == 0
+            reports.append((Path(doc["output_dir"]) / "report.csv").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_contamination_rows_per_ratio(self, tmp_path):
         csv_path = syn_csv(tmp_path, n_sequences=200, rate=0.2)

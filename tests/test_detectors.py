@@ -2,6 +2,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loglens.detectors import (
     FAMILIES,
@@ -10,7 +11,6 @@ from loglens.detectors import (
     LstmForecastDetector,
     Verdict,
     build_detector,
-    combine_window_verdicts,
     load_detector,
     nearest_rank_quantile,
     save_detector,
@@ -71,29 +71,70 @@ class TestTopKRule:
         assert np.all(ranks <= 6)
 
 
+def per_window_rule(n_sequences, owner, positions, scores, cutoff):
+    """The decision rule written per window: a sequence is anomalous iff any
+    of its windows scores above the cutoff; its score is the highest window
+    score and its position the first anomalous window's. A sequence without
+    windows is normal with score 0.0."""
+    verdicts = []
+    for i in range(n_sequences):
+        mine = [(s, p) for o, s, p in zip(owner, scores, positions) if o == i]
+        flagged = [p for s, p in mine if s > cutoff]
+        verdicts.append(Verdict(anomalous=bool(flagged),
+                                score=max((s for s, _ in mine), default=0.0),
+                                position=flagged[0] if flagged else None))
+    return verdicts
+
+
 class TestSequenceVerdict:
-    def window(self, anomalous, score=1.0, position=0):
-        return Verdict(level="window", anomalous=anomalous, score=score,
-                       position=position)
+    """``_sequence_verdicts`` over explicit example arrays. The forecaster's
+    cutoff is k = 2: a window whose rank exceeds 2 is anomalous."""
+
+    def verdicts(self, n_sequences, owner, positions, scores):
+        return fast_lstm(k=2)._sequence_verdicts(
+            n_sequences, np.asarray(owner, dtype=np.int64),
+            np.asarray(positions, dtype=np.int64), np.asarray(scores, dtype=float))
 
     def test_all_normal(self):
-        combined = combine_window_verdicts([self.window(False), self.window(False)])
-        assert not combined.anomalous and combined.level == "sequence"
+        assert self.verdicts(1, [0, 0], [2, 3], [1.0, 2.0]) == [
+            Verdict(anomalous=False, score=2.0, position=None)]
 
     def test_any_anomalous_window_marks_sequence(self):
-        combined = combine_window_verdicts(
-            [self.window(False, 1.0), self.window(True, 7.0, position=3)])
+        (combined,) = self.verdicts(1, [0, 0, 0], [2, 3, 4], [1.0, 7.0, 3.0])
         assert combined.anomalous
         assert combined.score == 7.0
         assert combined.position == 3
 
     def test_empty_window_list_is_normal(self):
-        assert not combine_window_verdicts([]).anomalous
+        assert self.verdicts(2, [1], [2], [7.0])[0] == Verdict(
+            anomalous=False, score=0.0, position=None)
+        assert self.verdicts(1, [], [], []) == [Verdict(False, 0.0, None)]
 
     def test_monotone_in_added_anomalies(self):
-        base = [self.window(True, 2.0)]
-        assert combine_window_verdicts(base).anomalous
-        assert combine_window_verdicts(base + [self.window(False)]).anomalous
+        assert self.verdicts(1, [0], [2], [3.0])[0].anomalous
+        assert self.verdicts(1, [0, 0], [2, 3], [3.0, 1.0])[0].anomalous
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, max(n - 1, 0)),
+                           st.sampled_from([0.0, 1.0, 2.0, 3.0, 7.5]),
+                           st.integers(0, 40)),
+                 max_size=0 if n == 0 else 12),
+        st.booleans())))
+    def test_matches_per_window_rule(self, case):
+        # owners with gaps, scores tied with the cutoff (2.0), and positions
+        # that are None, as the supervised families give them
+        n_sequences, windows, no_positions = case
+        windows = sorted(windows, key=lambda w: w[0])
+        owner = np.asarray([o for o, _, _ in windows], dtype=np.int64)
+        scores = np.asarray([s for _, s, _ in windows], dtype=float)
+        positions = (np.full(len(windows), None) if no_positions
+                     else np.asarray([p for _, _, p in windows], dtype=np.int64))
+        got = fast_lstm(k=2)._sequence_verdicts(n_sequences, owner, positions, scores)
+        expected = per_window_rule(n_sequences, owner.tolist(), positions.tolist(),
+                                   scores.tolist(), 2)
+        assert [repr(v) for v in got] == [repr(v) for v in expected]
 
 
 class TestForecastTraining:
@@ -295,7 +336,9 @@ class TestSupervised:
         assert det.params_["input_table"].shape == (len(VOCAB) + 1, 6)
 
     def test_probability_half_is_normal(self):
-        verdict = Verdict(level="sequence", anomalous=0.5 > 0.5, score=0.5)
+        det = build_detector(DetectorConfig("cnn"))
+        (verdict,) = det._sequence_verdicts(1, np.arange(1), np.full(1, None),
+                                            np.array([0.5]))
         assert not verdict.anomalous
 
     def test_classify_pure_function(self):
@@ -389,6 +432,7 @@ class TestPersistence:
     @pytest.mark.parametrize("family, params", [
         ("transformer_forecast", {"hidden": 8, "heads": 3}),
         ("cnn", {"max_len": 4}),
+        ("bilstm_attention", {"max_len": 0}),
     ])
     def test_cross_field_config_error_raised_at_construction(self, family,
                                                              params):

@@ -249,10 +249,13 @@ class TestDetectorsScoreAsTheyTrain:
         det = build_detector(DetectorConfig("lstm_forecast", window_size=3, hidden=8,
                                             layers=2, embed_dim=8, epochs=1, seed=1))
         det.fit(sequences(10, 8, 1), VOCAB)
-        with caplog.at_level(logging.DEBUG, logger="loglens.detectors.base"):
+        with caplog.at_level(logging.DEBUG, logger="loglens.detectors.base"), \
+                caplog.at_level(logging.DEBUG, logger="loglens.autodiff.nn"):
             det.predict(sequences(4, 8, 2))
         messages = [r.getMessage() for r in caplog.records]
         assert any("lstm_forecast predict: 20 examples in" in m
                    and "examples/s" in m for m in messages)
-        states = [m for m in messages if "LSTM states computed" in m]
+        states = [r.getMessage() for r in caplog.records
+                  if r.name == "loglens.autodiff.nn"
+                  and "LSTM states computed" in r.getMessage()]
         assert len(states) == 1 and "for 120 rows x steps x layers" in states[0]

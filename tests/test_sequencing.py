@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loglens.detectors import BilstmAttentionDetector, DetectorConfig
 from loglens.exceptions import ConfigurationError
 from loglens.ingest import EventVocabulary, LogRecord
 from loglens.sequencing import (
@@ -8,9 +9,7 @@ from loglens.sequencing import (
     PartitionSpec,
     SemanticEncoder,
     WindowSpec,
-    encode_indices,
     make_windows,
-    pad_or_truncate,
     partition,
     read_sequences,
     window_arrays,
@@ -214,23 +213,33 @@ class TestWindowArrays:
 
 
 class TestEncodings:
+    """The supervised families' fixed-length input: each sequence's first
+    ``max_len`` ids, right-padded, clamped to the unknown id, which pads."""
+
+    def padded(self, events, max_len, clamp):
+        det = BilstmAttentionDetector(DetectorConfig("bilstm_attention",
+                                                     max_len=max_len))
+        ids = det._padded_ids([EventSequence(events, None, "s")], clamp)
+        assert ids.dtype == np.int64 and ids.shape == (1, max_len)
+        return ids[0].tolist()
+
     def test_known_ids_pass_through(self):
-        assert encode_indices([0, 3, 2], vocab_size=5) == [0, 3, 2]
+        assert self.padded([0, 3, 2], 3, clamp=5) == [0, 3, 2]
 
     def test_out_of_vocab_maps_to_unknown(self):
-        assert encode_indices([0, 7, 5], vocab_size=5) == [0, 5, 5]
+        assert self.padded([0, 7, 5], 3, clamp=5) == [0, 5, 5]
 
     def test_all_unknown(self):
-        assert encode_indices([9, 9], vocab_size=4) == [4, 4]
+        assert self.padded([9, 9], 2, clamp=4) == [4, 4]
 
     def test_pad_shorter(self):
-        assert pad_or_truncate([1, 2, 3], 5, pad_id=9) == [1, 2, 3, 9, 9]
+        assert self.padded([1, 2, 3], 5, clamp=9) == [1, 2, 3, 9, 9]
 
     def test_exact_length_unchanged(self):
-        assert pad_or_truncate([1, 2, 3, 4, 5], 5, pad_id=9) == [1, 2, 3, 4, 5]
+        assert self.padded([1, 2, 3, 4, 5], 5, clamp=9) == [1, 2, 3, 4, 5]
 
     def test_truncate_keeps_prefix(self):
-        assert pad_or_truncate(list(range(8)), 5, pad_id=9) == [0, 1, 2, 3, 4]
+        assert self.padded(list(range(8)), 5, clamp=9) == [0, 1, 2, 3, 4]
 
 
 class TestSemanticEncoder:
