@@ -18,6 +18,7 @@ import json
 import operator
 import os
 import sys
+from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .sequencing import (
     read_sequences,
     write_sequences,
 )
-from .syngen import GeneratorSpec, generate
+from .syngen import GeneratorSpec, stream
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 3
@@ -188,14 +189,16 @@ def cmd_partition(args) -> int:
 
 def cmd_syngen(args) -> int:
     doc = json.loads(Path(args.spec).read_text(encoding="utf-8")) if args.spec else {}
+    if not isinstance(doc, dict):
+        raise ConfigurationError("syngen spec must be a JSON object")
+    unknown = sorted(set(doc) - {field.name for field in fields(GeneratorSpec)})
+    if unknown:
+        raise ConfigurationError(f"syngen spec has unknown key {unknown[0]!r}")
     env_seed = _env_seed()
     if env_seed is not None:
         doc["seed"] = env_seed
-    spec = GeneratorSpec(**doc)
-    dataset = generate(spec)
-    dataset.write(args.out)
-    print(f"wrote {len(dataset.records)} records "
-          f"({len(dataset.vocab)} templates) to {args.out}")
+    n_records, n_templates = stream(GeneratorSpec(**doc), args.out)
+    print(f"wrote {n_records} records ({n_templates} templates) to {args.out}")
     return 0
 
 

@@ -8,7 +8,8 @@ platform.
 The generator is xoshiro256** (Blackman & Vigna). Its four 64-bit state words
 are expanded from the seed with SplitMix64, the recommended seeding procedure.
 Floats in [0, 1) take the top 53 bits of an output word; bounded integers use
-Lemire's multiply-shift reduction.
+Lemire's multiply-shift reduction. ``unit_floats`` and ``bounded`` apply the
+same maps to words drawn ahead with ``next_u64s``.
 
 Arrays of floats are computed a block at a time. The state update is linear
 over GF(2), so the word ``s1`` after k steps is the XOR of the words that each
@@ -25,7 +26,7 @@ import functools
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 512
+BLOCK = 512
 
 
 def _splitmix64(state: int) -> tuple[int, int]:
@@ -51,19 +52,29 @@ def derive_seed(seed: int, *tags: object) -> int:
     return out
 
 
+def unit_floats(words: np.ndarray) -> np.ndarray:
+    """Floats in [0, 1) from output words, as ``Rng.random`` makes them."""
+    return (words >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+
+
+def bounded(word: int, n: int) -> int:
+    """Integer in [0, n) from one output word, as ``Rng.integer`` makes it."""
+    return (word * n) >> 64
+
+
 def _rotl(x: np.ndarray, k: int) -> np.ndarray:
     return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
 
 
 @functools.cache
 def _block_tables() -> tuple[np.ndarray, np.ndarray]:
-    """``(256, _BLOCK)`` words ``s1`` per state bit and step, and ``(256, 4)``
-    states after ``_BLOCK`` steps, each started from that one state bit."""
-    # row j has state bit j set, in the bit order ``_next_u64s`` unpacks
+    """``(256, BLOCK)`` words ``s1`` per state bit and step, and ``(256, 4)``
+    states after ``BLOCK`` steps, each started from that one state bit."""
+    # row j has state bit j set, in the bit order ``next_u64s`` unpacks
     unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little")
     s0, s1, s2, s3 = unit.view("<u8").T.copy()
-    words = np.empty((256, _BLOCK), dtype=np.uint64)
-    for k in range(_BLOCK):
+    words = np.empty((256, BLOCK), dtype=np.uint64)
+    for k in range(BLOCK):
         words[:, k] = s1
         t = s1 << np.uint64(17)
         s2 ^= s0
@@ -106,24 +117,24 @@ class Rng:
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
 
-    def _next_u64s(self, n: int) -> np.ndarray:
+    def next_u64s(self, n: int) -> np.ndarray:
         """The next ``n`` output words as uint64, as ``next_u64`` would give
         them: whole blocks from the tables, the tail one word at a time."""
         out = np.empty(n, dtype=np.uint64)
-        blocks = n // _BLOCK
+        blocks = n // BLOCK
         if blocks:
             words, jump = _block_tables()
             state = np.array([self._s0, self._s1, self._s2, self._s3], dtype="<u8")
             for b in range(blocks):
                 # bit 64*w + j of the state is bit j of word s<w>
                 mask = np.unpackbits(state.view(np.uint8), bitorder="little") == 1
-                out[b * _BLOCK:(b + 1) * _BLOCK] = np.bitwise_xor.reduce(
+                out[b * BLOCK:(b + 1) * BLOCK] = np.bitwise_xor.reduce(
                     words[mask], axis=0)
                 state = np.bitwise_xor.reduce(jump[mask], axis=0).astype("<u8")
             self._s0, self._s1, self._s2, self._s3 = (int(w) for w in state)
-            head = out[:blocks * _BLOCK]
+            head = out[:blocks * BLOCK]
             head[:] = _rotl(head * np.uint64(5), 7) * np.uint64(9)
-        for i in range(blocks * _BLOCK, n):
+        for i in range(blocks * BLOCK, n):
             out[i] = self.next_u64()
         return out
 
@@ -135,15 +146,14 @@ class Rng:
         """Uniform floats in [low, high); an ndarray when ``size`` is given."""
         if size is None:
             return low + (high - low) * self.random()
-        n = int(np.prod(size))
-        unit = (self._next_u64s(n) >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+        unit = unit_floats(self.next_u64s(int(np.prod(size))))
         return (low + (high - low) * unit).reshape(size)
 
     def integer(self, n: int) -> int:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError("integer() requires n >= 1")
-        return (self.next_u64() * n) >> 64
+        return bounded(self.next_u64(), n)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
@@ -158,14 +168,3 @@ class Rng:
 
     def choice(self, items):
         return items[self.integer(len(items))]
-
-    def weighted_index(self, weights) -> int:
-        """Index sampled proportionally to nonnegative ``weights``."""
-        total = float(sum(weights))
-        r = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if r < acc:
-                return i
-        return len(weights) - 1

@@ -116,6 +116,26 @@ class TestSyngenPartition:
         assert main(["syngen", "--spec", str(spec), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("doc, named", [
+        ({"n_sequences": 2.5}, "n_sequences"),
+        ({"bogus": 1}, "bogus"),
+        ({"mean_length": 20.5}, "mean_length"),
+        ({"seed": "x"}, "seed"),
+        ([{"seed": 1}], "JSON object"),
+        ({"mean_length": 5}, "mean_length"),
+        ({"n_sequences": -3}, "n_sequences"),
+    ], ids=["float-count", "unknown-key", "float-length", "string-seed",
+            "json-array", "short-mean-length", "negative-count"])
+    def test_bad_syngen_spec_exits_two(self, tmp_path, capsys, doc, named):
+        spec = tmp_path / "gen.json"
+        spec.write_text(json.dumps(doc))
+        out = tmp_path / "gen.csv"
+        assert main(["syngen", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_partition_writes_jsonl(self, tmp_path):
         csv_path = syn_csv(tmp_path, n_sequences=20)
         out = tmp_path / "seqs.jsonl"
