@@ -212,19 +212,21 @@ def read_parsed(path) -> tuple[list[LogRecord], EventVocabulary]:
     return records, vocab
 
 
+def parsed_writer(fh):
+    """A ``csv.writer`` on the open text file ``fh``, after the header: every
+    pre-parsed CSV is written through it, one row of ``PARSED_COLUMNS`` each."""
+    writer = csv.writer(fh)
+    writer.writerow(PARSED_COLUMNS)
+    return writer
+
+
 def write_parsed(records: list[LogRecord], vocab: EventVocabulary, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PARSED_COLUMNS)
-        for rec in records:
-            template = vocab.templates[rec.event_id] if rec.event_id is not None else rec.content
-            writer.writerow([
-                rec.line_no,
-                rec.timestamp,
-                rec.identifier or "",
-                template,
-                rec.label or "",
-            ])
+        parsed_writer(fh).writerows(
+            (rec.line_no, rec.timestamp, rec.identifier or "",
+             vocab.templates[rec.event_id] if rec.event_id is not None else rec.content,
+             rec.label or "")
+            for rec in records)
 
 
 # ---------------------------------------------------------------------------

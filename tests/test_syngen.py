@@ -280,6 +280,15 @@ class TestArrayWalkOracle:
         assert expected == [1, 1, 2, 2, 0, 0, 0]
         assert walks[:, 1].tolist() == expected
 
+    def test_totals_are_sum_of_the_weights(self):
+        # ten weights of 0.1 add up to 1 - 2**-53 left to right, and to 1.0
+        # with sum() from Python 3.12 on; the scalar draw's total is sum()'s
+        options = [[succ, 0.1] for succ in range(1, 11)]
+        automaton = {"start_index": 0, "error_index": 11, "transitions": {
+            "0": options, **{str(s): [[0, 1.0]] for s in range(1, 11)}}}
+        _, total, _ = syngen._transition_tables(automaton)
+        assert total[0] == sum(w for _, w in options)
+
     def test_streamed_syngen_matches_generate(self, tmp_path):
         spec = GeneratorSpec(n_templates=15, n_sequences=23, anomaly_rate=0.4,
                              mean_length=16, seed=8)
