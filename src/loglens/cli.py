@@ -179,9 +179,9 @@ def cmd_parse(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    records, _ = read_parsed(args.input)
-    spec = PartitionSpec(args.mode, args.size, args.stride)
-    sequences = partition(records, spec)
+    # the parsed log is freed once partitioned, before the sequences are written
+    sequences = partition(read_parsed(args.input)[0],
+                          PartitionSpec(args.mode, args.size, args.stride))
     write_sequences(sequences, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
     return 0
@@ -223,8 +223,7 @@ def cmd_train(args) -> int:
 def cmd_detect(args) -> int:
     detector = load_detector(args.model)
     if str(args.input).endswith(".csv"):
-        records, _ = read_parsed(args.input)
-        sequences = partition(records, PartitionSpec("identifier"))
+        sequences = partition(read_parsed(args.input)[0], PartitionSpec("identifier"))
     else:
         sequences = read_sequences(args.input)
     verdicts = detector.predict(sequences)

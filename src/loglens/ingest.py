@@ -1,21 +1,26 @@
 """Log ingestion: raw-line reading, template extraction, pre-parsed CSV I/O.
 
-Two pathways produce the same shape of output, a list of ``LogRecord`` plus an
-``EventVocabulary``: parse raw text with the built-in token-similarity
-clusterer, or load a pre-parsed CSV that already carries ground-truth
-templates. Benchmarks should prefer the pre-parsed pathway so parser quality
-never contaminates detector comparisons.
+Two pathways feed partitioning: parse raw text with the built-in
+token-similarity clusterer (a list of ``LogRecord``), or load a pre-parsed
+CSV that already carries ground-truth templates (a columnar ``ParsedLog``).
+Each comes with an ``EventVocabulary``. Benchmarks should prefer the
+pre-parsed pathway so parser quality never contaminates detector comparisons.
 """
 
 from __future__ import annotations
 
 import calendar
 import csv
+import io
 import json
 import re
 import time
+from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from operator import itemgetter
+
+import numpy as np
 
 from .exceptions import ConfigurationError, FormatError
 
@@ -25,6 +30,12 @@ PARSED_COLUMNS = ["LineId", "Timestamp", "Identifier", "EventTemplate", "Label"]
 
 LABEL_NORMAL = "normal"
 LABEL_ANOMALY = "anomaly"
+
+# a ParsedLog's label codes index this tuple
+LABELS = (None, LABEL_NORMAL, LABEL_ANOMALY)
+NO_LABEL, NORMAL, ANOMALY = range(3)
+
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass
@@ -84,6 +95,70 @@ class EventVocabulary:
         return isinstance(other, EventVocabulary) and self.templates == other.templates
 
 
+@dataclass(eq=False)
+class ParsedLog:
+    """A parsed log as columns, one entry per row.
+
+    ``line_no``, ``timestamp`` and ``event_id`` are int64 (an event id of -1
+    means none). ``identifier`` holds codes into ``identifiers``, which lists
+    each identifier once in first-appearance order (-1 means none), and
+    ``label`` holds codes into ``LABELS``. A row's content is its event's
+    text, ``templates[event_id]``. Iterating yields one ``LogRecord`` a row.
+    """
+
+    line_no: np.ndarray
+    timestamp: np.ndarray
+    event_id: np.ndarray
+    identifier: np.ndarray
+    identifiers: list[str]
+    label: np.ndarray
+    templates: list[str] | dict[int, str]
+
+    def __len__(self) -> int:
+        return len(self.line_no)
+
+    def __iter__(self):
+        identifiers = self.identifiers + [None]    # code -1 is the last
+        for line_no, stamp, event, code, label in zip(
+                self.line_no.tolist(), self.timestamp.tolist(),
+                self.event_id.tolist(), self.identifier.tolist(),
+                self.label.tolist()):
+            yield LogRecord(line_no, stamp, identifiers[code],
+                            self.templates[event] if event >= 0 else "",
+                            event if event >= 0 else None, LABELS[label])
+
+    @classmethod
+    def from_records(cls, records: list[LogRecord]) -> "ParsedLog":
+        """The columns of ``records``. A label that is neither None nor
+        anomaly counts as normal, and each event's text is the content of
+        its first record. A line number or timestamp outside int64 is a
+        ``ConfigurationError``."""
+        try:
+            line_no = np.array([rec.line_no for rec in records], dtype=np.int64)
+            stamp = np.array([rec.timestamp for rec in records], dtype=np.int64)
+            event = np.array([-1 if rec.event_id is None else rec.event_id
+                              for rec in records], dtype=np.int64)
+        except OverflowError:
+            raise ConfigurationError("line numbers, timestamps and event ids "
+                                     "must fit in int64") from None
+        idents = [rec.identifier for rec in records]
+        distinct = dict.fromkeys(idents)
+        distinct.pop(None, None)
+        identifiers = list(distinct)
+        codes = {name: code for code, name in enumerate(identifiers)}
+        codes[None] = -1
+        label_codes = {None: NO_LABEL, LABEL_ANOMALY: ANOMALY}
+        # read backwards, each event's first record is written last
+        templates = {rec.event_id: rec.content for rec in reversed(records)}
+        templates.pop(None, None)
+        return cls(line_no, stamp, event,
+                   np.array(list(map(codes.__getitem__, idents)), dtype=np.int64),
+                   identifiers,
+                   np.array([label_codes.get(rec.label, NORMAL) for rec in records],
+                            dtype=np.int8),
+                   templates)
+
+
 @dataclass
 class FormatSpec:
     """How to pull timestamp, identifier, and content out of a raw line.
@@ -92,7 +167,8 @@ class FormatSpec:
     group 1 capturing the timestamp text (parsed with ``timestamp_format``,
     interpreted as UTC) and group ``content_group`` capturing the free-text
     message. ``identifier_regex`` group 1, when given, is searched inside the
-    content.
+    content. A spec that cannot work this way is a ``FormatError`` naming
+    its key.
     """
 
     timestamp_regex: str
@@ -100,13 +176,33 @@ class FormatSpec:
     content_group: int
     identifier_regex: str | None = None
 
+    def __post_init__(self):
+        if not isinstance(self.timestamp_format, str):
+            raise FormatError("format spec timestamp_format must be a string")
+        groups = _groups(self.timestamp_regex, "timestamp_regex")
+        if groups < 1:
+            raise FormatError("format spec timestamp_regex needs group 1 "
+                              "for the timestamp")
+        group = self.content_group
+        if isinstance(group, bool) or not isinstance(group, int) \
+                or not 1 <= group <= groups:
+            raise FormatError(f"format spec content_group must be an integer "
+                              f"in [1, {groups}], the groups of "
+                              f"timestamp_regex; got {group!r}")
+        if self.identifier_regex is not None and \
+                _groups(self.identifier_regex, "identifier_regex") < 1:
+            raise FormatError("format spec identifier_regex needs group 1 "
+                              "for the identifier")
+
     @classmethod
     def from_json(cls, doc: dict) -> "FormatSpec":
+        if not isinstance(doc, dict):
+            raise FormatError("format spec must be a JSON object")
         try:
             return cls(
                 timestamp_regex=doc["timestamp_regex"],
                 timestamp_format=doc["timestamp_format"],
-                content_group=int(doc["content_group"]),
+                content_group=doc["content_group"],
                 identifier_regex=doc.get("identifier_regex"),
             )
         except KeyError as missing:
@@ -116,6 +212,16 @@ class FormatSpec:
     def load(cls, path) -> "FormatSpec":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_json(json.load(fh))
+
+
+def _groups(pattern: str, key: str) -> int:
+    """The number of groups in ``pattern``, a string that must compile."""
+    if not isinstance(pattern, str):
+        raise FormatError(f"format spec {key} must be a string")
+    try:
+        return re.compile(pattern).groups
+    except re.error as err:
+        raise FormatError(f"format spec {key} does not compile: {err}") from None
 
 
 def read_raw(path, spec: FormatSpec) -> tuple[list[LogRecord], list[tuple[int, str]]]:
@@ -168,56 +274,137 @@ def write_rejects(rejects: list[tuple[int, str]], path) -> None:
 # ---------------------------------------------------------------------------
 # pre-parsed CSV
 
+# rows read, or written, per step: memory holds one step's strings
+CSV_ROWS = 1024
 
-def read_parsed(path) -> tuple[list[LogRecord], EventVocabulary]:
+
+def _parsed_rows(fh):
+    """The reader after the header, the header's width and a getter of each
+    of a row's ``PARSED_COLUMNS`` fields."""
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    for column in PARSED_COLUMNS:
+        if column not in header:
+            raise FormatError(f"parsed CSV missing required column {column!r}")
+    # a repeated header name means its last column, as with csv.DictReader
+    index = {name: i for i, name in enumerate(header)}
+    return reader, len(header), [itemgetter(index[column]) for column in PARSED_COLUMNS]
+
+
+def _raise_row_error(path) -> None:
+    """Raise the ``FormatError`` of the first bad row of ``path``, read row
+    by row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader, width, fields = _parsed_rows(fh)
+        for row in filter(None, reader):
+            where = f"parsed CSV line {reader.line_num}"
+            try:
+                line_id, stamp, _, _, label = (field(row) for field in fields)
+            except IndexError:
+                raise FormatError(f"{where}: {len(row)} fields, the header "
+                                  f"has {width}") from None
+            try:
+                values = int(line_id), int(stamp)
+            except ValueError:
+                raise FormatError(f"{where}: LineId and Timestamp must be "
+                                  f"integers, got {line_id!r} and {stamp!r}") from None
+            if not all(_INT64.min <= value <= _INT64.max for value in values):
+                raise FormatError(f"{where}: LineId and Timestamp must fit in "
+                                  f"int64, got {line_id!r} and {stamp!r}")
+            label = label.strip()
+            if label and label not in (LABEL_NORMAL, LABEL_ANOMALY):
+                raise FormatError(f"{where}: unrecognized label {label!r}")
+
+
+def read_parsed(path) -> tuple[ParsedLog, EventVocabulary]:
     """Load a pre-parsed CSV (LineId, Timestamp, Identifier, EventTemplate, Label).
 
     Columns are found by name in the header, so their order is free; a row
-    that lacks one of them, whose LineId or Timestamp is not an integer, or
-    whose Label is neither empty, normal nor anomaly, is a ``FormatError``
-    naming its line.
+    that lacks one of them, whose LineId or Timestamp is not an integer
+    within int64, or whose Label is neither empty, normal nor anomaly, is a
+    ``FormatError`` naming its line. Rows are converted ``CSV_ROWS`` at a
+    time, a column at a time; event ids and identifier codes follow first
+    appearance.
     """
-    records: list[LogRecord] = []
     vocab = EventVocabulary()
+    identifier_codes = {"": -1}
+    label_codes: dict[str, int] = {}
+    chunks = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        for column in PARSED_COLUMNS:
-            if column not in header:
-                raise FormatError(f"parsed CSV missing required column {column!r}")
-        # a repeated header name means its last column, as with csv.DictReader
-        index = {name: i for i, name in enumerate(header)}
-        fields = itemgetter(*(index[column] for column in PARSED_COLUMNS))
-        for row in reader:
-            if not row:
-                continue
+        reader, _, fields = _parsed_rows(fh)
+        while block := list(islice(reader, CSV_ROWS)):
+            rows = list(filter(None, block))
+            n = len(rows)
             try:
-                line_id, stamp, identifier, template, label = fields(row)
-            except IndexError:
-                raise FormatError(f"parsed CSV line {reader.line_num}: "
-                                  f"{len(row)} fields, the header has "
-                                  f"{len(header)}") from None
-            try:
-                line_no, timestamp = int(line_id), int(stamp)
-            except ValueError:
-                raise FormatError(f"parsed CSV line {reader.line_num}: LineId and "
-                                  f"Timestamp must be integers, got {line_id!r} "
-                                  f"and {stamp!r}") from None
-            label = label.strip() or None
-            if label is not None and label not in (LABEL_NORMAL, LABEL_ANOMALY):
-                raise FormatError(f"parsed CSV line {reader.line_num}: "
-                                  f"unrecognized label {label!r}")
-            records.append(LogRecord(line_no, timestamp, identifier or None,
-                                     template, vocab.add(template), label))
-    return records, vocab
+                line_ids, stamps, identifiers, templates, labels = (
+                    list(map(field, rows)) for field in fields)
+                line_no = np.fromiter(map(int, line_ids), np.int64, n)
+                timestamp = np.fromiter(map(int, stamps), np.int64, n)
+                for label in dict.fromkeys(labels):
+                    if label not in label_codes:
+                        label_codes[label] = LABELS.index(label.strip() or None)
+            except (IndexError, ValueError, OverflowError):
+                _raise_row_error(path)
+                raise
+            for template in dict.fromkeys(templates):
+                vocab.add(template)
+            for identifier in dict.fromkeys(identifiers):
+                identifier_codes.setdefault(identifier, len(identifier_codes) - 1)
+            chunks.append((
+                line_no, timestamp,
+                np.fromiter(map(vocab.id_of.__getitem__, templates), np.int64, n),
+                np.fromiter(map(identifier_codes.__getitem__, identifiers), np.int64, n),
+                np.fromiter(map(label_codes.__getitem__, labels), np.int8, n)))
+    columns = [np.concatenate(column) for column in zip(*chunks)] if chunks else \
+        [np.empty(0, np.int64)] * 4 + [np.empty(0, np.int8)]
+    line_no, timestamp, event_id, identifier, label = columns
+    return ParsedLog(line_no, timestamp, event_id, identifier,
+                     list(identifier_codes)[1:], label, vocab.templates), vocab
 
 
-def parsed_writer(fh):
-    """A ``csv.writer`` on the open text file ``fh``, after the header: every
-    pre-parsed CSV is written through it, one row of ``PARSED_COLUMNS`` each."""
-    writer = csv.writer(fh)
-    writer.writerow(PARSED_COLUMNS)
-    return writer
+class Memo(dict):
+    """``memo[key]`` is ``make(key)``, made the first time it is looked up."""
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _csv_field(field) -> str:
+    """``field`` as ``csv.writer`` writes it in a row of more than one field
+    (a lone empty field is quoted)."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow((field, ""))
+    return buffer.getvalue()[:-3]       # less ",\r\n"
+
+
+class _ParsedWriter:
+    """Writes rows of ``PARSED_COLUMNS`` as ``csv.writer`` would. Each call
+    of ``writerows`` quotes each distinct identifier, template and label
+    once."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        csv.writer(fh).writerow(PARSED_COLUMNS)
+
+    def writerows(self, rows) -> None:
+        quoted = Memo(_csv_field).__getitem__
+        rows = iter(rows)
+        while block := list(islice(rows, CSV_ROWS)):
+            self._fh.write("".join([
+                f"{line_no},{stamp},{quoted(identifier)},{quoted(template)},"
+                f"{quoted(label)}\r\n"
+                for line_no, stamp, identifier, template, label in block]))
+
+
+def parsed_writer(fh) -> _ParsedWriter:
+    """The writer of every pre-parsed CSV, on the open text file ``fh``,
+    after the header."""
+    return _ParsedWriter(fh)
 
 
 def write_parsed(records: list[LogRecord], vocab: EventVocabulary, path) -> None:
@@ -232,17 +419,14 @@ def write_parsed(records: list[LogRecord], vocab: EventVocabulary, path) -> None
 # ---------------------------------------------------------------------------
 # template extraction
 
-_HAS_DIGIT = re.compile(r"\d")
+# a whitespace-delimited token carrying a digit (counts, ids, hex, addresses)
+# or a path separator is a parameter
+_PARAMETER = re.compile(r"(?<!\S)\S*[\d/]\S*")
 
 
-def _mask_token(token: str) -> str:
-    # parameter-looking tokens: anything carrying a digit (counts, ids, hex,
-    # addresses) or a path separator collapses to the placeholder
-    if token == PLACEHOLDER:
-        return token
-    if _HAS_DIGIT.search(token) or "/" in token:
-        return PLACEHOLDER
-    return token
+def mask_parameters(content: str) -> str:
+    """``content`` with every parameter-looking token replaced by the placeholder."""
+    return _PARAMETER.sub(PLACEHOLDER, content)
 
 
 def parse_templates(records: list[LogRecord], similarity_threshold: float = 0.5
@@ -251,46 +435,64 @@ def parse_templates(records: list[LogRecord], similarity_threshold: float = 0.5
 
     A record joins the best-matching existing template when the token counts
     agree and the fraction of position-wise equal tokens reaches the
-    threshold; positions that disagree become placeholders. Otherwise its
-    masked tokens found a new template. Deterministic given record order.
+    threshold (the lowest id wins a tie); positions that disagree become
+    placeholders. Otherwise its masked tokens found a new template.
+    Deterministic given record order.
 
-    The scan's choice depends only on the masked tokens and the current
-    templates, so it is memoised by tokens until a template is created or
-    changed: a hit gets the same template, whose merge would change nothing.
+    Candidates come from an index per token count, from (position, token) to
+    the templates holding that token there, so the equal-position counts are
+    summed over the record's own tokens only. The choice depends only on the
+    masked line and the current templates, so it is memoised by masked line
+    until a template is created or changed: a hit gets the same template,
+    whose merge would change nothing.
     """
     if not 0.0 < similarity_threshold <= 1.0:
         raise ConfigurationError("similarity_threshold must be in (0, 1]")
     template_tokens: list[tuple[str, ...]] = []
-    by_length: dict[int, list[int]] = {}
+    postings: dict[int, dict[tuple[int, str], set[int]]] = {}
+    empty_id = None     # the one template of no tokens, which every empty line matches
     assignments: list[int] = []
-    chosen: dict[tuple[str, ...], int] = {}
+    chosen: dict[str, int] = {}
 
     for rec in records:
-        tokens = tuple(_mask_token(t) for t in rec.content.split())
-        best_id = chosen.get(tokens)
+        masked = mask_parameters(rec.content)
+        best_id = chosen.get(masked)
         if best_id is not None:
             assignments.append(best_id)
             continue
-        best_sim = similarity_threshold
-        for tid in by_length.get(len(tokens), []):
-            existing = template_tokens[tid]
-            same = sum(1 for a, b in zip(tokens, existing) if a == b)
-            sim = same / len(tokens) if tokens else 1.0
-            if sim >= best_sim and (best_id is None or sim > best_sim):
-                best_id, best_sim = tid, sim
+        tokens = tuple(masked.split())
+        index = postings.setdefault(len(tokens), {})
+        if not tokens:
+            best_id = empty_id
+        else:
+            counts: Counter = Counter()
+            for key in enumerate(tokens):
+                counts.update(index.get(key, ()))
+            if counts:
+                top = max(counts.values())
+                if top / len(tokens) >= similarity_threshold:
+                    best_id = min(tid for tid, count in counts.items() if count == top)
         if best_id is None:
             best_id = len(template_tokens)
             template_tokens.append(tokens)
-            by_length.setdefault(len(tokens), []).append(best_id)
+            for key in enumerate(tokens):
+                index.setdefault(key, set()).add(best_id)
+            if not tokens:
+                empty_id = best_id
             chosen.clear()
         else:
             existing = template_tokens[best_id]
-            merged = tuple(a if a == b else PLACEHOLDER
-                           for a, b in zip(existing, tokens))
-            if merged == existing:
-                chosen[tokens] = best_id
+            changed = [i for i, (a, b) in enumerate(zip(existing, tokens))
+                       if a != b and a != PLACEHOLDER]
+            if not changed:
+                chosen[masked] = best_id
             else:
-                template_tokens[best_id] = merged
+                merged = list(existing)
+                for i in changed:
+                    index[(i, existing[i])].discard(best_id)
+                    index.setdefault((i, PLACEHOLDER), set()).add(best_id)
+                    merged[i] = PLACEHOLDER
+                template_tokens[best_id] = tuple(merged)
                 chosen.clear()
         assignments.append(best_id)
 

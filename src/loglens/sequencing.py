@@ -4,13 +4,23 @@ forecasting, and encode events as indices or semantic vectors."""
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import ConfigurationError
-from .ingest import EventVocabulary, LogRecord, LABEL_ANOMALY, LABEL_NORMAL, tokenize_template
+from .ingest import (
+    ANOMALY,
+    LABEL_ANOMALY,
+    LABELS,
+    NO_LABEL,
+    NORMAL,
+    EventVocabulary,
+    LogRecord,
+    Memo,
+    ParsedLog,
+    tokenize_template,
+)
 from .rng import Rng
 
 FIXED = "fixed"
@@ -64,68 +74,86 @@ class Window:
     position: int      # index of the target event within its sequence
 
 
-def _sequence_label(records: list[LogRecord]) -> str | None:
-    labels = [r.label for r in records if r.label is not None]
-    if not labels:
-        return None
-    return LABEL_ANOMALY if LABEL_ANOMALY in labels else LABEL_NORMAL
-
-
-def _to_sequence(records: list[LogRecord], origin: str) -> EventSequence:
-    return _sequence_of(sorted(records, key=lambda r: (r.timestamp, r.line_no)), origin)
-
-
-def _sequence_of(ordered: list[LogRecord], origin: str) -> EventSequence:
-    """The sequence of records already in (timestamp, line_no) order."""
-    events = [r.event_id for r in ordered]
-    if any(e is None for e in events):
-        raise ConfigurationError("partition requires records with event ids")
-    return EventSequence(events=events, label=_sequence_label(ordered), origin=origin)
-
-
-def partition(records: list[LogRecord], spec: PartitionSpec) -> list[EventSequence]:
-    """Group records into sequences by time interval or shared identifier.
+def partition(log: ParsedLog | list[LogRecord], spec: PartitionSpec) -> list[EventSequence]:
+    """Group a parsed log's rows into sequences by time interval or shared
+    identifier; a list of records goes through ``ParsedLog.from_records``.
 
     Fixed intervals tile [t0, t_max]; sliding intervals start every ``stride``
     seconds and keep trailing partial windows that still contain records;
-    identifier mode yields one sequence per distinct identifier. Empty groups
-    are omitted and within-sequence order is chronological with line-number
-    tiebreak.
-    """
-    if not records:
-        return []
-    if spec.mode == IDENTIFIER:
-        groups: dict[str, list[LogRecord]] = {}
-        for rec in records:
-            if rec.identifier is not None:
-                groups.setdefault(rec.identifier, []).append(rec)
-        if not groups:
-            raise ConfigurationError("identifier partitioning found no identifiers")
-        return [_to_sequence(recs, origin) for origin, recs in groups.items()]
+    identifier mode yields one sequence per distinct identifier, in
+    first-appearance order. Empty groups are omitted and within-sequence
+    order is chronological with line-number tiebreak.
 
-    t0 = min(r.timestamp for r in records)
-    t_max = max(r.timestamp for r in records)
+    One stable sort orders the rows (by identifier first in identifier mode),
+    so every sequence is a slice of the ordered rows. A sequence is labeled
+    anomalous if any of its rows is, else normal if any row is labeled.
+    """
+    if not isinstance(log, ParsedLog):
+        log = ParsedLog.from_records(log)
+    if not len(log):
+        return []
+    order, firsts, ends, origins = _slices(log, spec)
+    events, labels = log.event_id[order], log.label[order]
+    # a log made here from records is freed before the sequences are built
+    del log, order
+    if np.any(events < 0):      # every ordered row lands in a sequence
+        raise ConfigurationError("partition requires records with event ids")
+    verdicts = np.full(len(firsts), NO_LABEL)
+    # a labeled row makes a sequence normal, an anomalous one anomalous
+    for verdict, rows in ((NORMAL, labels != NO_LABEL), (ANOMALY, labels == ANOMALY)):
+        counts = _prefix_counts(rows)
+        verdicts[counts[ends] > counts[firsts]] = verdict
+    del labels, rows, counts
+    events = events.tolist()
+    return [EventSequence(events=events[first:end], label=LABELS[verdict],
+                          origin=str(origin))
+            for first, end, verdict, origin in zip(
+                firsts.tolist(), ends.tolist(), verdicts.tolist(), origins)]
+
+
+def _slices(log: ParsedLog, spec: PartitionSpec) -> tuple:
+    """The row order, and each sequence's ``[first, end)`` slice of it and
+    origin."""
+    if spec.mode == IDENTIFIER:
+        order = np.lexsort((log.line_no, log.timestamp, log.identifier))
+        # rows without an identifier (code -1) sort first and join no sequence
+        order = order[np.count_nonzero(log.identifier < 0):]
+        if not len(order):
+            raise ConfigurationError("identifier partitioning found no identifiers")
+        bounds = np.searchsorted(log.identifier[order],
+                                 np.arange(len(log.identifiers) + 1))
+        return order, bounds[:-1], bounds[1:], log.identifiers
+
+    order = np.lexsort((log.line_no, log.timestamp))
+    t0 = int(log.timestamp[order[0]])
+    # offsets from t0 are exact in uint64 however wide the int64 stamps range
+    offsets = (log.timestamp[order] - t0).view(np.uint64)
     size = spec.partition_size
+    if size > int(offsets[-1]):     # one interval holds every row
+        return order, np.array([0]), np.array([len(order)]), [0]
     if spec.mode == FIXED:
-        groups_by_index: dict[int, list[LogRecord]] = {}
-        for rec in records:
-            groups_by_index.setdefault((rec.timestamp - t0) // size, []).append(rec)
-        return [_to_sequence(groups_by_index[i], str(i))
-                for i in sorted(groups_by_index)]
+        keys = offsets // np.uint64(size)
+        firsts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        return order, firsts, np.append(firsts[1:], len(order)), keys[firsts].tolist()
 
     # sliding: start every stride; the last start is the first one whose
-    # window already reaches past t_max (kept only if it has records). Sorted
-    # once, each window [lo, lo + size) is a contiguous slice.
-    stride = spec.stride
-    ordered = sorted(records, key=lambda r: (r.timestamp, r.line_no))
-    stamps = [r.timestamp for r in ordered]
-    sequences = []
-    for j in range(max(1, (t_max - t0 - size) // stride + 2)):
-        lo = t0 + j * stride
-        first, end = bisect_left(stamps, lo), bisect_left(stamps, lo + size)
-        if end > first:
-            sequences.append(_sequence_of(ordered[first:end], str(j)))
-    return sequences
+    # window already reaches past t_max (kept only if it has records)
+    count = (int(offsets[-1]) - size) // spec.stride + 2
+    starts = np.arange(count, dtype=np.uint64) * np.uint64(spec.stride)
+    firsts = np.searchsorted(offsets, starts, side="left")
+    # a window whose end passes the last uint64 holds every later row
+    room = np.uint64(2**64 - 1) - starts
+    ends = np.where(room < size, len(order), np.searchsorted(
+        offsets, starts + np.minimum(room, np.uint64(size)), side="left"))
+    kept = np.flatnonzero(ends > firsts)
+    return order, firsts[kept], ends[kept], kept.tolist()
+
+
+def _prefix_counts(mask: np.ndarray) -> np.ndarray:
+    """``counts[i]`` is the number of true entries in ``mask[:i]``."""
+    counts = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=counts[1:])
+    return counts
 
 
 def make_windows(seq: EventSequence, spec: WindowSpec) -> list[Window]:
@@ -239,12 +267,14 @@ class SemanticEncoder:
 
 
 def write_sequences(sequences: list[EventSequence], path) -> None:
-    """JSON-lines: one {origin, label, events} object per sequence."""
+    """JSON-lines: one {origin, label, events} object per sequence, as
+    ``json.dumps`` writes it; each distinct event's text is made once."""
+    text = Memo(json.dumps).__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
-            fh.write(json.dumps(
-                {"origin": seq.origin, "label": seq.label, "events": seq.events}
-            ) + "\n")
+            fh.write(f'{{"origin": {json.dumps(seq.origin)}, "label": '
+                     f'{json.dumps(seq.label)}, "events": '
+                     f'[{", ".join(map(text, seq.events))}]}}\n')
 
 
 def read_sequences(path) -> list[EventSequence]:

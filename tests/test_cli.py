@@ -83,7 +83,7 @@ class TestParseCommand:
         assert main(["parse", "--input", str(raw), "--format", str(spec),
                      "--out", str(out)]) == 0
         records, _ = read_parsed(out)
-        assert records == []
+        assert list(records) == []
 
     def test_similarity_threshold_out_of_range_exits_two(self, tmp_path, capsys):
         raw = tmp_path / "raw.log"
@@ -103,6 +103,39 @@ class TestParseCommand:
                      "--format", str(spec), "--out", str(tmp_path / "o.csv")])
         assert code == 2
         assert "absent.log" in capsys.readouterr().err
+
+    def parse_with_spec(self, tmp_path, capsys, spec_doc):
+        raw = tmp_path / "raw.log"
+        raw.write_text(HDFS_LINE)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(spec_doc))
+        code = main(["parse", "--input", str(raw), "--format", str(spec),
+                     "--out", str(tmp_path / "o.csv")])
+        return code, capsys.readouterr().err
+
+    def test_timestamp_regex_that_does_not_compile_exits_two(self, tmp_path, capsys):
+        code, err = self.parse_with_spec(tmp_path, capsys, dict(
+            FORMAT_SPEC, timestamp_regex=r"^(\d{4}"))
+        assert code == 2 and "timestamp_regex" in err
+
+    def test_identifier_regex_without_group_exits_two(self, tmp_path, capsys):
+        code, err = self.parse_with_spec(tmp_path, capsys, dict(
+            FORMAT_SPEC, identifier_regex=r"seq_\d+"))
+        assert code == 2 and "identifier_regex" in err
+
+    def test_spec_that_is_not_an_object_exits_two(self, tmp_path, capsys):
+        code, err = self.parse_with_spec(tmp_path, capsys, list(FORMAT_SPEC.items()))
+        assert code == 2 and "JSON object" in err
+
+    def test_content_group_that_is_not_an_integer_exits_two(self, tmp_path, capsys):
+        code, err = self.parse_with_spec(tmp_path, capsys, dict(
+            FORMAT_SPEC, content_group="x"))
+        assert code == 2 and "content_group" in err
+
+    def test_content_group_beyond_the_regex_groups_exits_two(self, tmp_path, capsys):
+        code, err = self.parse_with_spec(tmp_path, capsys, dict(
+            FORMAT_SPEC, content_group=5))
+        assert code == 2 and "content_group" in err and "[1, 2]" in err
 
 
 class TestSyngenPartition:

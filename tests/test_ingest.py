@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +13,7 @@ from loglens.ingest import (
     parse_templates,
     read_parsed,
     read_raw,
-    _mask_token,
+    mask_parameters,
     tokenize_template,
     write_parsed,
     write_rejects,
@@ -129,6 +131,28 @@ class TestParseTemplates:
         assert [r.event_id for r in r1] == [r.event_id for r in r2]
 
 
+def _mask_token(token):
+    """The per-token masking rule: a token carrying a digit or a path
+    separator is a parameter; the placeholder stays itself."""
+    if token == PLACEHOLDER:
+        return token
+    if re.search(r"\d", token) or "/" in token:
+        return PLACEHOLDER
+    return token
+
+
+# ASCII and Unicode whitespace, ASCII and Unicode digits, path separators and
+# the placeholder's characters
+MASK_ALPHABET = " \t\n\x0b\x0c\r\x1c\x85\xa0\u2003\u3000ab/9\u0663\uff11<*>"
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=st.text(alphabet=MASK_ALPHABET, max_size=30) | st.text(max_size=30))
+@example(line="<*> <*>5 a/b \u0663x \xa0<*>")
+def test_mask_parameters_matches_per_token_rule(line):
+    assert mask_parameters(line).split() == [_mask_token(t) for t in line.split()]
+
+
 def reference_scan(contents, similarity_threshold):
     """``parse_templates``'s template scan with no memo: every record is
     compared with every template of its length."""
@@ -223,7 +247,7 @@ class TestParsedCsv:
         p2 = tmp_path / "two.csv"
         write_parsed(original, vocab, p1)
         records, vocab2 = read_parsed(p1)
-        assert records == original
+        assert list(records) == original
         write_parsed(records, vocab2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 

@@ -62,7 +62,7 @@ class TestGenerate:
         path = tmp_path / "syn.csv"
         ds.write(path)
         records, vocab = read_parsed(path)
-        assert records == ds.records
+        assert list(records) == ds.records
         assert vocab == ds.vocab
 
     def test_invalid_specs(self):

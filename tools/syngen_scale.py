@@ -1,15 +1,17 @@
-"""Time ``loglens syngen`` at one size, in a child process.
+"""Time ``loglens syngen`` at one size, then ``loglens partition`` of its CSV.
 
     python tools/syngen_scale.py [--sequences N] [--root CHECKOUT]
 
 Run from the root of a loglens checkout. The spec is the acceptance suite's
 generator spec (``ACCEPT_SPEC`` in ``tests/test_acceptance.py``) with
-``n_sequences`` set to ``--sequences``. The child runs ``loglens syngen`` from
-the ``src/`` of ``--root`` (default: this checkout), so two checkouts can be
-compared with one spec. It writes into a temporary directory, which is
+``n_sequences`` set to ``--sequences``. Each command runs in its own child
+from the ``src/`` of ``--root`` (default: this checkout), so two checkouts can
+be compared with one spec: ``syngen``, then ``partition --mode identifier``
+and ``partition --mode sliding --size 21600 --stride 3600`` (6 h windows every
+hour) of the CSV it wrote. Files go to a temporary directory, which is
 deleted afterwards. Prints one JSON object: the spec, the records written,
-the child's wall seconds and records per second (Python start-up and imports
-included), and the child's peak RSS.
+and for each command its wall seconds and records per second (Python
+start-up and imports included) and its peak RSS.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import argparse
 import dataclasses
 import json
 import os
-import resource
 import subprocess
 import sys
 import tempfile
@@ -30,39 +31,56 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from test_acceptance import ACCEPT_SPEC  # noqa: E402
 
+SLIDING = ["--mode", "sliding", "--size", "21600", "--stride", "3600"]
+
+
+def _timed(argv: list[str], env: dict, tmp: Path) -> tuple[str, float, float]:
+    """Run ``loglens`` with ``argv`` in a child: its standard output, wall
+    seconds and peak RSS in MB. Exits with the child's code if it fails."""
+    with open(tmp / "out.txt", "w+") as out, open(tmp / "err.txt", "w+") as err:
+        started = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "loglens.cli", *argv],
+                                 env=env, stdout=out, stderr=err)
+        # this child's own resource use, not the largest of all children's
+        _, status, usage = os.wait4(child.pid, 0)
+        seconds = time.perf_counter() - started
+        child.returncode = os.waitstatus_to_exitcode(status)
+        if child.returncode != 0:
+            err.seek(0)
+            print(err.read(), file=sys.stderr)
+            raise SystemExit(child.returncode)
+        out.seek(0)
+        return out.read(), seconds, usage.ru_maxrss / 1024
+
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sequences", type=int, default=ACCEPT_SPEC.n_sequences,
                         help="n_sequences of the spec (default: the acceptance spec's)")
     parser.add_argument("--root", type=Path, default=ROOT,
-                        help="checkout whose src/ the child runs")
+                        help="checkout whose src/ the children run")
     args = parser.parse_args(argv)
     spec = dataclasses.asdict(dataclasses.replace(ACCEPT_SPEC, n_sequences=args.sequences))
+    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
 
     with tempfile.TemporaryDirectory(prefix="syngen-scale-") as tmp:
-        spec_path = Path(tmp) / "spec.json"
+        tmp = Path(tmp)
+        spec_path, csv_path = tmp / "spec.json", tmp / "syn.csv"
         spec_path.write_text(json.dumps(spec), encoding="utf-8")
-        env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
-        started = time.perf_counter()
-        child = subprocess.run(
-            [sys.executable, "-m", "loglens.cli", "syngen", "--spec", str(spec_path),
-             "--out", str(Path(tmp) / "syn.csv")],
-            env=env, capture_output=True, text=True, check=False)
-        seconds = time.perf_counter() - started
-    if child.returncode != 0:
-        print(child.stderr, file=sys.stderr)
-        return child.returncode
-    # "wrote N records (K templates) to PATH"
-    records = int(child.stdout.split()[1])
-    peak_kb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    print(json.dumps({
-        "spec": spec,
-        "records": records,
-        "seconds": round(seconds, 3),
-        "records_per_s": round(records / seconds),
-        "peak_rss_mb": round(peak_kb / 1024, 1),
-    }, indent=1))
+        printed, seconds, peak = _timed(
+            ["syngen", "--spec", str(spec_path), "--out", str(csv_path)], env, tmp)
+        # "wrote N records (K templates) to PATH"
+        records = int(printed.split()[1])
+        result = {"spec": spec, "records": records, "seconds": round(seconds, 3),
+                  "records_per_s": round(records / seconds),
+                  "peak_rss_mb": round(peak, 1), "partition": {}}
+        for mode, flags in (("identifier", ["--mode", "identifier"]), ("sliding", SLIDING)):
+            _, seconds, peak = _timed(["partition", "--input", str(csv_path), *flags,
+                                       "--out", str(tmp / f"{mode}.jsonl")], env, tmp)
+            result["partition"][mode] = {"seconds": round(seconds, 3),
+                                         "records_per_s": round(records / seconds),
+                                         "peak_rss_mb": round(peak, 1)}
+    print(json.dumps(result, indent=1))
     return 0
 
 
