@@ -115,17 +115,16 @@ def lstm_params(ps: ParamSet, prefix: str, in_dim: int, units: int) -> None:
     ps.zeros(f"{prefix}.b", (4 * units,))
 
 
-def run_lstm(xs, ps: ParamSet, prefix: str, units: int,
+def run_lstm(xs: Tensor, ps: ParamSet, prefix: str, units: int,
              reverse: bool = False) -> Tensor:
-    """Unroll one LSTM layer from a zero state over ``xs``, a list of T
-    (batch, dim) inputs or one (T, batch, dim) tensor, as one graph node.
+    """Unroll one LSTM layer from a zero state over ``xs``, a (T, batch, dim)
+    tensor, as one graph node.
 
     Gate order in the packed weight matrices is input, forget, output,
     candidate; the hidden states, returned as (T, batch, units), lie strictly
     inside (-1, 1). ``reverse`` runs the steps from last to first.
     """
-    batch = xs.shape[1] if isinstance(xs, Tensor) else xs[0].shape[0]
-    zeros = Tensor(np.zeros((batch, units)))
+    zeros = Tensor(np.zeros((xs.shape[1], units)))
     packed = lstm_sequence(xs, zeros, zeros, ps[f"{prefix}.wx"], ps[f"{prefix}.wh"],
                            ps[f"{prefix}.b"], reverse)
     return narrow(packed, -1, 0, units)

@@ -370,14 +370,14 @@ def _lstm_step(x, h, c, wx, wh, b, a, h_out, c_out, tc_out):
     return h_out, c_out
 
 
-def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
-                  reverse: bool = False) -> Tensor:
+def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
+                  b: Tensor, reverse: bool = False) -> Tensor:
     """An LSTM layer unrolled over T steps, as a single node.
 
-    ``xs`` is a list of T (batch, dim) inputs or one (T, batch, dim) tensor,
-    and ``(h0, c0)`` the (batch, units) state before the first step. Gates
-    are ``x_t @ wx + h @ wh + b`` split into input, forget, output (sigmoid)
-    and candidate (tanh); ``c_t = f * c + i * g`` and ``h_t = o * tanh(c_t)``.
+    ``xs`` is the (T, batch, dim) input and ``(h0, c0)`` the (batch, units)
+    state before the first step. Gates are ``x_t @ wx + h @ wh + b`` split
+    into input, forget, output (sigmoid) and candidate (tanh);
+    ``c_t = f * c + i * g`` and ``h_t = o * tanh(c_t)``.
     The result is (T, batch, 2 * units): each step's packed ``[h_t | c_t]``.
     With ``reverse`` the steps run from the last input to the first, and step
     t's state is still written at index t.
@@ -387,21 +387,18 @@ def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     in the same order as the graph of elementary ops for that step would, so
     values and gradients are bit-identical to that graph's.
     """
-    seq = xs if isinstance(xs, Tensor) else None
-    if seq is None:
-        xs = [as_tensor(x) for x in xs]
-    xd = seq.data if seq is not None else [x.data for x in xs]
-    n_steps, units = len(xd), wh.shape[0]
+    xs = as_tensor(xs)
+    units = wh.shape[0]
     batch = h0.shape[0] if h0.ndim == 2 else -1
     state = (batch, units)
-    if (n_steps == 0 or any(x.shape != (batch, wx.shape[0]) for x in xd)
+    if (xs.ndim != 3 or xs.shape[0] == 0 or xs.shape[1:] != (batch, wx.shape[0])
             or h0.shape != state or c0.shape != state
             or wx.shape[1:] != (4 * units,) or wh.shape[1:] != (4 * units,)):
         raise DimensionError(
-            f"lstm_sequence: {n_steps} inputs of shape "
-            f"{xd[0].shape if n_steps else None}, h0{h0.shape} c0{c0.shape} vs "
+            f"lstm_sequence: inputs{xs.shape}, h0{h0.shape} c0{c0.shape} vs "
             f"wx{wx.shape} wh{wh.shape}"
         )
+    xd, n_steps = xs.data, xs.shape[0]
     u, u3 = units, 3 * units
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     acts = np.empty((n_steps, batch, 4 * units))   # [i | f | o | g] per step
@@ -411,18 +408,11 @@ def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
     for t in order:
         h, c = _lstm_step(xd[t], h, c, wx.data, wh.data, b.data, acts[t],
                           packed[t, :, :u], packed[t, :, u:], tcs[t])
-    # The graph walk reaches listed inputs from the end, and the backward
-    # runs them in reverse. Listed like this, the first step's input runs
-    # last and the others from the last time index down: the order the
-    # per-step graphs of the forecast and bidirectional models gave, which
-    # fixes how an embedding table sums the gradients of its lookups.
-    inputs = (seq,) if seq is not None else (
-        *(xs[t] for t in range(n_steps - 1, -1, -1) if t != order[0]), xs[order[0]])
-    out = _make(packed, (*inputs, h0, c0, wx, wh, b))
+    out = _make(packed, (xs, h0, c0, wx, wh, b))
     if out.requires_grad:
         def backward(grad):
             dg = np.empty((batch, 4 * units))
-            dseq = np.empty(seq.shape) if seq is not None and seq.requires_grad else None
+            dxs = np.empty(xs.shape) if xs.requires_grad else None
             carry_h = carry_c = None
             for t in reversed(order):
                 first = t == order[0]
@@ -444,10 +434,8 @@ def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                 dg[:, :u3] *= 1.0 - a[:, :u3]
                 np.multiply(gc, i, out=dg[:, u3:])
                 dg[:, u3:] *= 1.0 - g * g
-                if dseq is not None:
-                    np.matmul(dg, wx.data.T, out=dseq[t])
-                elif seq is None and xs[t].requires_grad:
-                    _accumulate(xs[t], np.matmul(dg, wx.data.T))
+                if dxs is not None:
+                    np.matmul(dg, wx.data.T, out=dxs[t])
                 if wx.requires_grad:
                     _accumulate(wx, np.matmul(xd[t].T, dg))
                 if not first:
@@ -462,8 +450,8 @@ def lstm_sequence(xs, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor, b: Tensor,
                     carry_c = gc * f
                 elif c0.requires_grad:
                     _accumulate(c0, gc * f)
-            if dseq is not None:
-                _accumulate(seq, dseq)
+            if dxs is not None:
+                _accumulate(xs, dxs)
         _bind(out, backward)
     return out
 

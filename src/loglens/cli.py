@@ -222,11 +222,15 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     detector = load_detector(args.model)
+    vocab = None    # JSONL sequences carry ids of the training vocabulary
     if str(args.input).endswith(".csv"):
-        sequences = partition(read_parsed(args.input)[0], PartitionSpec("identifier"))
+        # each template keeps its training id, and an unseen one gets a new id
+        # that only a semantic model reads: an index model clamps it to unknown
+        log, vocab = read_parsed(args.input, detector.vocab_)
+        sequences = partition(log, PartitionSpec("identifier"))
     else:
         sequences = read_sequences(args.input)
-    verdicts = detector.predict(sequences)
+    verdicts = detector.predict(sequences, vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
         for seq, verdict in zip(sequences, verdicts):
             fh.write(json.dumps({

@@ -142,7 +142,7 @@ class BaseDetector:
         them, or only the normal ones) is the caller's rule: see
         ``bench.fit_set``."""
         start = time.perf_counter()
-        self.vocab_size_ = len(vocab)
+        self.vocab_ = vocab
         self.params_ = params = self._build_params(vocab)
         table, _ = self._input_table(None)
         order_rng = Rng(derive_seed(self.config.seed, self.family, "order"))
@@ -192,6 +192,12 @@ class BaseDetector:
         return losses
 
     # input rows -----------------------------------------------------------
+
+    @property
+    def vocab_size_(self) -> int:
+        """Templates in the training vocabulary: ids from it up clamp to the
+        unknown id."""
+        return len(self.vocab_)
 
     def _require_fitted(self) -> None:
         if getattr(self, "params_", None) is None:

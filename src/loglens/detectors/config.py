@@ -2,7 +2,7 @@
 
 ``build_detector`` turns a config into an estimator, wiring in a semantic
 encoder when the config asks for one. Fitted detectors persist as the flat
-binary parameter container plus a JSON sidecar.
+binary parameter container, a JSON sidecar and the training vocabulary.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ def build_detector(config: DetectorConfig, vocab: EventVocabulary | None = None)
 
 
 # ---------------------------------------------------------------------------
-# persistence: parameter container + JSON sidecar
+# persistence: parameter container, JSON sidecar and training vocabulary
 
 
 def save_detector(detector, directory) -> None:
@@ -52,57 +52,81 @@ def save_detector(detector, directory) -> None:
     save_params(detector.params_.copy_values(), directory / "params.llns")
     sidecar = {
         "config": detector.config.to_dict(),
-        "vocab_size": detector.vocab_size_,
         "threshold": getattr(detector, "threshold_", None),
         "training_seconds": getattr(detector, "training_seconds_", None),
     }
     (directory / "detector.json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    (directory / "vocab.json").write_text(
+        json.dumps(detector.vocab_.templates, indent=1) + "\n", encoding="utf-8")
 
 
 def load_detector(directory):
-    """Rebuild a fitted detector from disk, with the config it was saved with.
+    """Rebuild a fitted detector from disk: ``build_detector`` of the saved
+    config and training vocabulary (so a semantic model gets its encoder
+    back), holding the stored parameters.
 
-    Semantic models carry their frozen input table inside the parameter
-    container, so every detector is rebuilt without an encoder or vocabulary
-    and reads its stored table; events beyond the stored vocabulary map to
-    the reserved unknown id. A malformed ``detector.json``, or one whose
-    config describes other parameters than ``params.llns`` holds, raises
-    ``FormatError`` naming the file and the key or parameter.
+    A malformed ``detector.json`` or ``vocab.json``, or parameters in
+    ``params.llns`` other than the ones the config builds for that
+    vocabulary, raise ``FormatError`` naming the file and the key or
+    parameter.
     """
     directory = Path(directory)
     path = directory / "detector.json"
-    sidecar = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(sidecar, dict):
-        raise FormatError(f"{path}: expected a JSON object")
+    sidecar = _read_json(path, lambda doc: isinstance(doc, dict), "a JSON object")
     try:
         config = DetectorConfig.from_dict(sidecar["config"])
-        fitted = {"vocab_size_": int(sidecar["vocab_size"])}
-        for key in ("threshold", "training_seconds"):
-            if sidecar.get(key) is not None:
-                fitted[f"{key}_"] = float(sidecar[key])
+        fitted = {f"{key}_": float(sidecar[key])
+                  for key in ("threshold", "training_seconds")
+                  if sidecar.get(key) is not None}
     except KeyError as err:
         raise FormatError(f"{path}: missing key {err}") from None
     except (TypeError, ValueError) as err:
         raise FormatError(f"{path}: {err}") from None
-    stored = load_params(directory / "params.llns")
-    _check_params(path, config, fitted["vocab_size_"], stored)
-    detector = _CLASSES[config.family](config)
-    detector.params_ = ParamSet(config.seed)
-    detector.params_.load_values(stored)
+    vocab = EventVocabulary(_read_json(
+        directory / "vocab.json", _is_template_list, "a JSON array of distinct strings"))
+    detector = build_detector(config, vocab)
+    detector.params_ = _checked_params(directory, detector, vocab,
+                                       load_params(directory / "params.llns"))
+    detector.vocab_ = vocab
     vars(detector).update(fitted)
     return detector
 
 
-def _check_params(path, config: DetectorConfig, vocab_size: int, stored: dict) -> None:
-    """Refuse ``stored`` parameters unless their names and shapes are the ones
-    ``config`` builds for ``vocab_size`` event ids."""
-    vocab = EventVocabulary([f"event {i}" for i in range(vocab_size)])
-    params = build_detector(config, vocab)._build_params(vocab)
+def _read_json(path: Path, valid, expected: str):
+    """The JSON document at ``path``, which ``valid`` must accept."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as err:
+        raise FormatError(f"{path}: {err}") from None
+    if not valid(doc):
+        raise FormatError(f"{path}: expected {expected}")
+    return doc
+
+
+def _is_template_list(doc) -> bool:
+    return (isinstance(doc, list) and all(isinstance(t, str) for t in doc)
+            and len(set(doc)) == len(doc))
+
+
+def _checked_params(directory: Path, detector, vocab: EventVocabulary,
+                    stored: dict) -> ParamSet:
+    """The parameters ``detector`` builds for ``vocab``, holding ``stored``.
+    Refuses ``stored`` unless its names and shapes are the built ones and,
+    for a semantic model, its input table is the encoder's, bit for bit."""
+    params = detector._build_params(vocab)
     expected = {name: tensor.shape for name, tensor in params.items()}
     got = {name: array.shape for name, array in stored.items()}
     for name in dict.fromkeys([*expected, *got]):
         if expected.get(name) != got.get(name):
             raise FormatError(
-                f"{path}: parameter {name!r} is {got.get(name, 'missing')} in "
-                f"params.llns, {expected.get(name, 'absent')} in the config")
+                f"{directory / 'detector.json'}: parameter {name!r} is "
+                f"{got.get(name, 'missing')} in params.llns, "
+                f"{expected.get(name, 'absent')} for the config and the "
+                f"{len(vocab)} templates of {directory / 'vocab.json'}")
+    if detector.encoder is not None and (
+            stored["input_table"].tobytes() != params["input_table"].data.tobytes()):
+        raise FormatError(f"{directory / 'vocab.json'}: its semantic table is not "
+                          f"the 'input_table' in params.llns")
+    params.load_values(stored)
+    return params

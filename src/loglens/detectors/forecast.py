@@ -80,7 +80,7 @@ class LstmForecastDetector(_ForecastBase):
                 table, ids, params, [f"lstm{n}" for n in range(layers)], hidden)
             last = Tensor(tree.rows(states, steps - 1))
             return linear(last, params["out.w"], params["out.b"])
-        hs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
+        hs = embedding_lookup(table, ids.T)  # (T, B, d): one lookup
         for layer in range(layers):
             hs = run_lstm(hs, params, f"lstm{layer}", hidden)
         last = narrow(hs, 0, steps - 1, 1).reshape(batch, hidden)

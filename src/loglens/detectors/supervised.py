@@ -88,7 +88,7 @@ class BilstmAttentionDetector(_SupervisedBase):
     def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
         (batch, steps), u = ids.shape, self.config.hidden
         if grad_enabled():
-            xs = [embedding_lookup(table, ids[:, t]) for t in range(steps)]
+            xs = embedding_lookup(table, ids.T)  # (T, B, d), read both ways
             forward = run_lstm(xs, params, "fw", u)
             backward = run_lstm(xs, params, "bw", u, reverse=True)
             both = concat([forward, backward], axis=2)

@@ -316,17 +316,20 @@ def _raise_row_error(path) -> None:
                 raise FormatError(f"{where}: unrecognized label {label!r}")
 
 
-def read_parsed(path) -> tuple[ParsedLog, EventVocabulary]:
+def read_parsed(path, known: EventVocabulary | None = None
+                ) -> tuple[ParsedLog, EventVocabulary]:
     """Load a pre-parsed CSV (LineId, Timestamp, Identifier, EventTemplate, Label).
 
     Columns are found by name in the header, so their order is free; a row
     that lacks one of them, whose LineId or Timestamp is not an integer
     within int64, or whose Label is neither empty, normal nor anomaly, is a
     ``FormatError`` naming its line. Rows are converted ``CSV_ROWS`` at a
-    time, a column at a time; event ids and identifier codes follow first
-    appearance.
+    time, a column at a time; identifier codes follow first appearance, and
+    so do event ids, after the ids of the ``known`` templates, which keep
+    theirs. The vocabulary returned is ``known`` extended by the file's
+    other templates.
     """
-    vocab = EventVocabulary()
+    vocab = EventVocabulary(known.templates if known is not None else [])
     identifier_codes = {"": -1}
     label_codes: dict[str, int] = {}
     chunks = []
@@ -382,10 +385,11 @@ def _csv_field(field) -> str:
     return buffer.getvalue()[:-3]       # less ",\r\n"
 
 
-class _ParsedWriter:
-    """Writes rows of ``PARSED_COLUMNS`` as ``csv.writer`` would. Each call
-    of ``writerows`` quotes each distinct identifier, template and label
-    once."""
+class ParsedWriter:
+    """The writer of every pre-parsed CSV: on the open text file ``fh``, it
+    writes the header, then rows of ``PARSED_COLUMNS`` as ``csv.writer``
+    would. Each call of ``writerows`` quotes each distinct identifier,
+    template and label once."""
 
     def __init__(self, fh):
         self._fh = fh
@@ -401,15 +405,9 @@ class _ParsedWriter:
                 for line_no, stamp, identifier, template, label in block]))
 
 
-def parsed_writer(fh) -> _ParsedWriter:
-    """The writer of every pre-parsed CSV, on the open text file ``fh``,
-    after the header."""
-    return _ParsedWriter(fh)
-
-
 def write_parsed(records: list[LogRecord], vocab: EventVocabulary, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        parsed_writer(fh).writerows(
+        ParsedWriter(fh).writerows(
             (rec.line_no, rec.timestamp, rec.identifier or "",
              vocab.templates[rec.event_id] if rec.event_id is not None else rec.content,
              rec.label or "")

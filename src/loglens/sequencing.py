@@ -137,16 +137,39 @@ def _slices(log: ParsedLog, spec: PartitionSpec) -> tuple:
         return order, firsts, np.append(firsts[1:], len(order)), keys[firsts].tolist()
 
     # sliding: start every stride; the last start is the first one whose
-    # window already reaches past t_max (kept only if it has records)
-    count = (int(offsets[-1]) - size) // spec.stride + 2
-    starts = np.arange(count, dtype=np.uint64) * np.uint64(spec.stride)
+    # window already reaches past t_max (kept only if it has records). With
+    # more starts than rows, only the windows that hold a row are made, so
+    # memory follows the rows, not the span over the stride.
+    last = (int(offsets[-1]) - size) // spec.stride + 1
+    windows = (np.arange(last + 1, dtype=np.uint64) if last < len(order)
+               else _windows_with_rows(offsets, size, spec.stride, last))
+    starts = windows * np.uint64(spec.stride)
     firsts = np.searchsorted(offsets, starts, side="left")
     # a window whose end passes the last uint64 holds every later row
     room = np.uint64(2**64 - 1) - starts
     ends = np.where(room < size, len(order), np.searchsorted(
         offsets, starts + np.minimum(room, np.uint64(size)), side="left"))
     kept = np.flatnonzero(ends > firsts)
-    return order, firsts[kept], ends[kept], kept.tolist()
+    return order, firsts[kept], ends[kept], windows[kept].tolist()
+
+
+def _windows_with_rows(offsets: np.ndarray, size: int, stride: int,
+                       last: int) -> np.ndarray:
+    """The sliding windows, up to start ``last``, that hold a row of the
+    sorted ``offsets``. Offset d lies in windows (d - size) // stride + 1 to
+    d // stride, so these run from the first window to the last, broken only
+    between two rows more than size - stride apart that no window holds
+    both of."""
+    gap = size - stride
+    runs, lo = [], 0
+    for row in np.flatnonzero(np.diff(offsets) > gap).tolist():
+        hi, after = int(offsets[row]) // stride, (int(offsets[row + 1]) - gap) // stride
+        if after > hi:
+            runs.append((lo, hi))
+            lo = after
+    runs.append((lo, last))
+    return np.concatenate([np.arange(first, end + 1, dtype=np.uint64)
+                           for first, end in runs])
 
 
 def _prefix_counts(mask: np.ndarray) -> np.ndarray:

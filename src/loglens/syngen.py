@@ -34,7 +34,7 @@ from .ingest import (
     LABEL_ANOMALY,
     LABEL_NORMAL,
     LogRecord,
-    parsed_writer,
+    ParsedWriter,
     write_parsed,
 )
 from .rng import BLOCK, Rng, bounded, derive_seed, unit_floats
@@ -105,15 +105,13 @@ class SyntheticDataset:
     vocab: EventVocabulary
     automaton: dict
 
-    def write(self, csv_path, sidecar_path=None) -> None:
+    def write(self, csv_path) -> None:
         write_parsed(self.records, self.vocab, csv_path)
-        _write_sidecar(self.automaton, csv_path, sidecar_path)
+        _write_sidecar(self.automaton, csv_path)
 
 
-def _write_sidecar(automaton: dict, csv_path, sidecar_path=None) -> None:
-    if sidecar_path is None:
-        sidecar_path = Path(str(csv_path) + ".automaton.json")
-    Path(sidecar_path).write_text(
+def _write_sidecar(automaton: dict, csv_path) -> None:
+    Path(str(csv_path) + ".automaton.json").write_text(
         json.dumps(automaton, indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
 
@@ -353,7 +351,7 @@ def stream(spec: GeneratorSpec, csv_path) -> tuple[int, int]:
     n_records = 0
     seen: set[int] = set()
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = parsed_writer(fh)
+        writer = ParsedWriter(fh)
         for events, identifiers, labels in chunks:
             line_no = n_records + 1
             writer.writerows(zip(

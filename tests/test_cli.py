@@ -246,21 +246,31 @@ class TestTrainDetect:
         assert sum(v["anomalous"] for v in verdicts) == 0
 
 
-    @pytest.mark.parametrize("corrupt, message, detector", [
-        (lambda doc: {**doc, "config": {**doc["config"], "n_filters": 8}},
+    @pytest.mark.parametrize("name, corrupt, message, detector", [
+        ("detector.json",
+         lambda doc: {**doc, "config": {**doc["config"], "n_filters": 8}},
          "'n_filters'", {}),
-        (lambda doc: {k: v for k, v in doc.items() if k != "vocab_size"},
-         "missing key 'vocab_size'", {}),
-        (lambda doc: [doc], "expected a JSON object", {}),
+        ("vocab.json", None, "file not found", {}),
+        ("vocab.json", lambda doc: "[", "Expecting value", {}),
+        ("vocab.json", lambda doc: doc + doc[:1], "distinct strings", {}),
+        ("detector.json", lambda doc: [doc], "expected a JSON object", {}),
         # a config that disagrees with the stored params: more layers than
         # were trained, and a wider LSTM than was trained
-        (lambda doc: {**doc, "config": {**doc["config"], "layers": 2}},
+        ("detector.json",
+         lambda doc: {**doc, "config": {**doc["config"], "layers": 2}},
          "'block1.attn.wq'", {"family": "transformer_forecast", "heads": 2}),
-        (lambda doc: {**doc, "config": {**doc["config"], "hidden": 16}},
+        ("detector.json",
+         lambda doc: {**doc, "config": {**doc["config"], "hidden": 16}},
          "'lstm0.wx'", {}),
-    ], ids=["unknown-config-key", "missing-vocab-size", "array",
-            "more-layers-than-stored", "wider-than-stored"])
-    def test_malformed_detector_json_exits_2(self, tmp_path, capsys, corrupt,
+        # a vocabulary of another size, or whose semantic table is not the
+        # stored one
+        ("vocab.json", lambda doc: doc[1:], "'input_table'", {}),
+        ("vocab.json", lambda doc: doc[::-1], "'input_table'", {"semantics": True}),
+    ], ids=["unknown-config-key", "missing-vocab", "vocab-not-json",
+            "repeated-template", "array", "more-layers-than-stored",
+            "wider-than-stored", "fewer-templates-than-stored",
+            "semantic-table-not-stored"])
+    def test_malformed_detector_json_exits_2(self, tmp_path, capsys, name, corrupt,
                                              message, detector):
         csv_path = syn_csv(tmp_path, n_sequences=40, rate=0.2)
         config, doc = bench_config(tmp_path, csv_path)
@@ -269,13 +279,51 @@ class TestTrainDetect:
         model_dir = tmp_path / "model"
         assert main(["train", "--config", str(config),
                      "--model-out", str(model_dir)]) == 0
-        sidecar = model_dir / "detector.json"
-        sidecar.write_text(json.dumps(corrupt(json.loads(sidecar.read_text()))))
+        target = model_dir / name
+        if corrupt is None:
+            target.unlink()
+        else:
+            text = corrupt(json.loads(target.read_text()))
+            target.write_text(text if isinstance(text, str) else json.dumps(text))
         capsys.readouterr()
         assert main(["detect", "--model", str(model_dir), "--input",
                      str(csv_path), "--out", str(tmp_path / "v.jsonl")]) == 2
         err = capsys.readouterr().err
-        assert str(sidecar) in err and message in err
+        assert str(target) in err and message in err
+
+    @pytest.mark.parametrize("semantics", [False, True])
+    @pytest.mark.parametrize("family", ["lstm_forecast", "cnn"])
+    def test_detect_verdicts_do_not_depend_on_row_order(self, tmp_path, family,
+                                                         semantics):
+        # the file's template ids follow first appearance, so reversing its
+        # rows renumbers them; the model reads templates by its own ids
+        path = tmp_path / "syn.csv"
+        generate(GeneratorSpec(n_templates=12, n_sequences=300, anomaly_rate=0.2,
+                               seed=3)).write(path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        reversed_path = tmp_path / "reversed.csv"
+        reversed_path.write_text(lines[0] + "".join(lines[:0:-1]), encoding="utf-8")
+        assert read_parsed(path)[1] != read_parsed(reversed_path)[1]
+        config, doc = bench_config(tmp_path, path)
+        doc["detectors"] = [
+            {"family": "lstm_forecast", "k": 4, "hidden": 32, "layers": 1,
+             "epochs": 15, "batch_size": 64, "window_size": 4, "semantics": semantics}
+            if family == "lstm_forecast" else
+            {"family": "cnn", "max_len": 16, "hidden": 8, "epochs": 10,
+             "batch_size": 32, "lr": 0.01, "semantics": semantics}]
+        config.write_text(json.dumps(doc))
+        model_dir = tmp_path / "model"
+        assert main(["train", "--config", str(config),
+                     "--model-out", str(model_dir)]) == 0
+        verdicts = {}
+        for source in (path, reversed_path):
+            out = tmp_path / f"{source.stem}.jsonl"
+            assert main(["detect", "--model", str(model_dir), "--input",
+                         str(source), "--out", str(out)]) == 0
+            verdicts[source] = {v["origin"]: v["anomalous"] for v in map(
+                json.loads, out.read_text().splitlines())}
+        assert len(verdicts[path]) == 300 and any(verdicts[path].values())
+        assert verdicts[path] == verdicts[reversed_path]
 
 
 class TestBenchCommand:

@@ -2,7 +2,7 @@
 
 ``reference_read_parsed`` and ``reference_partition`` are the row loop and
 the per-group sort that built one ``LogRecord`` per CSV row and one list per
-sequence. ``read_parsed``, ``partition`` and ``parsed_writer`` must give what
+sequence. ``read_parsed``, ``partition`` and ``ParsedWriter`` must give what
 they gave, errors included.
 """
 
@@ -26,7 +26,7 @@ from loglens.ingest import (
     EventVocabulary,
     LogRecord,
     ParsedLog,
-    parsed_writer,
+    ParsedWriter,
     read_parsed,
     write_parsed,
 )
@@ -309,7 +309,7 @@ WRITE_FIELDS = st.text(alphabet=" a,\"\r\n\té", max_size=5)
 @example(calls=[[(1, 2, "", "", " a")], [(3, 4, "", "x", "")]])
 def test_parsed_writer_bytes_match_csv_writer(calls):
     got, want = io.StringIO(), io.StringIO()
-    writer = parsed_writer(got)
+    writer = ParsedWriter(got)
     reference = csv.writer(want)
     reference.writerow(PARSED_COLUMNS)
     for rows in calls:
@@ -320,7 +320,7 @@ def test_parsed_writer_bytes_match_csv_writer(calls):
 
 def test_parsed_writer_quotes_each_field_once_per_call():
     buffer = io.StringIO()
-    writer = parsed_writer(buffer)
+    writer = ParsedWriter(buffer)
     with mock.patch.object(ingest, "_csv_field", side_effect=ingest._csv_field) as quote:
         writer.writerows([(1, 1, "a", "t", ""), (2, 2, "a", "t", ""), (3, 3, "b", "t", "")])
         assert quote.call_count == 4        # "a", "t", "" and "b"

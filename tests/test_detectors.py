@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loglens.autodiff.tensor import _toposort
 from loglens.detectors import (
     FAMILIES,
     SUPERVISED_FAMILIES,
@@ -321,8 +322,7 @@ class TestSupervised:
                              VOCAB).fit(seqs, VOCAB)
         from loglens.autodiff import embedding_lookup, run_lstm, concat, tanh
         ids = det._padded_ids(seqs[:4], det.vocab_size_)
-        xs = [embedding_lookup(det.params_["input_table"], ids[:, t])
-              for t in range(ids.shape[1])]
+        xs = embedding_lookup(det.params_["input_table"], ids.T)
         fw = run_lstm(xs, det.params_, "fw", det.config.hidden)
         bw = run_lstm(xs, det.params_, "bw", det.config.hidden, reverse=True)
         hidden = concat([fw, bw], axis=2).transpose((1, 0, 2))
@@ -357,6 +357,27 @@ class TestSupervised:
         for name in runs[0].params_.names():
             assert np.array_equal(runs[0].params_[name].data,
                                   runs[1].params_[name].data)
+
+
+class TestInputTableGraph:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_training_loss_reads_the_embedding_table_once(self, family):
+        """An index model's training loss reads its embedding table through at
+        most one node, so the table's gradient is one scatter, summed in an
+        order that does not depend on how the engine walks the graph."""
+        config = DetectorConfig(family, k=2, window_size=3, hidden=8, layers=2,
+                                heads=2, embed_dim=4, max_len=12, seed=5)
+        det = build_detector(config, VOCAB)
+        det.vocab_ = VOCAB
+        det.params_ = params = det._build_params(VOCAB)
+        seqs = random_sequences(Rng(17), 20, vocab_size=3, error_rate=0.3)
+        seqs[0].label = "anomaly"
+        inputs, targets, _ = det._training_examples(seqs, Rng(1))
+        loss = det._loss(params, det._input_table(None)[0], inputs, targets)
+        table = params["input_table"] if "input_table" in params else None
+        readers = [node for node in _toposort(loss)
+                   if any(parent is table for parent in node._parents)]
+        assert len(readers) <= 1
 
 
 class TestPersistence:

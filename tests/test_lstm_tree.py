@@ -49,9 +49,9 @@ def lstm_stack(in_dim: int, units: int, layers: int, seed: int) -> ParamSet:
 
 
 def per_step(table, ids, ps, layers, units, reverse=False) -> np.ndarray:
-    """(T, batch, units): the stacked ``run_lstm`` over per-step lookups, as
-    the models train."""
-    hs = [embedding_lookup(table, ids[:, t]) for t in range(ids.shape[1])]
+    """(T, batch, units): the stacked ``run_lstm`` over one lookup of the
+    whole id array, as the models train."""
+    hs = embedding_lookup(table, ids.T)
     for layer in range(layers):
         hs = run_lstm(hs, ps, f"l{layer}", units, reverse=reverse)
     return hs.data

@@ -49,15 +49,18 @@ class TestParamSet:
 def lstm_cell(x, h, c, wx, wh, b):
     """One step of the LSTM node: ``h_next`` and ``c_next`` as (batch, units)."""
     batch, units = h.shape
-    packed = lstm_sequence([x], h, c, wx, wh, b)
+    packed = lstm_sequence(x.reshape(1, *x.shape), h, c, wx, wh, b)
     return (narrow(packed, -1, 0, units).reshape(batch, units),
             narrow(packed, -1, units, units).reshape(batch, units))
 
 
-def elementary_lstm(xs, h, c, wx, wh, b, reverse=False):
-    """The LSTM recurrence as a graph of elementary ops, one step at a time:
-    the per-step hidden and cell states in time order."""
+def elementary_lstm(x, h, c, wx, wh, b, reverse=False):
+    """The LSTM recurrence over the (T, batch, dim) ``x`` as a graph of
+    elementary ops, one step at a time, each step reading its ``narrow``
+    slice of ``x``: the per-step hidden and cell states in time order."""
     u = wh.shape[0]
+    steps, batch, dim = x.shape
+    xs = [narrow(x, 0, t, 1).reshape(batch, dim) for t in range(steps)]
     hs, cs = [None] * len(xs), [None] * len(xs)
     for t in (reversed(range(len(xs))) if reverse else range(len(xs))):
         gates = matmul(xs[t], wx) + matmul(h, wh) + b
@@ -115,17 +118,18 @@ class TestLstmCell:
                       Tensor(np.zeros((1, 3))), wx, wh, b)
         for h, c in (((1, 2), (1, 3)), ((1, 3), (1, 4)), ((2, 3), (2, 3))):
             with pytest.raises(DimensionError):
-                lstm_sequence([Tensor(np.zeros((1, 2)))], Tensor(np.zeros(h)),
+                lstm_sequence(Tensor(np.zeros((1, 1, 2))), Tensor(np.zeros(h)),
                               Tensor(np.zeros(c)), wx, wh, b)
-        with pytest.raises(DimensionError):
-            lstm_sequence([], Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))),
-                          wx, wh, b)
+        for shape in ((0, 1, 2), (1, 2), (1, 1, 3)):
+            with pytest.raises(DimensionError):
+                lstm_sequence(Tensor(np.zeros(shape)), Tensor(np.zeros((1, 3))),
+                              Tensor(np.zeros((1, 3))), wx, wh, b)
 
     def test_unrolled_gradient_vs_finite_difference(self):
         rng = Rng(22)
         ps = ParamSet(22)
         lstm_params(ps, "l", 2, 3)
-        xs = [Tensor(rng.uniform(-1, 1, (1, 2))) for _ in range(4)]
+        xs = Tensor(rng.uniform(-1, 1, (4, 1, 2)))
 
         def loss():
             hs = run_lstm(xs, ps, "l", 3)
@@ -137,8 +141,8 @@ class TestLstmCell:
 
     def sequence_leaves(self, seed, steps, batch=3, d=2, u=3, inputs_trainable=True):
         rng = Rng(seed)
-        xs = [Tensor(rng.uniform(-1, 1, (batch, d)), requires_grad=inputs_trainable)
-              for _ in range(steps)]
+        xs = Tensor(rng.uniform(-1, 1, (steps, batch, d)),
+                    requires_grad=inputs_trainable)
         shapes = [(batch, u), (batch, u), (d, 4 * u), (u, 4 * u), (4 * u,)]
         return xs, [Tensor(rng.uniform(-1, 1, s), requires_grad=True) for s in shapes]
 
@@ -154,7 +158,7 @@ class TestLstmCell:
             return ((narrow(packed, -1, 0, u) * h_wts).sum()
                     + (narrow(packed, -1, u, u) * c_wts).sum())
 
-        assert finite_difference_check(loss, xs + state_and_weights) < 1e-4
+        assert finite_difference_check(loss, [xs] + state_and_weights) < 1e-4
 
     @pytest.mark.parametrize("steps", [1, 2, 5])
     def test_stacked_run_lstm_gradient_vs_finite_difference(self, steps):
@@ -162,15 +166,14 @@ class TestLstmCell:
         ps = ParamSet(25)
         lstm_params(ps, "l0", 2, 3)
         lstm_params(ps, "l1", 3, 2)
-        xs = [Tensor(rng.uniform(-1, 1, (2, 2)), requires_grad=True)
-              for _ in range(steps)]
+        xs = Tensor(rng.uniform(-1, 1, (steps, 2, 2)), requires_grad=True)
         wts = Tensor(rng.uniform(-1, 1, (steps, 2, 2)))
 
         def loss():
             hs = run_lstm(run_lstm(xs, ps, "l0", 3), ps, "l1", 2, reverse=True)
             return (hs * wts).sum()
 
-        leaves = [ps[n] for n in ps.names()] + xs
+        leaves = [ps[n] for n in ps.names()] + [xs]
         assert finite_difference_check(loss, leaves) < 1e-4
 
     @pytest.mark.parametrize("steps", [1, 2, 5])
@@ -198,7 +201,7 @@ class TestLstmCell:
                            + (cs[t] * Tensor(c_wts[t])).sum() for t in ran)
                 values = [np.stack([h.data for h in hs]), np.stack([c.data for c in cs])]
             loss.backward()
-            results.append(values + [leaf.grad for leaf in xs + state_and_weights])
+            results.append(values + [leaf.grad for leaf in [xs] + state_and_weights])
         for fused, reference in zip(*results):
             assert (fused is None) == (reference is None)
             if fused is not None:
@@ -223,8 +226,7 @@ class TestLstmCell:
                 hs, _ = elementary_lstm(xs, zeros, zeros, ps["l.wx"], ps["l.wh"], ps["l.b"])
                 sum((h * Tensor(w)).sum() for h, w in zip(hs, wts)).backward()
                 values = np.stack([h.data for h in hs])
-            results.append([values] + [x.grad for x in xs]
-                           + [ps[n].grad for n in ps.names()])
+            results.append([values, xs.grad] + [ps[n].grad for n in ps.names()])
         for fused, reference in zip(*results):
             assert (fused is None) == (reference is None)
             if fused is not None:

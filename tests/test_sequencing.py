@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,19 @@ class TestPartition:
         seqs = partition(timed_records(timestamps),
                          PartitionSpec("sliding", size, stride))
         assert {s.origin: s.events for s in seqs} == expected
+
+    def test_sliding_memory_follows_rows_not_span(self):
+        # two rows 10,000,000 s apart with 1 s windows: only the two windows
+        # that hold a row are made, not one per second of the span
+        records = timed_records([0, 10_000_000])
+        tracemalloc.start()
+        try:
+            seqs = partition(records, PartitionSpec("sliding", 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        assert [(s.origin, s.events) for s in seqs] == [("0", [0]), ("10000000", [1])]
 
     def test_sliding_orders_equal_timestamps_by_line_no(self):
         records = [LogRecord(line_no, 7, None, "x", event_id)

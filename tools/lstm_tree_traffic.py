@@ -49,8 +49,7 @@ SHAPES = {"lstm_forecast": {"dim": 16, "steps": 10, "all_steps": False},
 
 
 def per_step(table, ids, ps, all_steps):
-    hs = run_lstm([embedding_lookup(table, ids[:, t]) for t in range(ids.shape[1])],
-                  ps, "l0", HIDDEN).data
+    hs = run_lstm(embedding_lookup(table, ids.T), ps, "l0", HIDDEN).data
     return hs if all_steps else hs[-1]
 
 
