@@ -166,16 +166,13 @@ def attention_params(ps: ParamSet, prefix: str, dim: int) -> None:
 
 
 def multihead_attention(x: Tensor, heads: int, wq: Tensor, wk: Tensor,
-                        wv: Tensor, wo: Tensor, return_weights: bool = False):
+                        wv: Tensor, wo: Tensor) -> Tensor:
     """Scaled dot-product self-attention over positions.
 
-    ``x`` is (L, d) or (batch, L, d); d must divide evenly into ``heads``.
-    Per head the attention rows are a softmax over all positions, so each row
-    sums to one; head outputs are concatenated and projected by ``wo``.
+    ``x`` is (batch, L, d); d must divide evenly into ``heads``. Per head the
+    attention rows are a softmax over all positions, so each row sums to one;
+    head outputs are concatenated and projected by ``wo``.
     """
-    squeeze = x.ndim == 2
-    if squeeze:
-        x = x.reshape(1, *x.shape)
     b, length, dim = x.shape
     if dim % heads != 0:
         raise ConfigurationError(f"model dim {dim} not divisible by {heads} heads")
@@ -191,12 +188,7 @@ def multihead_attention(x: Tensor, heads: int, wq: Tensor, wk: Tensor,
     weights = softmax(scores, axis=-1)
     mixed = matmul(weights, v)
     merged = mixed.transpose((0, 2, 1, 3)).reshape(b, length, dim)
-    out = matmul(merged, wo)
-    if squeeze:
-        out = out.reshape(length, dim)
-    if return_weights:
-        return out, weights.data.copy()
-    return out
+    return matmul(merged, wo)
 
 
 def sinusoidal_encoding(length: int, dim: int) -> np.ndarray:

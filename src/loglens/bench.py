@@ -383,12 +383,12 @@ def _run_detector(config: DetectorConfig, experiment: str, train, test, vocab,
         for ratio in ratios:
             contaminated = contaminate(normal_train, removed, ratio,
                                        seed=run_seed)
-            detector = build_detector(run_config, vocab).fit(contaminated, vocab)
+            detector = build_detector(run_config).fit(contaminated, vocab)
             precision, recall, f1, test_s = _evaluate(detector, test)
             rows.append((f"{ratio:g}", precision, recall, f1,
                          detector.training_seconds_, test_s))
         return rows
-    detector = build_detector(run_config, vocab).fit(fit_set(run_config, train), vocab)
+    detector = build_detector(run_config).fit(fit_set(run_config, train), vocab)
     train_s = detector.training_seconds_
     if experiment in ("accuracy", "efficiency"):
         precision, recall, f1, test_s = _evaluate(detector, test)

@@ -34,7 +34,16 @@ from .detectors import (
     save_detector,
 )
 from .exceptions import ConfigurationError, FormatError, LoglensError, TrainingError
-from .ingest import FormatSpec, parse_templates, read_parsed, read_raw, write_parsed, write_rejects
+from .ingest import (
+    FormatSpec,
+    parse_templates,
+    read_parsed,
+    read_raw,
+    read_vocab,
+    write_parsed,
+    write_rejects,
+    write_vocab,
+)
 from .sequencing import (
     PartitionSpec,
     partition,
@@ -179,10 +188,11 @@ def cmd_parse(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    # the parsed log is freed once partitioned, before the sequences are written
-    sequences = partition(read_parsed(args.input)[0],
-                          PartitionSpec(args.mode, args.size, args.stride))
+    log, vocab = read_parsed(args.input)
+    sequences = partition(log, PartitionSpec(args.mode, args.size, args.stride))
+    del log  # freed before the sequences are written
     write_sequences(sequences, args.out)
+    write_vocab(vocab, f"{args.out}.vocab.json")
     print(f"wrote {len(sequences)} sequences to {args.out}")
     return 0
 
@@ -211,7 +221,7 @@ def cmd_train(args) -> int:
     resolved = _resolve_config(args.config)
     sequences, vocab = _load_dataset(resolved)
     config = _detector_configs(resolved)[0]
-    detector = build_detector(config, vocab)
+    detector = build_detector(config)
     sequences = fit_set(config, sequences)
     detector.fit(sequences, vocab)
     save_detector(detector, args.model_out)
@@ -222,14 +232,18 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     detector = load_detector(args.model)
-    vocab = None    # JSONL sequences carry ids of the training vocabulary
+    # each template keeps its training id, and an unseen one gets a new id
+    # that only a semantic model reads: an index model clamps it to unknown
     if str(args.input).endswith(".csv"):
-        # each template keeps its training id, and an unseen one gets a new id
-        # that only a semantic model reads: an index model clamps it to unknown
         log, vocab = read_parsed(args.input, detector.vocab_)
         sequences = partition(log, PartitionSpec("identifier"))
-    else:
+    else:  # JSONL ids index the vocabulary ``partition`` wrote beside the file
+        templates = read_vocab(f"{args.input}.vocab.json").templates
+        vocab = detector.vocab_.extended(templates)
+        new_id = [*map(vocab.id_of.__getitem__, templates), vocab.unknown_id]
         sequences = read_sequences(args.input)
+        for seq in sequences:  # an id outside that vocabulary is unknown
+            seq.events = [new_id[min(e, len(templates))] for e in seq.events]
     verdicts = detector.predict(sequences, vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
         for seq, verdict in zip(sequences, verdicts):

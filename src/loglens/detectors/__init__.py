@@ -11,7 +11,7 @@ from .base import (
 from .forecast import LstmForecastDetector, TransformerForecastDetector
 from .autoencoder import AutoencoderDetector, nearest_rank_quantile
 from .supervised import BilstmAttentionDetector, CnnDetector
-from .config import build_detector, load_detector, make_encoder, save_detector
+from .config import build_detector, load_detector, save_detector
 
 __all__ = [
     "BaseDetector", "Verdict", "target_ranks",
@@ -19,6 +19,5 @@ __all__ = [
     "AutoencoderDetector", "nearest_rank_quantile",
     "BilstmAttentionDetector", "CnnDetector",
     "DetectorConfig", "FAMILIES", "FORECAST_FAMILIES", "SUPERVISED_FAMILIES",
-    "UNSUPERVISED_FAMILIES", "build_detector", "load_detector", "make_encoder",
-    "save_detector",
+    "UNSUPERVISED_FAMILIES", "build_detector", "load_detector", "save_detector",
 ]

@@ -15,7 +15,6 @@ from ..autodiff import ParamSet, Tensor, linear, mse, no_grad, relu
 from ..exceptions import TrainingError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
-from ..sequencing import Window
 from .base import WindowDetector
 
 VALIDATION_FRACTION = 0.1  # share of training windows held out for the threshold
@@ -51,12 +50,13 @@ class AutoencoderDetector(WindowDetector):
     def _build_params(self, vocab: EventVocabulary) -> ParamSet:
         hidden, window_size = self.config.hidden, self.config.window_size
         ps = ParamSet(derive_seed(self.config.seed, self.family))
-        width = vocab.n_ids if self.encoder is None else self._input_params(ps, vocab)
+        semantics = self.config.semantics
+        width = self._input_params(ps, vocab) if semantics else vocab.n_ids
         feature_dim = width * window_size
         bottleneck = max(1, hidden // 4)
         # one-hot windows drive only window_size of the feature units, so the
         # first layer scales by the active count, not the nominal width
-        active = window_size if self.encoder is None else feature_dim
+        active = feature_dim if semantics else window_size
         ps.uniform("enc.w1", (feature_dim, hidden), fan_in=active)
         ps.zeros("enc.b1", (hidden,))
         ps.uniform("enc.w2", (hidden, bottleneck), fan_in=hidden)
@@ -117,7 +117,3 @@ class AutoencoderDetector(WindowDetector):
         # one scoring call per sequence: the error of a window depends in its
         # last bits on how many rows share the call
         return np.unique(np.searchsorted(owner, np.arange(n_sequences + 1)))
-
-    def reconstruction_error(self, window: Window,
-                             vocab: EventVocabulary | None = None) -> float:
-        return self.detect_window(window, vocab).score

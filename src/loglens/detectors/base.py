@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from itertools import pairwise
 
 import numpy as np
@@ -15,7 +15,7 @@ from ..autodiff import Adam, ParamSet, Tensor, cross_entropy, no_grad, softmax
 from ..exceptions import ConfigurationError, StateError, TrainingError
 from ..ingest import EventVocabulary
 from ..rng import Rng, derive_seed
-from ..sequencing import EventSequence, Window, WindowSpec, window_arrays
+from ..sequencing import EventSequence, SemanticEncoder, WindowSpec, window_arrays
 
 logger = logging.getLogger(__name__)
 
@@ -114,9 +114,9 @@ def target_ranks(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
 
 class BaseDetector:
     """Estimator base: a detector is its frozen ``DetectorConfig``
-    (``self.config``, which every hyperparameter is read from) and an optional
-    semantic ``encoder``; fitted state lives in trailing-underscore
-    attributes, ``fit`` returns ``self``.
+    (``self.config``, which every hyperparameter and the input mode are read
+    from) and its fitted state, which lives in trailing-underscore attributes;
+    ``fit`` returns ``self``.
 
     ``fit`` and ``predict`` are written once, here. A family supplies only
     what is its own:
@@ -131,9 +131,8 @@ class BaseDetector:
 
     family: str
 
-    def __init__(self, config: DetectorConfig, encoder=None):
+    def __init__(self, config: DetectorConfig):
         self.config = config
-        self.encoder = encoder
 
     # training -------------------------------------------------------------
 
@@ -142,7 +141,7 @@ class BaseDetector:
         them, or only the normal ones) is the caller's rule: see
         ``bench.fit_set``."""
         start = time.perf_counter()
-        self.vocab_ = vocab
+        self._set_vocab(vocab)
         self.params_ = params = self._build_params(vocab)
         table, _ = self._input_table(None)
         order_rng = Rng(derive_seed(self.config.seed, self.family, "order"))
@@ -193,6 +192,15 @@ class BaseDetector:
 
     # input rows -----------------------------------------------------------
 
+    def _set_vocab(self, vocab: EventVocabulary) -> None:
+        """Hold the training vocabulary and the semantic encoder the config
+        derives from it (``None`` for index inputs)."""
+        config = self.config
+        self.vocab_ = vocab
+        self.encoder_ = SemanticEncoder(
+            vocab, dim=config.resolved_embed_dim,
+            seed=derive_seed(config.seed, "semantic")) if config.semantics else None
+
     @property
     def vocab_size_(self) -> int:
         """Templates in the training vocabulary: ids from it up clamp to the
@@ -211,8 +219,8 @@ class BaseDetector:
         vectors. Otherwise the stored table serves, or identity (one-hot) rows
         where none is stored, and ids clamp to the vocabulary seen at training.
         """
-        if self.encoder is not None and vocab is not None:
-            return Tensor(self.encoder.table_for(vocab)), len(vocab)
+        if self.config.semantics and vocab is not None:
+            return Tensor(self.encoder_.table_for(vocab)), len(vocab)
         if "input_table" in self.params_:
             return self.params_["input_table"], self.vocab_size_
         return Tensor(np.eye(self.vocab_size_ + 1)), self.vocab_size_
@@ -220,9 +228,9 @@ class BaseDetector:
     def _input_params(self, ps: ParamSet, vocab: EventVocabulary) -> int:
         """Register the input table (frozen semantic vectors or a trainable
         embedding) and return the width of its rows."""
-        if self.encoder is not None:
-            ps.constant("input_table", self.encoder.table_for(vocab))
-            return self.encoder.dim
+        if self.config.semantics:
+            ps.constant("input_table", self.encoder_.table_for(vocab))
+            return self.encoder_.dim
         dim = self.config.resolved_embed_dim
         ps.uniform("input_table", (vocab.n_ids, dim), fan_in=dim)
         return dim
@@ -292,13 +300,3 @@ class WindowDetector(BaseDetector):
             sequences, WindowSpec(self.config.window_size, self.config.step_size))
         return (np.minimum(ids, clamp), np.minimum(targets, self.vocab_size_),
                 owner, positions)
-
-    def detect_window(self, window: Window,
-                      vocab: EventVocabulary | None = None) -> Verdict:
-        """``predict``'s verdict for the sequence that is this one window,
-        positioned at the window's target."""
-        if len(window.inputs) != self.config.window_size:
-            raise ConfigurationError(f"window has {len(window.inputs)} inputs; "
-                                     f"the detector reads {self.config.window_size}")
-        one = EventSequence([*window.inputs, window.target], None, "window")
-        return replace(self.predict([one], vocab)[0], position=window.position)

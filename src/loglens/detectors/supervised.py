@@ -25,7 +25,7 @@ from ..exceptions import TrainingError
 from ..ingest import EventVocabulary
 from ..rng import derive_seed
 from ..sequencing import EventSequence
-from .base import FILTER_HEIGHTS, BaseDetector, Verdict
+from .base import FILTER_HEIGHTS, BaseDetector
 
 
 class _SupervisedBase(BaseDetector):
@@ -56,12 +56,6 @@ class _SupervisedBase(BaseDetector):
 
     def _score(self, table, ids: np.ndarray, targets: np.ndarray) -> np.ndarray:
         return self._softmax(table, ids)[:, 1]
-
-    def classify(self, sequence: EventSequence,
-                 vocab: EventVocabulary | None = None) -> Verdict:
-        """The verdict ``predict`` gives ``sequence``."""
-        (verdict,) = self.predict([sequence], vocab)
-        return verdict
 
 
 class BilstmAttentionDetector(_SupervisedBase):

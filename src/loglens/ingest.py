@@ -95,6 +95,27 @@ class EventVocabulary:
         return isinstance(other, EventVocabulary) and self.templates == other.templates
 
 
+def write_vocab(vocab: EventVocabulary, path) -> None:
+    """The templates in id order, as a JSON array: the format of a model's
+    ``vocab.json`` and of the ``<out>.vocab.json`` beside a sequences JSONL."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(vocab.templates, indent=1) + "\n")
+
+
+def read_vocab(path) -> EventVocabulary:
+    """The vocabulary ``write_vocab`` wrote; anything but a JSON array of
+    distinct strings is a ``FormatError`` naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise FormatError(f"{path}: {err}") from None
+    if not (isinstance(doc, list) and all(isinstance(t, str) for t in doc)
+            and len(set(doc)) == len(doc)):
+        raise FormatError(f"{path}: expected a JSON array of distinct strings")
+    return EventVocabulary(doc)
+
+
 @dataclass(eq=False)
 class ParsedLog:
     """A parsed log as columns, one entry per row.

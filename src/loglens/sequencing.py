@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ConfigurationError
+from .exceptions import ConfigurationError, FormatError
 from .ingest import (
     ANOMALY,
     LABEL_ANOMALY,
@@ -301,15 +301,24 @@ def write_sequences(sequences: list[EventSequence], path) -> None:
 
 
 def read_sequences(path) -> list[EventSequence]:
+    """The sequences ``write_sequences`` wrote. A line that is not such an
+    object, or whose events are not integer ids >= 0, is a ``FormatError``
+    naming the file and the line."""
     sequences = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            sequences.append(EventSequence(
-                events=[int(e) for e in doc["events"]],
-                label=doc.get("label"),
-                origin=str(doc["origin"]),
-            ))
+            try:
+                doc = json.loads(line)
+                events = doc["events"]
+                if not isinstance(events, list) or not all(
+                        type(e) is int and e >= 0 for e in events):
+                    raise ValueError("events are not integer ids >= 0")
+                sequences.append(EventSequence(events, doc.get("label"),
+                                               str(doc["origin"])))
+            except KeyError as err:
+                raise FormatError(f"{path}: line {line_no}: missing key {err}") from None
+            except (TypeError, ValueError) as err:
+                raise FormatError(f"{path}: line {line_no}: {err}") from None
     return sequences

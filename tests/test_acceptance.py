@@ -89,8 +89,7 @@ def trained(dataset):
     start = time.perf_counter()
     for name, config in DETECTOR_CONFIGS.items():
         fit_on = dataset["train"] if name in SUPERVISED else dataset["normal_train"]
-        models[name] = build_detector(config, dataset["vocab"]).fit(
-            fit_on, dataset["vocab"])
+        models[name] = build_detector(config).fit(fit_on, dataset["vocab"])
     models["_train_seconds"] = time.perf_counter() - start
     return models
 
@@ -176,7 +175,7 @@ class TestCriterion1Gradients:
                 family=family, k=2, window_size=4, step_size=1, hidden=8,
                 layers=2, heads=2, embed_dim=4, max_len=8, epochs=0,
                 batch_size=8, threshold_quantile=0.9, seed=3)
-            det = build_detector(config, vocab)
+            det = build_detector(config)
             fit_on = labelled if family in SUPERVISED else pattern
             det.fit(fit_on, vocab)
             params = det.params_
@@ -313,7 +312,7 @@ class TestCriterion4Contamination:
             scores = {}
             for tag, fit_on in (("clean", normal_train),
                                 ("contaminated", contaminated)):
-                det = build_detector(DETECTOR_CONFIGS[name], ds.vocab)
+                det = build_detector(DETECTOR_CONFIGS[name])
                 det.fit(fit_on, ds.vocab)
                 verdicts = det.predict(test)
                 _, _, _, scores[tag] = compute_metrics(verdicts, labels)
@@ -442,7 +441,7 @@ class TestCriterion9HdfsOptional:
             train, test = split(sequences, 0.8, seed=run)
             normal_train, _ = strip_anomalies(train)
             config = DetectorConfig(family="lstm_forecast", k=10, seed=run)
-            det = build_detector(config, vocab).fit(normal_train, vocab)
+            det = build_detector(config).fit(normal_train, vocab)
             verdicts = det.predict(test)
             _, _, _, f1 = compute_metrics(verdicts, [s.label for s in test])
             best = max(best, f1)

@@ -296,7 +296,8 @@ class TestTrainDetect:
     def test_detect_verdicts_do_not_depend_on_row_order(self, tmp_path, family,
                                                          semantics):
         # the file's template ids follow first appearance, so reversing its
-        # rows renumbers them; the model reads templates by its own ids
+        # rows renumbers them; the model reads templates by its own ids, from
+        # the parsed CSV and from the JSONL that partition writes of it
         path = tmp_path / "syn.csv"
         generate(GeneratorSpec(n_templates=12, n_sequences=300, anomaly_rate=0.2,
                                seed=3)).write(path)
@@ -317,13 +318,57 @@ class TestTrainDetect:
                      "--model-out", str(model_dir)]) == 0
         verdicts = {}
         for source in (path, reversed_path):
-            out = tmp_path / f"{source.stem}.jsonl"
-            assert main(["detect", "--model", str(model_dir), "--input",
-                         str(source), "--out", str(out)]) == 0
-            verdicts[source] = {v["origin"]: v["anomalous"] for v in map(
-                json.loads, out.read_text().splitlines())}
-        assert len(verdicts[path]) == 300 and any(verdicts[path].values())
-        assert verdicts[path] == verdicts[reversed_path]
+            for input_format in ("csv", "jsonl"):
+                given = source
+                if input_format == "jsonl":
+                    given = tmp_path / f"{source.stem}.sequences.jsonl"
+                    assert main(["partition", "--input", str(source),
+                                 "--out", str(given)]) == 0
+                out = tmp_path / f"{source.stem}.{input_format}.verdicts.jsonl"
+                assert main(["detect", "--model", str(model_dir), "--input",
+                             str(given), "--out", str(out)]) == 0
+                verdicts[source, input_format] = {
+                    v["origin"]: v["anomalous"]
+                    for v in map(json.loads, out.read_text().splitlines())}
+        expected = verdicts[path, "csv"]
+        assert len(expected) == 300 and any(expected.values())
+        for key, got in verdicts.items():
+            assert got == expected, key
+
+    @pytest.mark.parametrize("target, bad, message", [
+        ("jsonl", '{"origin": "x", "label": null}', "line 41: missing key 'events'"),
+        ("jsonl", '{"origin": "x", "events": [0, "x"]}', "line 41: events are not"),
+        ("jsonl", '{"origin": "x", "events": [0, -1]}', "line 41: events are not"),
+        ("jsonl", '{"origin": "x", "events": [0, 1.5]}', "line 41: events are not"),
+        ("vocab", None, "file not found"),
+        ("vocab", "[", "Expecting value"),
+    ], ids=["no-events", "string-event", "negative-event", "float-event",
+            "missing-vocab", "vocab-not-json"])
+    def test_malformed_jsonl_exits_2_naming_the_file(self, tmp_path, capsys, target,
+                                                     bad, message):
+        csv_path = syn_csv(tmp_path, n_sequences=40, rate=0.2)
+        config, doc = bench_config(tmp_path, csv_path)
+        doc["detectors"] = doc["detectors"][:1]
+        config.write_text(json.dumps(doc))
+        model_dir = tmp_path / "model"
+        assert main(["train", "--config", str(config),
+                     "--model-out", str(model_dir)]) == 0
+        sequences = tmp_path / "seqs.jsonl"
+        assert main(["partition", "--input", str(csv_path),
+                     "--out", str(sequences)]) == 0
+        target = sequences if target == "jsonl" else Path(f"{sequences}.vocab.json")
+        if bad is None:
+            target.unlink()
+        elif target == sequences:
+            with open(target, "a", encoding="utf-8") as fh:
+                fh.write(bad + "\n")
+        else:
+            target.write_text(bad)
+        capsys.readouterr()
+        assert main(["detect", "--model", str(model_dir), "--input",
+                     str(sequences), "--out", str(tmp_path / "v.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert str(target) in err and message in err and "Traceback" not in err
 
 
 class TestBenchCommand:

@@ -8,8 +8,12 @@ from loglens.autodiff.tensor import _toposort
 from loglens.detectors import (
     FAMILIES,
     SUPERVISED_FAMILIES,
+    AutoencoderDetector,
+    BilstmAttentionDetector,
+    CnnDetector,
     DetectorConfig,
     LstmForecastDetector,
+    TransformerForecastDetector,
     Verdict,
     build_detector,
     load_detector,
@@ -19,11 +23,14 @@ from loglens.detectors import (
 )
 from loglens.exceptions import ConfigurationError, StateError, TrainingError
 from loglens.ingest import EventVocabulary
-from loglens.rng import Rng
-from loglens.sequencing import EventSequence, SemanticEncoder, Window
+from loglens.rng import Rng, derive_seed
+from loglens.sequencing import EventSequence, SemanticEncoder
 
 
 VOCAB = EventVocabulary(["alpha start", "beta step", "gamma done", "fatal error"])
+FAMILY_CLASSES = {cls.family: cls for cls in (
+    LstmForecastDetector, TransformerForecastDetector, AutoencoderDetector,
+    BilstmAttentionDetector, CnnDetector)}
 
 
 def pattern_sequences(n=30, label="normal"):
@@ -42,13 +49,19 @@ def random_sequences(rng, n, length=12, vocab_size=3, error_rate=0.0):
     return seqs
 
 
-def fast_lstm(encoder=None, **kw):
+def fast_lstm(semantics=False, **kw):
     defaults = dict(window_size=2, step_size=1, k=1, hidden=16, layers=1,
                     embed_dim=8, epochs=8, batch_size=32, lr=5e-3, seed=1)
     defaults.update(kw)
-    config = DetectorConfig("lstm_forecast", semantics=encoder is not None,
-                            **defaults)
-    return LstmForecastDetector(config, encoder)
+    return LstmForecastDetector(DetectorConfig("lstm_forecast", semantics=semantics,
+                                               **defaults))
+
+
+def config_encoder(config: DetectorConfig, vocab: EventVocabulary) -> SemanticEncoder:
+    """The semantic encoder a config names: its width and a seed derived
+    from its seed."""
+    return SemanticEncoder(vocab, config.resolved_embed_dim,
+                           derive_seed(config.seed, "semantic"))
 
 
 class TestTopKRule:
@@ -194,8 +207,8 @@ class TestForecastTraining:
     def test_transformer_learns_pattern(self):
         det = build_detector(DetectorConfig(
             "transformer_forecast", window_size=2, k=1, hidden=16, layers=1, heads=2,
-            embed_dim=8, epochs=15, batch_size=32, lr=5e-3, seed=1),
-            VOCAB).fit(pattern_sequences(), VOCAB)
+            embed_dim=8, epochs=15, batch_size=32, lr=5e-3, seed=1)).fit(
+                pattern_sequences(), VOCAB)
         bad = EventSequence([0, 1, 0] + [0, 1, 2] * 3, "anomaly", "bad")
         good = EventSequence([0, 1, 2] * 4, "normal", "good")
         assert det.predict([bad])[0].anomalous
@@ -204,8 +217,8 @@ class TestForecastTraining:
 
 class TestSemanticMode:
     def semantic_detector(self, **kw):
-        encoder = SemanticEncoder(VOCAB, dim=8, seed=5)
-        return fast_lstm(encoder=encoder, **kw), encoder
+        det = fast_lstm(semantics=True, **kw)
+        return det, config_encoder(det.config, VOCAB)
 
     def test_input_table_frozen_through_training(self):
         det, encoder = self.semantic_detector(epochs=3)
@@ -233,28 +246,33 @@ class TestAutoencoder:
         defaults = dict(window_size=2, hidden=32, epochs=15, batch_size=32,
                         lr=5e-3, threshold_quantile=0.99, seed=1)
         defaults.update(kw)
-        return build_detector(DetectorConfig("autoencoder", **defaults),
-                              VOCAB).fit(pattern_sequences(), VOCAB)
+        return build_detector(DetectorConfig("autoencoder", **defaults)).fit(
+            pattern_sequences(), VOCAB)
+
+    @staticmethod
+    def one_window(inputs, target):
+        """The sequence that is one window: its verdict is the window's."""
+        return [EventSequence([*inputs, target], None, "window")]
 
     def test_training_windows_reconstruct_better_than_random(self):
         det = self.fit_ae(window_size=4)
         rng = Rng(2)
         wins = 0
         for _ in range(100):
-            normal = Window(inputs=[0, 1, 2, 0], target=1, position=4)
-            noise = Window(inputs=[rng.integer(4) for _ in range(4)], target=0,
-                           position=4)
-            if det.reconstruction_error(normal) <= det.reconstruction_error(noise):
+            (normal,) = det.predict(self.one_window([0, 1, 2, 0], 1))
+            (noise,) = det.predict(self.one_window(
+                [rng.integer(4) for _ in range(4)], 0))
+            if normal.score <= noise.score:
                 wins += 1
         assert wins >= 90
 
     def test_error_equal_to_threshold_is_normal(self):
         det = self.fit_ae()
-        window = Window(inputs=[0, 1], target=2, position=2)
-        det.threshold_ = det.reconstruction_error(window)
-        assert not det.detect_window(window).anomalous
-        det.threshold_ = det.reconstruction_error(window) / 2.0
-        assert det.detect_window(window).anomalous
+        window = self.one_window([0, 1], 2)
+        det.threshold_ = det.predict(window)[0].score
+        assert not det.predict(window)[0].anomalous
+        det.threshold_ = det.predict(window)[0].score / 2.0
+        assert det.predict(window)[0].anomalous
 
     def test_raising_quantile_never_increases_anomaly_count(self):
         rng = Rng(3)
@@ -268,7 +286,7 @@ class TestAutoencoder:
     def test_detect_without_threshold_raises(self):
         det = build_detector(DetectorConfig("autoencoder", window_size=2))
         with pytest.raises(StateError):
-            det.detect_window(Window(inputs=[0, 1], target=2, position=2))
+            det.predict(self.one_window([0, 1], 2))
 
     def test_determinism(self):
         a = self.fit_ae(epochs=3)
@@ -292,7 +310,7 @@ class TestSupervised:
         for family in SUPERVISED_FAMILIES:
             det = build_detector(DetectorConfig(
                 family, max_len=12, hidden=16, embed_dim=8, epochs=20, batch_size=32,
-                lr=1e-2, seed=1), VOCAB).fit(seqs, VOCAB)
+                lr=1e-2, seed=1)).fit(seqs, VOCAB)
             verdicts = det.predict(seqs)
             accuracy = np.mean([v.anomalous == s.is_anomalous
                                 for v, s in zip(verdicts, seqs)])
@@ -300,16 +318,15 @@ class TestSupervised:
 
     def test_single_class_data_raises(self):
         with pytest.raises(TrainingError):
-            build_detector(DetectorConfig("bilstm_attention", max_len=8, epochs=1),
-                           VOCAB).fit(pattern_sequences(5), VOCAB)
+            build_detector(DetectorConfig("bilstm_attention", max_len=8, epochs=1)).fit(
+                pattern_sequences(5), VOCAB)
 
     def test_zero_attention_weights_reduce_to_bias(self):
         seqs = self.toy_data()
         det = build_detector(DetectorConfig("bilstm_attention", max_len=12, hidden=8,
-                                            embed_dim=4, epochs=1, seed=1),
-                             VOCAB).fit(seqs, VOCAB)
+                                            embed_dim=4, epochs=1, seed=1)).fit(seqs, VOCAB)
         det.params_["attn.w"].data[:] = 0.0
-        probs = [det.classify(s).score for s in seqs[:6]]
+        probs = [v.score for v in det.predict(seqs[:6])]
         assert np.allclose(probs, probs[0])  # depends only on the output bias
         b = det.params_["out.b"].data
         expected = np.exp(b[1]) / np.exp(b).sum()
@@ -318,8 +335,7 @@ class TestSupervised:
     def test_attention_weights_in_open_unit_interval(self):
         seqs = self.toy_data()
         det = build_detector(DetectorConfig("bilstm_attention", max_len=12, hidden=8,
-                                            embed_dim=4, epochs=3, seed=1),
-                             VOCAB).fit(seqs, VOCAB)
+                                            embed_dim=4, epochs=3, seed=1)).fit(seqs, VOCAB)
         from loglens.autodiff import embedding_lookup, run_lstm, concat, tanh
         ids = det._padded_ids(seqs[:4], det.vocab_size_)
         xs = embedding_lookup(det.params_["input_table"], ids.T)
@@ -332,7 +348,7 @@ class TestSupervised:
     def test_cnn_embedding_matrix_shape(self):
         seqs = self.toy_data()
         det = build_detector(DetectorConfig("cnn", max_len=12, hidden=8, embed_dim=6,
-                                            epochs=1, seed=1), VOCAB).fit(seqs, VOCAB)
+                                            epochs=1, seed=1)).fit(seqs, VOCAB)
         assert det.params_["input_table"].shape == (len(VOCAB) + 1, 6)
 
     def test_probability_half_is_normal(self):
@@ -344,16 +360,16 @@ class TestSupervised:
     def test_classify_pure_function(self):
         seqs = self.toy_data()
         det = build_detector(DetectorConfig("cnn", max_len=12, hidden=8, embed_dim=6,
-                                            epochs=2, seed=1), VOCAB).fit(seqs, VOCAB)
-        v1 = det.classify(seqs[0])
-        v2 = det.classify(seqs[0])
+                                            epochs=2, seed=1)).fit(seqs, VOCAB)
+        v1 = det.predict(seqs[:1])
+        v2 = det.predict(seqs[:1])
         assert v1 == v2
 
     def test_supervised_determinism(self):
         seqs = self.toy_data()
         config = DetectorConfig("cnn", max_len=12, hidden=8, embed_dim=6, epochs=2,
                                 seed=9)
-        runs = [build_detector(config, VOCAB).fit(seqs, VOCAB) for _ in range(2)]
+        runs = [build_detector(config).fit(seqs, VOCAB) for _ in range(2)]
         for name in runs[0].params_.names():
             assert np.array_equal(runs[0].params_[name].data,
                                   runs[1].params_[name].data)
@@ -367,7 +383,7 @@ class TestInputTableGraph:
         order that does not depend on how the engine walks the graph."""
         config = DetectorConfig(family, k=2, window_size=3, hidden=8, layers=2,
                                 heads=2, embed_dim=4, max_len=12, seed=5)
-        det = build_detector(config, VOCAB)
+        det = build_detector(config)
         det.vocab_ = VOCAB
         det.params_ = params = det._build_params(VOCAB)
         seqs = random_sequences(Rng(17), 20, vocab_size=3, error_rate=0.3)
@@ -385,7 +401,7 @@ class TestPersistence:
         config = DetectorConfig(family="lstm_forecast", k=1, window_size=2,
                                 hidden=16, layers=1, embed_dim=8, epochs=4,
                                 batch_size=32, seed=1)
-        det = build_detector(config, VOCAB).fit(pattern_sequences(), VOCAB)
+        det = build_detector(config).fit(pattern_sequences(), VOCAB)
         save_detector(det, tmp_path / "model")
         loaded = load_detector(tmp_path / "model")
         assert loaded.config == config
@@ -403,7 +419,7 @@ class TestPersistence:
         seqs = random_sequences(rng, 40, vocab_size=3, error_rate=0.4)
         if not any(s.is_anomalous for s in seqs):
             seqs[0].label = "anomaly"
-        det = build_detector(config, VOCAB).fit(seqs, VOCAB)
+        det = build_detector(config).fit(seqs, VOCAB)
         save_detector(det, tmp_path / "model")
         loaded = load_detector(tmp_path / "model")
         assert loaded.config.semantics
@@ -420,12 +436,19 @@ class TestPersistence:
         seqs = random_sequences(Rng(17), 40, vocab_size=3, error_rate=0.3)
         fit_on = seqs if family in SUPERVISED_FAMILIES else [
             s for s in seqs if not s.is_anomalous]
-        det = build_detector(config, VOCAB).fit(fit_on, VOCAB)
+        # built through its class: a detector is its config, so its semantic
+        # table is the one the config names, frozen, and loads back as saved
+        det = FAMILY_CLASSES[family](config).fit(fit_on, VOCAB)
+        if semantics:
+            table = det.params_["input_table"]
+            assert not table.requires_grad
+            assert table.data.tobytes() == config_encoder(config, VOCAB).table_for(
+                VOCAB).tobytes()
         save_detector(det, tmp_path / "model")
         loaded = load_detector(tmp_path / "model")
         assert loaded.config == config
         test = random_sequences(Rng(19), 20, vocab_size=5)
-        assert loaded.predict(test) == det.predict(test)
+        assert repr(loaded.predict(test)) == repr(det.predict(test))
         assert getattr(loaded, "threshold_", None) == getattr(det, "threshold_", None)
 
     def test_config_is_frozen_and_k_setter_runs_config_checks(self):

@@ -28,7 +28,7 @@ from loglens.detectors import (
 from loglens.exceptions import DimensionError
 from loglens.ingest import EventVocabulary
 from loglens.rng import Rng
-from loglens.sequencing import EventSequence, SemanticEncoder, Window
+from loglens.sequencing import EventSequence, SemanticEncoder
 
 
 def input_table(kind: str, n_ids: int, seed: int) -> Tensor:
@@ -204,10 +204,9 @@ class TestDetectorsScoreAsTheyTrain:
     @pytest.mark.parametrize("semantic", [False, True])
     @pytest.mark.parametrize("hidden, layers", [(8, 2), (13, 1)])
     def test_lstm_forecast(self, semantic, hidden, layers):
-        encoder = SemanticEncoder(VOCAB, dim=32, seed=2) if semantic else None
         det = LstmForecastDetector(DetectorConfig(
             "lstm_forecast", semantics=semantic, window_size=4, hidden=hidden,
-            layers=layers, embed_dim=16, epochs=1, seed=3), encoder)
+            layers=layers, embed_dim=32 if semantic else 16, epochs=1, seed=3))
         det.fit(sequences(20, 12, 1), VOCAB)
         table, clamp = det._input_table(VOCAB)
         ids, _, _, _ = det._examples(sequences(30, 12, 2), clamp)
@@ -219,10 +218,9 @@ class TestDetectorsScoreAsTheyTrain:
     @pytest.mark.parametrize("semantic", [False, True])
     @pytest.mark.parametrize("hidden", [8, 13])
     def test_bilstm_attention(self, semantic, hidden):
-        encoder = SemanticEncoder(VOCAB, dim=32, seed=2) if semantic else None
         det = BilstmAttentionDetector(DetectorConfig(
             "bilstm_attention", semantics=semantic, max_len=10, hidden=hidden,
-            embed_dim=16, epochs=1, seed=3), encoder)
+            embed_dim=32 if semantic else 16, epochs=1, seed=3))
         det.fit(sequences(20, 8, 1), VOCAB)
         table, clamp = det._input_table(VOCAB)
         ids, _, _, _ = det._examples(sequences(30, 7, 2) + sequences(3, 14, 4), clamp)
@@ -236,14 +234,12 @@ class TestDetectorsScoreAsTheyTrain:
                                             hidden=16, layers=2, embed_dim=8,
                                             epochs=2, seed=4))
         det.fit(sequences(30, 12, 5), VOCAB)
-        # one window per sequence, so each sequence verdict is its window's
+        # one window per sequence, scored alone and in one batch
         stream = sequences(200, 6, 6)
         verdicts = det.predict(stream)
         for seq, verdict in zip(stream, verdicts):
-            window = Window(seq.events[:5], seq.events[5], 5)
-            one = det.detect_window(window)
-            assert (one.anomalous, repr(one.score)) == (verdict.anomalous,
-                                                        repr(verdict.score))
+            (one,) = det.predict([seq])
+            assert repr(one) == repr(verdict)
 
     def test_predict_logs_throughput_and_states(self, caplog):
         det = build_detector(DetectorConfig("lstm_forecast", window_size=3, hidden=8,

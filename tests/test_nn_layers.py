@@ -263,27 +263,20 @@ class TestMultiheadAttention:
 
     def test_single_position_equals_value_projection(self):
         ps = self.params(30, 4)
-        x = Tensor(Rng(30).uniform(-1, 1, (1, 4)))
+        x = Tensor(Rng(30).uniform(-1, 1, (1, 1, 4)))
         out = multihead_attention(x, 2, ps["a.wq"], ps["a.wk"], ps["a.wv"], ps["a.wo"])
         expected = (x.data @ ps["a.wv"].data) @ ps["a.wo"].data
         assert np.allclose(out.data, expected)
 
-    def test_weight_rows_sum_to_one(self):
-        ps = self.params(31, 8)
-        x = Tensor(Rng(31).uniform(-2, 2, (5, 8)))
-        _, weights = multihead_attention(x, 4, ps["a.wq"], ps["a.wk"], ps["a.wv"],
-                                         ps["a.wo"], return_weights=True)
-        assert np.all(np.abs(weights.sum(axis=-1) - 1.0) < 1e-9)
-
     def test_heads_must_divide_dim(self):
         ps = self.params(32, 4)
         with pytest.raises(ConfigurationError):
-            multihead_attention(Tensor(np.zeros((2, 4))), 3,
+            multihead_attention(Tensor(np.zeros((1, 2, 4))), 3,
                                 ps["a.wq"], ps["a.wk"], ps["a.wv"], ps["a.wo"])
 
     def test_gradient_vs_finite_difference(self):
         ps = self.params(33, 4)
-        x = Tensor(Rng(33).uniform(-1, 1, (3, 4)), requires_grad=True)
+        x = Tensor(Rng(33).uniform(-1, 1, (1, 3, 4)), requires_grad=True)
 
         def loss():
             out = multihead_attention(x, 2, ps["a.wq"], ps["a.wk"],

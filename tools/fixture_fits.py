@@ -69,7 +69,7 @@ def main(argv=None) -> int:
     for family in families:
         fit_on = train if family in acceptance.SUPERVISED else normal_train
         meter = Meter()
-        build_detector(acceptance.DETECTOR_CONFIGS[family], ds.vocab).fit(fit_on, ds.vocab)
+        build_detector(acceptance.DETECTOR_CONFIGS[family]).fit(fit_on, ds.vocab)
         result["fits"][family] = meter.read()
     result["fits_total"] = {
         key: round(sum(fit[key] for fit in result["fits"].values()), 3)
