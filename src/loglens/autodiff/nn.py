@@ -37,8 +37,7 @@ class ParamSet:
     """
 
     def __init__(self, rng_seed: int):
-        self.rng_seed = int(rng_seed)
-        self._rng = Rng(self.rng_seed)
+        self._rng = Rng(int(rng_seed))
         self._params: dict[str, Tensor] = {}
 
     def uniform(self, name: str, shape: tuple, fan_in: int) -> Tensor:
@@ -86,16 +85,10 @@ class ParamSet:
         return {n: p.data.copy() for n, p in self._params.items()}
 
     def load_values(self, values: dict[str, np.ndarray]) -> None:
+        """Replace the values of parameters of these names; the caller has
+        checked that each is a parameter of this set and has its shape."""
         for name, arr in values.items():
-            if name in self._params:
-                if self._params[name].data.shape != arr.shape:
-                    raise DimensionError(
-                        f"parameter {name!r}: stored shape {arr.shape} != "
-                        f"expected {self._params[name].data.shape}"
-                    )
-                self._params[name].data = np.asarray(arr, dtype=np.float64)
-            else:
-                self._params[name] = Tensor(arr)
+            self._params[name].data = np.asarray(arr, dtype=np.float64)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:

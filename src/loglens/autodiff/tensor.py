@@ -78,9 +78,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -179,8 +176,8 @@ def as_tensor(value) -> Tensor:
 # ---------------------------------------------------------------------------
 # graph plumbing
 
-# a context variable, so per thread: ``bench`` may train detectors on a
-# thread pool, and one thread's scoring must not switch off another's graph
+# a context variable, so per thread: ``no_grad`` in one of a caller's threads
+# must not switch off the graph another thread is building
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 

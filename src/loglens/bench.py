@@ -369,11 +369,7 @@ def _evaluate(detector, test, vocab=None):
 def _run_detector(config: DetectorConfig, experiment: str, train, test, vocab,
                   run_seed: int, contamination_ratios, noise_ratios,
                   noise_strategies, synonym_table) -> list[tuple]:
-    """One detector's rows for one run: [(setting, p, r, f1, train_s, test_s)].
-
-    Runs on its own (possibly pooled) thread; timings are wall clock of this
-    detector's critical path only.
-    """
+    """One detector's rows for one run: [(setting, p, r, f1, train_s, test_s)]."""
     run_config = replace(
         config, seed=derive_seed(run_seed, config.family, config.semantics))
     rows = []
@@ -413,14 +409,12 @@ def run_experiment(sequences: list[EventSequence], vocab: EventVocabulary,
                    contamination_ratios=None,
                    noise_ratios=None,
                    noise_strategies=NOISE_STRATEGIES,
-                   synonym_table: dict | None = None,
-                   n_jobs: int = 1) -> BenchReport:
-    """Run one experiment protocol over every detector configuration.
+                   synonym_table: dict | None = None) -> BenchReport:
+    """Run one experiment protocol over every detector configuration, one
+    detector at a time.
 
     ``repeats`` runs use seeds seed+i; per-run rows are followed by best and
-    mean summary rows per (detector, setting). ``n_jobs`` > 1 trains the
-    detectors of a run on a thread pool; report rows keep config order either
-    way, so the report bytes do not depend on scheduling.
+    mean summary rows per (detector, setting).
     """
     if experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
@@ -433,21 +427,10 @@ def run_experiment(sequences: list[EventSequence], vocab: EventVocabulary,
     for run_index in range(repeats):
         run_seed = seed + run_index
         train, test = split(sequences, train_fraction, seed=run_seed)
-
-        def work(config):
-            return _run_detector(config, experiment, train, test, vocab,
+        for config in detector_configs:
+            rows = _run_detector(config, experiment, train, test, vocab,
                                  run_seed, contamination_ratios, noise_ratios,
                                  noise_strategies, synonym_table)
-
-        if n_jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-                results = list(pool.map(work, detector_configs))
-        else:
-            results = [work(c) for c in detector_configs]
-
-        for config, rows in zip(detector_configs, results):
             for setting, precision, recall, f1, train_s, test_s in rows:
                 report.append(ReportRow(
                     detector=config.family, semantics=config.semantics,

@@ -39,10 +39,8 @@ from .ingest import (
     parse_templates,
     read_parsed,
     read_raw,
-    read_vocab,
     write_parsed,
     write_rejects,
-    write_vocab,
 )
 from .sequencing import (
     PartitionSpec,
@@ -191,8 +189,7 @@ def cmd_partition(args) -> int:
     log, vocab = read_parsed(args.input)
     sequences = partition(log, PartitionSpec(args.mode, args.size, args.stride))
     del log  # freed before the sequences are written
-    write_sequences(sequences, args.out)
-    write_vocab(vocab, f"{args.out}.vocab.json")
+    write_sequences(sequences, vocab, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
     return 0
 
@@ -237,13 +234,8 @@ def cmd_detect(args) -> int:
     if str(args.input).endswith(".csv"):
         log, vocab = read_parsed(args.input, detector.vocab_)
         sequences = partition(log, PartitionSpec("identifier"))
-    else:  # JSONL ids index the vocabulary ``partition`` wrote beside the file
-        templates = read_vocab(f"{args.input}.vocab.json").templates
-        vocab = detector.vocab_.extended(templates)
-        new_id = [*map(vocab.id_of.__getitem__, templates), vocab.unknown_id]
-        sequences = read_sequences(args.input)
-        for seq in sequences:  # an id outside that vocabulary is unknown
-            seq.events = [new_id[min(e, len(templates))] for e in seq.events]
+    else:
+        sequences, vocab = read_sequences(args.input, detector.vocab_)
     verdicts = detector.predict(sequences, vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
         for seq, verdict in zip(sequences, verdicts):
@@ -278,7 +270,6 @@ def cmd_bench(args) -> int:
         noise_ratios=noise.get("ratios"),
         noise_strategies=tuple(noise.get("strategies", NOISE_STRATEGIES)),
         synonym_table=synonym_table,
-        n_jobs=args.jobs if args.jobs is not None else resolved["jobs"],
     )
     out_dir = Path(resolved["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -359,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="run a benchmark experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallel detector runs (default 1 for deterministic timing)")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("report", help="print the markdown table for a report.csv")

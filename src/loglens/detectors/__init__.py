@@ -1,8 +1,6 @@
 from .base import (
     FAMILIES,
-    FORECAST_FAMILIES,
     SUPERVISED_FAMILIES,
-    UNSUPERVISED_FAMILIES,
     BaseDetector,
     DetectorConfig,
     Verdict,
@@ -18,6 +16,6 @@ __all__ = [
     "LstmForecastDetector", "TransformerForecastDetector",
     "AutoencoderDetector", "nearest_rank_quantile",
     "BilstmAttentionDetector", "CnnDetector",
-    "DetectorConfig", "FAMILIES", "FORECAST_FAMILIES", "SUPERVISED_FAMILIES",
-    "UNSUPERVISED_FAMILIES", "build_detector", "load_detector", "save_detector",
+    "DetectorConfig", "FAMILIES", "SUPERVISED_FAMILIES",
+    "build_detector", "load_detector", "save_detector",
 ]

@@ -21,9 +21,7 @@ logger = logging.getLogger(__name__)
 
 FAMILIES = ("lstm_forecast", "transformer_forecast", "autoencoder",
             "bilstm_attention", "cnn")
-FORECAST_FAMILIES = ("lstm_forecast", "transformer_forecast")
 SUPERVISED_FAMILIES = ("bilstm_attention", "cnn")
-UNSUPERVISED_FAMILIES = ("lstm_forecast", "transformer_forecast", "autoencoder")
 
 DEFAULT_SEMANTIC_DIM = 32
 FILTER_HEIGHTS = (3, 4, 5)  # CNN filter heights, in events

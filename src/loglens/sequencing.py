@@ -19,7 +19,9 @@ from .ingest import (
     LogRecord,
     Memo,
     ParsedLog,
+    read_vocab,
     tokenize_template,
+    write_vocab,
 )
 from .rng import Rng
 
@@ -232,48 +234,32 @@ class SemanticEncoder:
     Each distinct word across the vocabulary's templates receives a seeded
     random vector (assigned in first-appearance order, so the encoder is a
     pure function of vocabulary, dim, and seed). A template's vector is the
-    arithmetic mean of its words' vectors, optionally inverse-document-
-    frequency weighted; wordless templates and the reserved unknown id map to
-    the zero vector. Word vectors never change after construction: tables for
-    extended vocabularies reuse them, and unknown words are skipped.
+    arithmetic mean of its words' vectors; wordless templates and the reserved
+    unknown id map to the zero vector. Word vectors never change after
+    construction: tables for extended vocabularies reuse them, and unknown
+    words are skipped.
     """
 
-    def __init__(self, vocab: EventVocabulary, dim: int, seed: int,
-                 tfidf: bool = False):
+    def __init__(self, vocab: EventVocabulary, dim: int, seed: int):
         if dim < 1:
             raise ConfigurationError("semantic dim must be >= 1")
         self.dim = dim
-        self.seed = seed
-        self.tfidf = tfidf
         self.word_vectors: dict[str, np.ndarray] = {}
         rng = Rng(seed)
-        template_words = [tokenize_template(t) for t in vocab.templates]
-        for words in template_words:
-            for word in words:
+        for template in vocab.templates:
+            for word in tokenize_template(template):
                 if word not in self.word_vectors:
                     self.word_vectors[word] = rng.uniform(-1.0, 1.0, (dim,))
-        self._doc_freq: dict[str, int] = {}
-        for words in template_words:
-            for word in set(words):
-                self._doc_freq[word] = self._doc_freq.get(word, 0) + 1
-        self._n_templates = max(1, len(template_words))
-        self.template_vectors = self.table_for(vocab)
 
     def vector_for(self, template: str) -> np.ndarray:
-        """Mean (or tf-idf weighted) vector of the template's known words."""
+        """Mean vector of the template's known words."""
         vec = np.zeros(self.dim)
         total = 0.0
         for word in tokenize_template(template):
             wv = self.word_vectors.get(word)
-            if wv is None:
-                continue
-            if self.tfidf:
-                df = self._doc_freq.get(word, 1)
-                weight = np.log((1.0 + self._n_templates) / df)
-            else:
-                weight = 1.0
-            vec += weight * wv
-            total += weight
+            if wv is not None:
+                vec += wv
+                total += 1.0
         return vec / total if total > 0 else vec
 
     def table_for(self, vocab: EventVocabulary) -> np.ndarray:
@@ -289,21 +275,37 @@ class SemanticEncoder:
 # serialization
 
 
-def write_sequences(sequences: list[EventSequence], path) -> None:
+def write_sequences(sequences: list[EventSequence], vocab: EventVocabulary,
+                    path) -> None:
     """JSON-lines: one {origin, label, events} object per sequence, as
-    ``json.dumps`` writes it; each distinct event's text is made once."""
+    ``json.dumps`` writes it, and beside it ``<path>.vocab.json``, the
+    vocabulary the event ids index (``write_vocab``). Each distinct event's
+    text is made once."""
     text = Memo(json.dumps).__getitem__
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(f'{{"origin": {json.dumps(seq.origin)}, "label": '
                      f'{json.dumps(seq.label)}, "events": '
                      f'[{", ".join(map(text, seq.events))}]}}\n')
+    write_vocab(vocab, f"{path}.vocab.json")
 
 
-def read_sequences(path) -> list[EventSequence]:
-    """The sequences ``write_sequences`` wrote. A line that is not such an
-    object, or whose events are not integer ids >= 0, is a ``FormatError``
-    naming the file and the line."""
+def read_sequences(path, known: EventVocabulary | None = None
+                   ) -> tuple[list[EventSequence], EventVocabulary]:
+    """The sequences and vocabulary ``write_sequences`` wrote, as
+    ``read_parsed`` reads a CSV: the ``known`` templates keep their ids, the
+    file's other templates get ids after them, and each event is mapped by
+    its template's text; an id outside the file's vocabulary is the unknown
+    id. The vocabulary returned is ``known`` extended by the file's templates.
+
+    A line that is not such an object, or whose events are not integer ids
+    >= 0, is a ``FormatError`` naming the file and the line, and a malformed
+    sidecar one naming the sidecar.
+    """
+    templates = read_vocab(f"{path}.vocab.json").templates
+    vocab = EventVocabulary(known.templates if known is not None else [])
+    new_id = [*map(vocab.add, templates), vocab.unknown_id]
+    n_templates = len(templates)
     sequences = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -315,10 +317,11 @@ def read_sequences(path) -> list[EventSequence]:
                 if not isinstance(events, list) or not all(
                         type(e) is int and e >= 0 for e in events):
                     raise ValueError("events are not integer ids >= 0")
-                sequences.append(EventSequence(events, doc.get("label"),
-                                               str(doc["origin"])))
+                sequences.append(EventSequence(
+                    [new_id[min(e, n_templates)] for e in events],
+                    doc.get("label"), str(doc["origin"])))
             except KeyError as err:
                 raise FormatError(f"{path}: line {line_no}: missing key {err}") from None
             except (TypeError, ValueError) as err:
                 raise FormatError(f"{path}: line {line_no}: {err}") from None
-    return sequences
+    return sequences, vocab

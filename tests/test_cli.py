@@ -174,7 +174,9 @@ class TestSyngenPartition:
         out = tmp_path / "seqs.jsonl"
         assert main(["partition", "--input", str(csv_path), "--mode",
                      "identifier", "--out", str(out)]) == 0
-        assert len(read_sequences(out)) == 20
+        sequences, vocab = read_sequences(out)
+        assert len(sequences) == 20
+        assert vocab == read_parsed(csv_path)[1]
 
     @pytest.mark.parametrize("bad_row, message", [
         ("2,101,a", "3 fields"),
@@ -453,6 +455,14 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(config)]) == 2
         assert "/detectors/1/familly" in capsys.readouterr().err
 
+    def test_jobs_key_exits_two(self, tmp_path, capsys):
+        """A detector run is one at a time: a config that still sets the
+        thread count of older releases is refused, not ignored."""
+        csv_path = syn_csv(tmp_path, n_sequences=20)
+        config, _ = bench_config(tmp_path, csv_path, jobs=1)
+        assert main(["bench", "--config", str(config)]) == 2
+        assert "/jobs: unknown key" in capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LOGLENS_SEED", "99")
         resolved = validate_run_config({
@@ -621,7 +631,6 @@ FULL_CONFIG = {
     "noise": {"ratios": [0.1], "strategies": ["delete"],
               "synonyms_path": "syn.json"},
     "output_dir": "out",
-    "jobs": 1,
 }
 
 
@@ -730,13 +739,5 @@ class TestGoldenReport:
         results as they are must keep report.csv byte-identical. Another
         numpy/BLAS build may round differently and need a fresh golden file."""
         assert main(["bench", "--config", str(golden_config(tmp_path))]) == 0
-        got = (tmp_path / "out" / "report.csv").read_bytes()
-        assert got == GOLDEN_REPORT.read_bytes()
-
-    def test_threaded_bench_matches_golden_bytes(self, tmp_path):
-        """Training on two threads, where one detector scores while another
-        builds its graph, gives the same bytes as training one at a time."""
-        config = golden_config(tmp_path)
-        assert main(["bench", "--config", str(config), "--jobs", "2"]) == 0
         got = (tmp_path / "out" / "report.csv").read_bytes()
         assert got == GOLDEN_REPORT.read_bytes()

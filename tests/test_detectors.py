@@ -234,6 +234,18 @@ class TestSemanticMode:
         verdicts = det.predict([seq], vocab=extended)
         assert len(verdicts) == 1  # runs without retraining or index errors
 
+    def test_fit_builds_the_training_table_once(self, monkeypatch):
+        built = []
+        table_for = SemanticEncoder.table_for
+
+        def counted(encoder, vocab):
+            built.append(len(vocab))
+            return table_for(encoder, vocab)
+
+        monkeypatch.setattr(SemanticEncoder, "table_for", counted)
+        fast_lstm(semantics=True, epochs=1).fit(pattern_sequences(), VOCAB)
+        assert built == [len(VOCAB)]
+
 
 class TestAutoencoder:
     def test_nearest_rank_quantile_definition(self):

@@ -269,34 +269,33 @@ class TestSemanticEncoder:
 
     def test_single_word_template_equals_word_vector(self):
         enc = SemanticEncoder(self.vocab(), dim=6, seed=3)
-        assert np.array_equal(enc.template_vectors[4], enc.word_vectors["heartbeat"])
+        table = enc.table_for(self.vocab())
+        assert np.array_equal(table[4], enc.word_vectors["heartbeat"])
 
     def test_word_order_invariance(self):
         enc = SemanticEncoder(self.vocab(), dim=6, seed=3)
-        assert np.allclose(enc.template_vectors[0], enc.template_vectors[2])
+        table = enc.table_for(self.vocab())
+        assert np.allclose(table[0], table[2])
 
     def test_wordless_and_unknown_rows_are_zero(self):
         enc = SemanticEncoder(self.vocab(), dim=6, seed=3)
-        assert np.all(enc.template_vectors[3] == 0.0)
-        assert np.all(enc.template_vectors[-1] == 0.0)
-        assert enc.template_vectors.shape == (6, 6)
+        table = enc.table_for(self.vocab())
+        assert np.all(table[3] == 0.0)
+        assert np.all(table[-1] == 0.0)
+        assert table.shape == (6, 6)
 
     def test_same_seed_bit_identical(self):
         a = SemanticEncoder(self.vocab(), dim=8, seed=11)
         b = SemanticEncoder(self.vocab(), dim=8, seed=11)
-        assert np.array_equal(a.template_vectors, b.template_vectors)
+        assert np.array_equal(a.table_for(self.vocab()), b.table_for(self.vocab()))
 
     def test_extended_vocab_preserves_existing_rows(self):
         enc = SemanticEncoder(self.vocab(), dim=8, seed=11)
         extended = self.vocab().extended(["connection reset badly"])
         table = enc.table_for(extended)
-        assert np.array_equal(table[:5], enc.template_vectors[:5])
+        assert np.array_equal(table[:5], enc.table_for(self.vocab())[:5])
         # known word "connection" contributes; unknown words are skipped
         assert np.array_equal(table[5], enc.word_vectors["connection"])
-
-    def test_tfidf_downweights_common_words(self):
-        enc = SemanticEncoder(self.vocab(), dim=8, seed=11, tfidf=True)
-        assert enc.template_vectors.shape == (6, 8)
 
 
 class TestSequenceJsonl:
@@ -306,6 +305,19 @@ class TestSequenceJsonl:
             EventSequence([4], "anomaly", "blk_2"),
             EventSequence([5, 6], None, "7"),
         ]
+        vocab = EventVocabulary([f"t{i}" for i in range(7)])
         path = tmp_path / "seqs.jsonl"
-        write_sequences(seqs, path)
-        assert read_sequences(path) == seqs
+        write_sequences(seqs, vocab, path)
+        assert read_sequences(path) == (seqs, vocab)
+
+    def test_read_maps_ids_onto_known_templates(self, tmp_path):
+        path = tmp_path / "seqs.jsonl"
+        write_sequences([EventSequence([0, 1, 2, 9], "normal", "blk_1")],
+                        EventVocabulary(["a", "b", "c"]), path)
+        known = EventVocabulary(["c", "x", "a"])
+        sequences, vocab = read_sequences(path, known)
+        # known templates keep their ids, the file's others follow, and an
+        # id outside the file's vocabulary is the unknown id
+        assert vocab.templates == ["c", "x", "a", "b"]
+        assert sequences[0].events == [2, 3, 0, vocab.unknown_id]
+        assert known.templates == ["c", "x", "a"]
