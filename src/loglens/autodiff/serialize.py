@@ -16,6 +16,7 @@ Round-trips are bit-exact; parameter order is preserved.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -41,22 +42,36 @@ def save_params(values: dict[str, np.ndarray], path) -> None:
 
 
 def load_params(path) -> dict[str, np.ndarray]:
+    """The parameters ``save_params`` wrote. A file that is not exactly that
+    layout (a short header, a name that is not UTF-8, more data announced
+    than the file holds, or bytes after the last parameter) is a
+    ``FormatError`` naming it."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        (count,) = struct.unpack("<Q", fh.read(8))
-        values: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<Q", fh.read(8))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<Q", fh.read(8))
-            dims = struct.unpack(f"<{rank}Q", fh.read(8 * rank)) if rank else ()
-            n = 1
-            for dim in dims:
-                n *= dim
-            raw = fh.read(8 * n)
-            if len(raw) != 8 * n:
-                raise FormatError(f"truncated data for parameter {name!r}")
-            values[name] = np.frombuffer(raw, dtype="<f8").reshape(dims).copy()
+        data = fh.read()
+    if not data.startswith(MAGIC):
+        raise FormatError(f"{path}: bad magic {data[:len(MAGIC)]!r}, expected {MAGIC!r}")
+    offset = len(MAGIC)
+
+    def take(n: int) -> bytes:
+        nonlocal offset
+        if n > len(data) - offset:
+            raise ValueError(f"{n} bytes wanted at byte {offset}, "
+                             f"{len(data) - offset} left")
+        offset += n
+        return data[offset - n:offset]
+
+    def u64() -> int:
+        return int.from_bytes(take(8), "little")
+
+    values: dict[str, np.ndarray] = {}
+    try:
+        for _ in range(u64()):
+            name = take(u64()).decode("utf-8")
+            dims = [u64() for _ in range(u64())]
+            values[name] = np.frombuffer(take(8 * math.prod(dims)), dtype="<f8"
+                                         ).reshape(dims).copy()
+    except (ValueError, OverflowError) as err:  # UnicodeDecodeError is a ValueError
+        raise FormatError(f"{path}: {err}") from None
+    if offset != len(data):
+        raise FormatError(f"{path}: {len(data) - offset} bytes after the last parameter")
     return values

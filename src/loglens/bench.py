@@ -15,6 +15,7 @@ import io
 import json
 import time
 from dataclasses import dataclass, field, replace
+from importlib import resources
 
 from .detectors import (
     DetectorConfig,
@@ -22,8 +23,8 @@ from .detectors import (
     Verdict,
     build_detector,
 )
-from .exceptions import ConfigurationError, DimensionError
-from .ingest import EventVocabulary, LABEL_ANOMALY
+from .exceptions import ConfigurationError, DimensionError, FormatError
+from .ingest import EventVocabulary, LABEL_ANOMALY, open_utf8, read_json
 from .rng import Rng, derive_seed
 from .sequencing import EventSequence
 
@@ -109,11 +110,17 @@ class NoiseSpec:
                 "pseudo_event-only noise needs a synonym table")
 
 
-def builtin_synonyms() -> dict:
-    from importlib import resources
+def read_synonyms(path) -> dict:
+    """The synonym table in ``path``: a JSON object from a word to the word
+    that replaces it. Anything else is a ``FormatError`` naming the file."""
+    table = read_json(path)
+    if not (isinstance(table, dict) and all(isinstance(v, str) for v in table.values())):
+        raise FormatError(f"{path}: expected a JSON object of strings")
+    return table
 
-    raw = resources.files("loglens").joinpath("data/synonyms.json").read_text("utf-8")
-    return json.loads(raw)
+
+def builtin_synonyms() -> dict:
+    return read_synonyms(resources.files("loglens") / "data" / "synonyms.json")
 
 
 def _pseudo_template(template: str, table: dict, existing, rng: Rng) -> str:
@@ -264,9 +271,6 @@ class BenchReport:
     CSV_COLUMNS = ["detector", "semantics", "experiment", "setting", "run",
                    "precision", "recall", "f1", "train_s", "test_s", "seed"]
 
-    def append(self, row: ReportRow) -> None:
-        self.rows.append(row)
-
     def add_summaries(self) -> None:
         """Per (detector, setting): a best-F1 row and a mean row whose F1 is
         recomputed as the harmonic mean of the averaged precision/recall."""
@@ -278,11 +282,11 @@ class BenchReport:
                 (row.detector, row.semantics, row.setting), []).append(row)
         for (detector, semantics, setting), rows in groups.items():
             best = max(rows, key=lambda r: r.f1)
-            self.append(replace(best, run="best"))
+            self.rows.append(replace(best, run="best"))
             p = sum(r.precision for r in rows) / len(rows)
             r = sum(r.recall for r in rows) / len(rows)
             f1 = 2 * p * r / (p + r) if p + r else 0.0
-            self.append(ReportRow(
+            self.rows.append(ReportRow(
                 detector=detector, semantics=semantics, experiment=self.experiment,
                 setting=setting, run="mean", precision=p, recall=r, f1=f1,
                 train_s=sum(x.train_s for x in rows) / len(rows),
@@ -304,6 +308,30 @@ class BenchReport:
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(self.to_csv())
+
+    @classmethod
+    def read_csv(cls, path) -> "BenchReport":
+        """The report ``to_csv`` wrote, with config digest "-", which the CSV
+        does not hold; experiment and seed are the first row's. A missing
+        column or a field that does not convert is a ``FormatError`` naming
+        the file and the line."""
+        rows = []
+        with open_utf8(path) as fh:
+            reader = csv.DictReader(fh, restval="")
+            for row in reader:
+                try:  # CSV_COLUMNS lists ReportRow's fields in order
+                    text = [row[column] for column in cls.CSV_COLUMNS]
+                    if text[1] not in ("true", "false"):
+                        raise ValueError(f"semantics {text[1]!r} is not true or false")
+                    rows.append(ReportRow(text[0], text[1] == "true", *text[2:5],
+                                          *map(float, text[5:10]), int(text[10])))
+                except KeyError as err:
+                    raise FormatError(f"{path}: line {reader.line_num}: "
+                                      f"missing column {err}") from None
+                except ValueError as err:
+                    raise FormatError(f"{path}: line {reader.line_num}: {err}") from None
+        experiment, seed = (rows[0].experiment, rows[0].seed) if rows else ("", 0)
+        return cls(experiment, seed, "-", rows)
 
     def to_markdown(self) -> str:
         """Best-run table pairing w/o and w/ semantics per detector family."""
@@ -391,10 +419,9 @@ def _run_detector(config: DetectorConfig, experiment: str, train, test, vocab,
         rows.append(("-", precision, recall, f1, train_s, test_s))
     else:  # noise_sweep
         ratios = noise_ratios or DEFAULT_NOISE_RATIOS
-        table = synonym_table if synonym_table is not None else builtin_synonyms()
         for ratio in ratios:
             spec = NoiseSpec(ratio=ratio, strategies=tuple(noise_strategies),
-                             synonym_table=table, seed=run_seed)
+                             synonym_table=synonym_table, seed=run_seed)
             noisy, extended = inject_noise(test, spec, vocab)
             precision, recall, f1, test_s = _evaluate(detector, noisy,
                                                       vocab=extended)
@@ -414,10 +441,13 @@ def run_experiment(sequences: list[EventSequence], vocab: EventVocabulary,
     detector at a time.
 
     ``repeats`` runs use seeds seed+i; per-run rows are followed by best and
-    mean summary rows per (detector, setting).
+    mean summary rows per (detector, setting). A noise sweep without a
+    ``synonym_table`` uses ``builtin_synonyms()``.
     """
     if experiment not in EXPERIMENTS:
         raise ConfigurationError(f"unknown experiment {experiment!r}")
+    if experiment == "noise_sweep" and synonym_table is None:
+        synonym_table = builtin_synonyms()
     digest = config_digest({
         "experiment": experiment, "seed": seed, "repeats": repeats,
         "detectors": [c.to_dict() for c in detector_configs]})
@@ -432,7 +462,7 @@ def run_experiment(sequences: list[EventSequence], vocab: EventVocabulary,
                                  run_seed, contamination_ratios, noise_ratios,
                                  noise_strategies, synonym_table)
             for setting, precision, recall, f1, train_s, test_s in rows:
-                report.append(ReportRow(
+                report.rows.append(ReportRow(
                     detector=config.family, semantics=config.semantics,
                     experiment=experiment, setting=setting,
                     run=str(run_index + 1), precision=precision, recall=recall,

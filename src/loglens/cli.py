@@ -13,6 +13,7 @@ environment variable overrides the config seed.
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import json
 import operator
@@ -22,32 +23,19 @@ from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
-from .bench import (
-    NOISE_STRATEGIES,
-    fit_set,
-    run_experiment,
-)
-from .detectors import (
-    DetectorConfig,
-    build_detector,
-    load_detector,
-    save_detector,
-)
-from .exceptions import ConfigurationError, FormatError, LoglensError, TrainingError
+from .bench import NOISE_STRATEGIES, BenchReport, fit_set, read_synonyms, run_experiment
+from .detectors import DetectorConfig, build_detector, load_detector, save_detector
+from .exceptions import ConfigurationError, FormatError, LoglensError
 from .ingest import (
     FormatSpec,
     parse_templates,
+    read_json,
     read_parsed,
     read_raw,
     write_parsed,
     write_rejects,
 )
-from .sequencing import (
-    PartitionSpec,
-    partition,
-    read_sequences,
-    write_sequences,
-)
+from .sequencing import PartitionSpec, partition, read_sequences, write_sequences
 from .syngen import GeneratorSpec, stream
 
 USAGE_EXIT = 2
@@ -72,9 +60,7 @@ _JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
 @functools.cache
 def run_config_schema() -> dict:
     """The published run-config schema (data/runconfig.schema.json)."""
-    raw = resources.files("loglens").joinpath(
-        "data/runconfig.schema.json").read_text("utf-8")
-    return json.loads(raw)
+    return read_json(resources.files("loglens") / "data" / "runconfig.schema.json")
 
 
 def _check(doc, schema: dict, pointer: str) -> None:
@@ -110,7 +96,7 @@ def _check(doc, schema: dict, pointer: str) -> None:
                 raise SchemaError(f"{pointer}/{key}", "required key missing")
         for key, sub in properties.items():
             if key not in doc and "default" in sub:
-                doc[key] = json.loads(json.dumps(sub["default"]))
+                doc[key] = copy.deepcopy(sub["default"])
         for key, value in doc.items():
             if key in properties:
                 _check(value, properties[key], f"{pointer}/{key}")
@@ -121,10 +107,8 @@ def _check(doc, schema: dict, pointer: str) -> None:
 def _env_seed() -> int | None:
     """The LOGLENS_SEED override, if set."""
     value = os.environ.get("LOGLENS_SEED")
-    if value is None:
-        return None
     try:
-        return int(value)
+        return None if value is None else int(value)
     except ValueError:
         raise ConfigurationError(
             f"LOGLENS_SEED must be an integer, got {value!r}") from None
@@ -133,7 +117,7 @@ def _env_seed() -> int | None:
 def validate_run_config(doc: dict) -> dict:
     """Check a run config against the schema and return a copy with every
     default filled in, each detector's included."""
-    resolved = json.loads(json.dumps(doc))  # deep copy
+    resolved = copy.deepcopy(doc)
     _check(resolved, run_config_schema(), "")
     env_seed = _env_seed()
     if env_seed is not None:
@@ -150,16 +134,12 @@ def validate_run_config(doc: dict) -> dict:
     return resolved
 
 
-def _detector_configs(resolved: dict) -> list[DetectorConfig]:
-    return [DetectorConfig.from_dict(d) for d in resolved["detectors"]]
-
-
 def _load_dataset(resolved: dict):
     ds = resolved["dataset"]
     if ds["format"] == "parsed":
         records, vocab = read_parsed(ds["path"])
     else:
-        spec = FormatSpec.from_json(ds.get("format_spec") or {})
+        spec = FormatSpec.from_json(ds.get("format_spec", {}))
         records, _ = read_raw(ds["path"], spec)
         vocab, records = parse_templates(records, ds["similarity_threshold"])
     part = ds["partition"]
@@ -172,10 +152,7 @@ def _load_dataset(resolved: dict):
 
 
 def cmd_parse(args) -> int:
-    spec = FormatSpec.load(args.format) if args.format else FormatSpec(
-        timestamp_regex=r"^(\S+ \S+)\s+(.*)$", timestamp_format="%Y-%m-%d %H:%M:%S",
-        content_group=2)
-    records, rejects = read_raw(args.input, spec)
+    records, rejects = read_raw(args.input, FormatSpec.load(args.format))
     vocab, records = parse_templates(records, args.similarity_threshold)
     write_parsed(records, vocab, args.out)
     rejects_path = f"{args.input}.rejects"
@@ -195,12 +172,12 @@ def cmd_partition(args) -> int:
 
 
 def cmd_syngen(args) -> int:
-    doc = json.loads(Path(args.spec).read_text(encoding="utf-8")) if args.spec else {}
+    doc = read_json(args.spec) if args.spec else {}
     if not isinstance(doc, dict):
-        raise ConfigurationError("syngen spec must be a JSON object")
+        raise ConfigurationError(f"{args.spec}: syngen spec must be a JSON object")
     unknown = sorted(set(doc) - {field.name for field in fields(GeneratorSpec)})
     if unknown:
-        raise ConfigurationError(f"syngen spec has unknown key {unknown[0]!r}")
+        raise ConfigurationError(f"{args.spec}: unknown key {unknown[0]!r}")
     env_seed = _env_seed()
     if env_seed is not None:
         doc["seed"] = env_seed
@@ -210,14 +187,19 @@ def cmd_syngen(args) -> int:
 
 
 def _resolve_config(path) -> dict:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    return validate_run_config(doc)
+    try:
+        return validate_run_config(read_json(path))
+    except SchemaError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
 
 
 def cmd_train(args) -> int:
     resolved = _resolve_config(args.config)
+    if len(resolved["detectors"]) != 1:
+        raise ConfigurationError(f"{args.config}: /detectors: train fits one detector, "
+                                 f"the config lists {len(resolved['detectors'])}")
     sequences, vocab = _load_dataset(resolved)
-    config = _detector_configs(resolved)[0]
+    config = DetectorConfig(**resolved["detectors"][0])
     detector = build_detector(config)
     sequences = fit_set(config, sequences)
     detector.fit(sequences, vocab)
@@ -239,12 +221,9 @@ def cmd_detect(args) -> int:
     verdicts = detector.predict(sequences, vocab)
     with open(args.out, "w", encoding="utf-8") as fh:
         for seq, verdict in zip(sequences, verdicts):
-            fh.write(json.dumps({
-                "origin": seq.origin,
-                "anomalous": verdict.anomalous,
-                "score": verdict.score,
-                "position": verdict.position,
-            }) + "\n")
+            fh.write(json.dumps({"origin": seq.origin, "anomalous": verdict.anomalous,
+                                 "score": verdict.score,
+                                 "position": verdict.position}) + "\n")
     flagged = sum(v.anomalous for v in verdicts)
     print(f"{flagged} of {len(sequences)} sequences flagged anomalous "
           f"-> {args.out}")
@@ -253,19 +232,14 @@ def cmd_detect(args) -> int:
 
 def cmd_bench(args) -> int:
     resolved = _resolve_config(args.config)
-    sequences, vocab = _load_dataset(resolved)
-    configs = _detector_configs(resolved)
     noise = resolved.get("noise", {})
-    synonym_table = None
-    if noise.get("synonyms_path"):
-        synonym_table = json.loads(
-            Path(noise["synonyms_path"]).read_text(encoding="utf-8"))
+    synonyms = noise.get("synonyms_path")
+    synonym_table = read_synonyms(synonyms) if synonyms else None
+    sequences, vocab = _load_dataset(resolved)
     report = run_experiment(
-        sequences, vocab, configs,
-        experiment=resolved["experiment"],
-        repeats=resolved["repeats"],
-        seed=resolved["seed"],
-        train_fraction=resolved["train_fraction"],
+        sequences, vocab, [DetectorConfig(**d) for d in resolved["detectors"]],
+        experiment=resolved["experiment"], repeats=resolved["repeats"],
+        seed=resolved["seed"], train_fraction=resolved["train_fraction"],
         contamination_ratios=resolved.get("contamination_ratios"),
         noise_ratios=noise.get("ratios"),
         noise_strategies=tuple(noise.get("strategies", NOISE_STRATEGIES)),
@@ -282,26 +256,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
-    # regenerate the markdown table from an existing report.csv
-    import csv as csv_module
-
-    from .bench import BenchReport, ReportRow
-
-    with open(args.csv, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv_module.DictReader(fh))
-    if not rows:
-        print("empty report")
-        return 0
-    report = BenchReport(experiment=rows[0]["experiment"],
-                         seed=int(rows[0]["seed"]), config_digest="-")
-    for row in rows:
-        report.append(ReportRow(
-            detector=row["detector"], semantics=row["semantics"] == "true",
-            experiment=row["experiment"], setting=row["setting"], run=row["run"],
-            precision=float(row["precision"]), recall=float(row["recall"]),
-            f1=float(row["f1"]), train_s=float(row["train_s"]),
-            test_s=float(row["test_s"]), seed=int(row["seed"])))
-    print(report.to_markdown())
+    report = BenchReport.read_csv(args.csv)
+    print(report.to_markdown() if report.rows else "empty report")
     return 0
 
 
@@ -317,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse a raw log file into templated CSV")
     p.add_argument("--input", required=True)
-    p.add_argument("--format", help="JSON format spec path")
+    p.add_argument("--format", required=True, help="JSON format spec path")
     p.add_argument("--similarity-threshold", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_parse)
@@ -363,14 +319,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, ConfigurationError, FormatError,
-            json.JSONDecodeError) as err:
+    except (ConfigurationError, FormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_EXIT
     except FileNotFoundError as err:
         print(f"error: file not found: {err.filename}", file=sys.stderr)
         return USAGE_EXIT
-    except (TrainingError, LoglensError, OSError) as err:
+    except (LoglensError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return RUNTIME_EXIT
 

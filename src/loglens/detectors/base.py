@@ -79,10 +79,6 @@ class DetectorConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "DetectorConfig":
-        return cls(**doc)
-
 
 @dataclass
 class Verdict:

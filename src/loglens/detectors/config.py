@@ -12,7 +12,7 @@ from pathlib import Path
 
 from ..autodiff import ParamSet, load_params, save_params
 from ..exceptions import FormatError
-from ..ingest import EventVocabulary, read_vocab, write_vocab
+from ..ingest import EventVocabulary, read_json, read_vocab, write_vocab
 from .autoencoder import AutoencoderDetector
 from .base import DetectorConfig
 from .forecast import LstmForecastDetector, TransformerForecastDetector
@@ -53,21 +53,18 @@ def load_detector(directory):
     config, given the training vocabulary as ``fit`` gives it (so a semantic
     model derives its encoder again), holding the stored parameters.
 
-    A malformed ``detector.json`` or ``vocab.json``, or parameters in
-    ``params.llns`` other than the ones the config builds for that
-    vocabulary, raise ``FormatError`` naming the file and the key or
+    A malformed ``detector.json``, ``vocab.json`` or ``params.llns``, or
+    parameters in ``params.llns`` other than the ones the config builds for
+    that vocabulary, raise ``FormatError`` naming the file and the key or
     parameter.
     """
     directory = Path(directory)
     path = directory / "detector.json"
-    try:
-        sidecar = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as err:
-        raise FormatError(f"{path}: {err}") from None
+    sidecar = read_json(path)
     if not isinstance(sidecar, dict):
         raise FormatError(f"{path}: expected a JSON object")
     try:
-        config = DetectorConfig.from_dict(sidecar["config"])
+        config = DetectorConfig(**sidecar["config"])
         fitted = {f"{key}_": float(sidecar[key])
                   for key in ("threshold", "training_seconds")
                   if sidecar.get(key) is not None}

@@ -110,17 +110,10 @@ class TransformerForecastDetector(_ForecastBase):
         ps.zeros("out.b", (vocab.n_ids,))
         return ps
 
-    def _position_table(self, length: int) -> np.ndarray:
-        cached = getattr(self, "_positions", None)
-        if cached is None or cached.shape != (length, self.config.hidden):
-            cached = sinusoidal_encoding(length, self.config.hidden)
-            self._positions = cached
-        return cached
-
     def _logits(self, params: ParamSet, table, ids: np.ndarray) -> Tensor:
         x = embedding_lookup(table, ids)                       # (B, m, d_in)
         x = linear(x, params["proj.w"], params["proj.b"])      # (B, m, H)
-        x = x + Tensor(self._position_table(ids.shape[1]))
+        x = x + Tensor(sinusoidal_encoding(ids.shape[1], self.config.hidden))
         for layer in range(self.config.layers):
             p = lambda name: params[f"block{layer}.{name}"]
             x = x + multihead_attention(x, self.config.heads, p("attn.wq"),

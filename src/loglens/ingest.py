@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import calendar
 import csv
+import functools
 import io
 import json
 import re
 import time
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
@@ -95,6 +97,29 @@ class EventVocabulary:
         return isinstance(other, EventVocabulary) and self.templates == other.templates
 
 
+@contextmanager
+def open_utf8(path):
+    """``path`` open for reading as UTF-8 text, newlines untranslated. Bytes
+    that are not UTF-8, or CSV that ``csv`` refuses (a field over its size
+    limit), raise a ``FormatError`` naming the file."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield fh
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise FormatError(f"{path}: {err}") from None
+
+
+def read_json(path):
+    """The document in the JSON file ``path``, the one reader of every JSON
+    input. A file that is not UTF-8 or does not parse is a ``FormatError``
+    naming it."""
+    with open_utf8(path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
+            raise FormatError(f"{path}: {err}") from None
+
+
 def write_vocab(vocab: EventVocabulary, path) -> None:
     """The templates in id order, as a JSON array: the format of a model's
     ``vocab.json`` and of the ``<out>.vocab.json`` beside a sequences JSONL."""
@@ -105,11 +130,7 @@ def write_vocab(vocab: EventVocabulary, path) -> None:
 def read_vocab(path) -> EventVocabulary:
     """The vocabulary ``write_vocab`` wrote; anything but a JSON array of
     distinct strings is a ``FormatError`` naming the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise FormatError(f"{path}: {err}") from None
+    doc = read_json(path)
     if not (isinstance(doc, list) and all(isinstance(t, str) for t in doc)
             and len(set(doc)) == len(doc)):
         raise FormatError(f"{path}: expected a JSON array of distinct strings")
@@ -220,19 +241,18 @@ class FormatSpec:
         if not isinstance(doc, dict):
             raise FormatError("format spec must be a JSON object")
         try:
-            return cls(
-                timestamp_regex=doc["timestamp_regex"],
-                timestamp_format=doc["timestamp_format"],
-                content_group=doc["content_group"],
-                identifier_regex=doc.get("identifier_regex"),
-            )
+            return cls(doc["timestamp_regex"], doc["timestamp_format"],
+                       doc["content_group"], doc.get("identifier_regex"))
         except KeyError as missing:
             raise FormatError(f"format spec missing key {missing}") from None
 
     @classmethod
     def load(cls, path) -> "FormatSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+        doc = read_json(path)
+        try:
+            return cls.from_json(doc)
+        except FormatError as err:
+            raise FormatError(f"{path}: {err}") from None
 
 
 def _groups(pattern: str, key: str) -> int:
@@ -299,14 +319,14 @@ def write_rejects(rejects: list[tuple[int, str]], path) -> None:
 CSV_ROWS = 1024
 
 
-def _parsed_rows(fh):
+def _parsed_rows(fh, path):
     """The reader after the header, the header's width and a getter of each
     of a row's ``PARSED_COLUMNS`` fields."""
     reader = csv.reader(fh)
     header = next(reader, [])
     for column in PARSED_COLUMNS:
         if column not in header:
-            raise FormatError(f"parsed CSV missing required column {column!r}")
+            raise FormatError(f"{path}: missing required column {column!r}")
     # a repeated header name means its last column, as with csv.DictReader
     index = {name: i for i, name in enumerate(header)}
     return reader, len(header), [itemgetter(index[column]) for column in PARSED_COLUMNS]
@@ -315,10 +335,10 @@ def _parsed_rows(fh):
 def _raise_row_error(path) -> None:
     """Raise the ``FormatError`` of the first bad row of ``path``, read row
     by row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader, width, fields = _parsed_rows(fh)
+    with open_utf8(path) as fh:
+        reader, width, fields = _parsed_rows(fh, path)
         for row in filter(None, reader):
-            where = f"parsed CSV line {reader.line_num}"
+            where = f"{path}: line {reader.line_num}"
             try:
                 line_id, stamp, _, _, label = (field(row) for field in fields)
             except IndexError:
@@ -344,18 +364,18 @@ def read_parsed(path, known: EventVocabulary | None = None
     Columns are found by name in the header, so their order is free; a row
     that lacks one of them, whose LineId or Timestamp is not an integer
     within int64, or whose Label is neither empty, normal nor anomaly, is a
-    ``FormatError`` naming its line. Rows are converted ``CSV_ROWS`` at a
-    time, a column at a time; identifier codes follow first appearance, and
-    so do event ids, after the ids of the ``known`` templates, which keep
-    theirs. The vocabulary returned is ``known`` extended by the file's
+    ``FormatError`` naming the file and the line, as is a file that is not
+    UTF-8. Rows are converted ``CSV_ROWS`` at a time, a column at a time;
+    identifier codes follow first appearance, and so do event ids, after the
+    ids of the ``known`` templates, which keep theirs. The vocabulary returned is ``known`` extended by the file's
     other templates.
     """
     vocab = EventVocabulary(known.templates if known is not None else [])
     identifier_codes = {"": -1}
     label_codes: dict[str, int] = {}
     chunks = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader, _, fields = _parsed_rows(fh)
+    with open_utf8(path) as fh:
+        reader, _, fields = _parsed_rows(fh, path)
         while block := list(islice(reader, CSV_ROWS)):
             rows = list(filter(None, block))
             n = len(rows)
@@ -386,18 +406,6 @@ def read_parsed(path, known: EventVocabulary | None = None
                      list(identifier_codes)[1:], label, vocab.templates), vocab
 
 
-class Memo(dict):
-    """``memo[key]`` is ``make(key)``, made the first time it is looked up."""
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _csv_field(field) -> str:
     """``field`` as ``csv.writer`` writes it in a row of more than one field
     (a lone empty field is quoted)."""
@@ -417,7 +425,7 @@ class ParsedWriter:
         csv.writer(fh).writerow(PARSED_COLUMNS)
 
     def writerows(self, rows) -> None:
-        quoted = Memo(_csv_field).__getitem__
+        quoted = functools.cache(_csv_field)
         rows = iter(rows)
         while block := list(islice(rows, CSV_ROWS)):
             self._fh.write("".join([

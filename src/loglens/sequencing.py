@@ -3,6 +3,7 @@ forecasting, and encode events as indices or semantic vectors."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -17,8 +18,8 @@ from .ingest import (
     NORMAL,
     EventVocabulary,
     LogRecord,
-    Memo,
     ParsedLog,
+    open_utf8,
     read_vocab,
     tokenize_template,
     write_vocab,
@@ -281,7 +282,7 @@ def write_sequences(sequences: list[EventSequence], vocab: EventVocabulary,
     ``json.dumps`` writes it, and beside it ``<path>.vocab.json``, the
     vocabulary the event ids index (``write_vocab``). Each distinct event's
     text is made once."""
-    text = Memo(json.dumps).__getitem__
+    text = functools.cache(json.dumps)
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(f'{{"origin": {json.dumps(seq.origin)}, "label": '
@@ -299,15 +300,16 @@ def read_sequences(path, known: EventVocabulary | None = None
     id. The vocabulary returned is ``known`` extended by the file's templates.
 
     A line that is not such an object, or whose events are not integer ids
-    >= 0, is a ``FormatError`` naming the file and the line, and a malformed
-    sidecar one naming the sidecar.
+    >= 0, is a ``FormatError`` naming the file and the line, a file that is
+    not UTF-8 one naming the file, and a malformed sidecar one naming the
+    sidecar.
     """
     templates = read_vocab(f"{path}.vocab.json").templates
     vocab = EventVocabulary(known.templates if known is not None else [])
     new_id = [*map(vocab.add, templates), vocab.unknown_id]
     n_templates = len(templates)
     sequences = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_utf8(path) as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue

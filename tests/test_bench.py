@@ -1,6 +1,7 @@
 import pytest
 
 from loglens.bench import (
+    BenchReport,
     NoiseSpec,
     builtin_synonyms,
     compute_metrics,
@@ -11,7 +12,7 @@ from loglens.bench import (
     strip_anomalies,
 )
 from loglens.detectors import DetectorConfig, LstmForecastDetector
-from loglens.exceptions import ConfigurationError, DimensionError
+from loglens.exceptions import ConfigurationError, DimensionError, FormatError
 from loglens.ingest import EventVocabulary
 from loglens.rng import Rng
 from loglens.sequencing import EventSequence
@@ -317,3 +318,35 @@ class TestRunExperiment:
         assert "| cnn |" in md
         cnn_line = [l for l in md.splitlines() if l.startswith("| cnn")][0]
         assert "/" in cnn_line  # index/semantic pairing
+
+
+class TestReportCsv:
+    HEADER = ",".join(BenchReport.CSV_COLUMNS)
+    ROW = "cnn,false,accuracy,-,1,0.500000,0.250000,0.333333,0.000000,0.000000,4"
+
+    def test_read_csv_inverts_to_csv(self, tmp_path):
+        report = run_experiment(bench_sequences(), VOCAB, quick_configs(),
+                                experiment="efficiency", repeats=2, seed=4)
+        path = tmp_path / "report.csv"
+        report.write_csv(path)
+        back = BenchReport.read_csv(path)
+        assert (back.experiment, back.seed, back.config_digest) == ("efficiency", 4, "-")
+        assert back.to_csv() == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("text, message", [
+        (HEADER.replace("experiment,", "") + "\n" + ROW.replace("accuracy,", ""),
+         "line 2: missing column 'experiment'"),
+        (HEADER + "\n" + ROW.replace("false", "maybe"),
+         "line 2: semantics 'maybe' is not true or false"),
+        (HEADER + "\n" + ROW.replace("0.250000", "high"),
+         "line 2: could not convert string to float: 'high'"),
+        (HEADER + "\n" + ROW + "\ncnn,true,accuracy",
+         "line 3: could not convert string to float: ''"),
+        (HEADER + "\n" + ROW + ".5", "line 2: invalid literal for int"),
+    ], ids=["missing-column", "semantics", "float", "short-row", "int"])
+    def test_malformed_report_names_file_and_line(self, tmp_path, text, message):
+        path = tmp_path / "report.csv"
+        path.write_text(text + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=message) as raised:
+            BenchReport.read_csv(path)
+        assert str(raised.value).startswith(f"{path}: ")

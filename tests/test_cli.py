@@ -1,12 +1,13 @@
 import copy
 import json
+import shutil
 from dataclasses import fields
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from loglens.bench import EXPERIMENTS, NOISE_STRATEGIES
+from loglens.bench import EXPERIMENTS, NOISE_STRATEGIES, BenchReport
 from loglens.cli import main, run_config_schema, validate_run_config, SchemaError
 from loglens.detectors import FAMILIES, DetectorConfig
 from loglens.ingest import read_parsed
@@ -132,6 +133,18 @@ class TestParseCommand:
             FORMAT_SPEC, content_group="x"))
         assert code == 2 and "content_group" in err
 
+    def test_format_is_required(self, tmp_path, capsys):
+        """A raw log is read only with a stated format: there is no built-in
+        one to fall back on."""
+        raw = tmp_path / "raw.log"
+        raw.write_text("2024-01-01 00:00:00 job started\n")
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exited:
+            main(["parse", "--input", str(raw), "--out", str(out)])
+        assert exited.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_content_group_beyond_the_regex_groups_exits_two(self, tmp_path, capsys):
         code, err = self.parse_with_spec(tmp_path, capsys, dict(
             FORMAT_SPEC, content_group=5))
@@ -228,6 +241,19 @@ class TestTrainDetect:
                      "--model-out", str(tmp_path / "model")]) == 0
         expected = len(sequences) if family == "cnn" else len(normal)
         assert f" on {expected} sequences " in capsys.readouterr().out
+
+    def test_train_refuses_more_than_one_detector(self, tmp_path, capsys):
+        """``train`` fits one detector; a config listing two is refused
+        before any data is read, not trained on its first."""
+        config, doc = bench_config(tmp_path, tmp_path / "absent.csv")
+        assert len(doc["detectors"]) == 2
+        model_dir = tmp_path / "model"
+        assert main(["train", "--config", str(config),
+                     "--model-out", str(model_dir)]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "/detectors" in err and "lists 2" in err
+        assert "absent.csv" not in err and "Traceback" not in err
+        assert not model_dir.exists()
 
     def test_detect_with_k_at_vocab_size_flags_nothing(self, tmp_path):
         csv_path = syn_csv(tmp_path, n_sequences=100, rate=0.2)
@@ -436,6 +462,18 @@ class TestBenchCommand:
             reports.append((Path(doc["output_dir"]) / "report.csv").read_bytes())
         assert reports[0] == reports[1]
 
+    def test_synonyms_that_are_not_strings_exit_two_before_reading_data(
+            self, tmp_path, capsys):
+        synonyms = tmp_path / "synonyms.json"
+        synonyms.write_text(json.dumps({"block": 1}))
+        config, _ = bench_config(tmp_path, tmp_path / "absent.csv",
+                                 experiment="noise_sweep",
+                                 noise={"synonyms_path": str(synonyms)})
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{synonyms}: expected a JSON object of strings" in err
+        assert "absent.csv" not in err and "Traceback" not in err
+
     def test_contamination_rows_per_ratio(self, tmp_path):
         csv_path = syn_csv(tmp_path, n_sequences=200, rate=0.2)
         config, doc = bench_config(
@@ -609,6 +647,132 @@ class TestSchemaValidation:
         assert main(["report", "--csv",
                      str(Path(doc["output_dir"]) / "report.csv")]) == 0
         assert "| lstm_forecast |" in capsys.readouterr().out
+
+
+class TestReportCommand:
+    def test_report_prints_the_table_bench_wrote(self, tmp_path, capsys):
+        """``loglens report`` prints the ``report.md`` that ``bench`` wrote,
+        but for the digest, which the CSV does not hold."""
+        csv_path = syn_csv(tmp_path, n_sequences=40)
+        config, doc = bench_config(tmp_path, csv_path, repeats=2,
+                                   experiment="noise_sweep", noise={"ratios": [0.1, 0.2]})
+        assert main(["bench", "--config", str(config)]) == 0
+        out_dir = Path(doc["output_dir"])
+        capsys.readouterr()
+        assert main(["report", "--csv", str(out_dir / "report.csv")]) == 0
+        markdown = (out_dir / "report.md").read_text(encoding="utf-8")
+        digest = markdown.splitlines()[2]
+        assert digest.startswith("seed 3, config digest ")
+        assert capsys.readouterr().out == markdown.replace(
+            digest, "seed 3, config digest -") + "\n"
+
+    def test_header_only_report_is_empty(self, tmp_path, capsys):
+        path = tmp_path / "report.csv"
+        path.write_text(",".join(BenchReport.CSV_COLUMNS) + "\n", encoding="utf-8")
+        assert main(["report", "--csv", str(path)]) == 0
+        assert capsys.readouterr().out == "empty report\n"
+
+
+# ---------------------------------------------------------------------------
+# malformed input files
+
+TINY_DETECTOR = {"family": "lstm_forecast", "k": 2, "hidden": 2, "layers": 1,
+                 "embed_dim": 2, "epochs": 1, "window_size": 3}
+
+
+def write_configs(root):
+    """A one-detector run config (config.json) and a noise sweep that reads
+    root's synonym table (noise.json), over root's files."""
+    noise = {"experiment": "noise_sweep",
+             "noise": {"ratios": [0.2], "synonyms_path": str(root / "synonyms.json")}}
+    for name, extra in (("config.json", {}), ("noise.json", noise)):
+        (root / name).write_text(json.dumps({
+            "dataset": {"path": str(root / "syn.csv")}, "detectors": [TINY_DETECTOR],
+            "output_dir": str(root / "out"), **extra}), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """A valid file of every input kind: configs and specs, a parsed CSV, a
+    sequences JSONL and its vocabulary, a report and a small trained model."""
+    root = tmp_path_factory.mktemp("inputs")
+    syn_csv(root, n_sequences=30, rate=0.2)
+    (root / "gen.json").write_text(json.dumps({"n_templates": 8, "n_sequences": 5}))
+    (root / "format.json").write_text(json.dumps(FORMAT_SPEC))
+    (root / "raw.log").write_text(HDFS_LINE)
+    (root / "synonyms.json").write_text(json.dumps({"block": "chunk"}))
+    write_configs(root)
+    for argv in (["train", "--config", str(root / "config.json"),
+                  "--model-out", str(root / "model")],
+                 ["bench", "--config", str(root / "config.json")],
+                 ["partition", "--input", str(root / "syn.csv"),
+                  "--out", str(root / "seqs.jsonl")]):
+        assert main(argv) == 0
+    return root
+
+
+def detect_argv(work, given="syn.csv"):
+    return ["detect", "--model", str(work / "model"), "--input", str(work / given),
+            "--out", str(work / "verdicts.jsonl")]
+
+
+# input kind: (the file, the command that reads it, whether it is JSON)
+INPUT_KINDS = {
+    "run-config": ("config.json", lambda work: [
+        "train", "--config", str(work / "config.json"),
+        "--model-out", str(work / "trained")], True),
+    "syngen-spec": ("gen.json", lambda work: [
+        "syngen", "--spec", str(work / "gen.json"), "--out", str(work / "gen.csv")], True),
+    "format-spec": ("format.json", lambda work: [
+        "parse", "--input", str(work / "raw.log"), "--format", str(work / "format.json"),
+        "--out", str(work / "parsed.csv")], True),
+    "synonyms": ("synonyms.json", lambda work: [
+        "bench", "--config", str(work / "noise.json")], True),
+    "report-csv": ("out/report.csv", lambda work: [
+        "report", "--csv", str(work / "out" / "report.csv")], False),
+    "parsed-csv": ("syn.csv", lambda work: [
+        "partition", "--input", str(work / "syn.csv"),
+        "--out", str(work / "partitioned.jsonl")], False),
+    "sequences-jsonl": ("seqs.jsonl", lambda work: detect_argv(work, "seqs.jsonl"), True),
+    "sequences-vocab": ("seqs.jsonl.vocab.json",
+                        lambda work: detect_argv(work, "seqs.jsonl"), True),
+    "detector-json": ("model/detector.json", detect_argv, True),
+    "model-vocab": ("model/vocab.json", detect_argv, True),
+    "params": ("model/params.llns", detect_argv, False),
+}
+
+CORRUPTIONS = {
+    "truncated": lambda data: [data[:len(data) // 2]],
+    "not-utf8": lambda data: [data[:len(data) // 2] + b"\xff" + data[len(data) // 2:]],
+    "array": lambda data: [b"[]"],
+    "number": lambda data: [b"1"],
+    "every-prefix": lambda data: [data[:n] for n in range(len(data))],
+}
+
+SWEEP = [(kind, corruption) for kind, (_, _, is_json) in INPUT_KINDS.items()
+         for corruption in ["truncated", "not-utf8"]
+         + (["array", "number"] if is_json else [])
+         + (["every-prefix"] if kind == "params" else [])]
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("kind, corruption", SWEEP)
+    def test_malformed_input_exits_0_or_2_naming_the_file(
+            self, valid_inputs, tmp_path, capsys, kind, corruption):
+        """No input file, however damaged, ends in a traceback: the command
+        either reads what is there or exits 2 naming the file."""
+        work = tmp_path / "work"
+        shutil.copytree(valid_inputs, work)
+        write_configs(work)
+        name, argv, _ = INPUT_KINDS[kind]
+        target = work / name
+        for data in CORRUPTIONS[corruption](target.read_bytes()):
+            target.write_bytes(data)
+            code = main(argv(work))
+            err = capsys.readouterr().err
+            assert code in (0, 2) and "Traceback" not in err, (len(data), err)
+            if code == 2:
+                assert str(target) in err, (len(data), err)
 
 
 # every key the schema knows, each with a valid value

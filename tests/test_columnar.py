@@ -51,7 +51,7 @@ def reference_read_parsed(path):
         header = next(reader, [])
         for column in PARSED_COLUMNS:
             if column not in header:
-                raise FormatError(f"parsed CSV missing required column {column!r}")
+                raise FormatError(f"{path}: missing required column {column!r}")
         index = {name: i for i, name in enumerate(header)}
         fields = itemgetter(*(index[column] for column in PARSED_COLUMNS))
         for row in reader:
@@ -60,23 +60,23 @@ def reference_read_parsed(path):
             try:
                 line_id, stamp, identifier, template, label = fields(row)
             except IndexError:
-                raise FormatError(f"parsed CSV line {reader.line_num}: "
+                raise FormatError(f"{path}: line {reader.line_num}: "
                                   f"{len(row)} fields, the header has "
                                   f"{len(header)}") from None
             try:
                 line_no, timestamp = int(line_id), int(stamp)
             except ValueError:
-                raise FormatError(f"parsed CSV line {reader.line_num}: LineId and "
+                raise FormatError(f"{path}: line {reader.line_num}: LineId and "
                                   f"Timestamp must be integers, got {line_id!r} "
                                   f"and {stamp!r}") from None
             # the one rule the columnar reader adds
             if not all(-2**63 <= v < 2**63 for v in (line_no, timestamp)):
-                raise FormatError(f"parsed CSV line {reader.line_num}: LineId and "
+                raise FormatError(f"{path}: line {reader.line_num}: LineId and "
                                   f"Timestamp must fit in int64, got {line_id!r} "
                                   f"and {stamp!r}")
             label = label.strip() or None
             if label is not None and label not in (LABEL_NORMAL, LABEL_ANOMALY):
-                raise FormatError(f"parsed CSV line {reader.line_num}: "
+                raise FormatError(f"{path}: line {reader.line_num}: "
                                   f"unrecognized label {label!r}")
             records.append(LogRecord(line_no, timestamp, identifier or None,
                                      template, vocab.add(template), label))

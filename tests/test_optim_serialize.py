@@ -60,6 +60,21 @@ class TestParamContainer:
         with pytest.raises(FormatError):
             load_params(path)
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda data: data + b"\0", "1 bytes after the last parameter"),
+        (lambda data: data.replace(b"x", b"\xff"), "can't decode"),
+        (lambda data: data.replace(bytes([2] + [0] * 7), bytes([0, 0, 0, 0, 0, 0, 0, 1])),
+         "bytes wanted"),
+        (lambda data: data[:20], "bytes wanted"),
+    ], ids=["trailing-bytes", "name-not-utf8", "dims-beyond-file", "short-header"])
+    def test_malformed_file_names_itself(self, tmp_path, corrupt, message):
+        path = tmp_path / "params.llns"
+        save_params({"x": np.zeros(2)}, path)
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(FormatError, match=message) as raised:
+            load_params(path)
+        assert str(raised.value).startswith(f"{path}: ")
+
     def test_scalar_rank_zero(self, tmp_path):
         path = tmp_path / "scalar.llns"
         save_params({"s": np.float64(3.5)}, path)
