@@ -28,6 +28,7 @@ from .detectors import DetectorConfig, build_detector, load_detector, save_detec
 from .exceptions import ConfigurationError, FormatError, LoglensError
 from .ingest import (
     FormatSpec,
+    check_similarity_threshold,
     parse_templates,
     read_json,
     read_parsed,
@@ -131,20 +132,25 @@ def validate_run_config(doc: dict) -> dict:
             resolved["detectors"][i] = DetectorConfig(**det).to_dict()
         except ConfigurationError as err:
             raise SchemaError(f"/detectors/{i}", str(err)) from None
+    dataset = resolved["dataset"]
+    if dataset["format"] == "raw":
+        try:  # the schema cannot say that a raw dataset needs a usable spec
+            FormatSpec.from_json(dataset.get("format_spec", {}))
+        except FormatError as err:
+            raise SchemaError("/dataset/format_spec", str(err)) from None
     return resolved
 
 
 def _load_dataset(resolved: dict):
     ds = resolved["dataset"]
     if ds["format"] == "parsed":
-        records, vocab = read_parsed(ds["path"])
+        log, vocab = read_parsed(ds["path"])
     else:
-        spec = FormatSpec.from_json(ds.get("format_spec", {}))
-        records, _ = read_raw(ds["path"], spec)
-        vocab, records = parse_templates(records, ds["similarity_threshold"])
+        log, _ = read_raw(ds["path"], FormatSpec.from_json(ds["format_spec"]))
+        vocab, log = parse_templates(log, ds["similarity_threshold"])
     part = ds["partition"]
     spec = PartitionSpec(part["mode"], part["partition_size"], part["stride"])
-    return partition(records, spec), vocab
+    return partition(log, spec), vocab
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +158,13 @@ def _load_dataset(resolved: dict):
 
 
 def cmd_parse(args) -> int:
-    records, rejects = read_raw(args.input, FormatSpec.load(args.format))
-    vocab, records = parse_templates(records, args.similarity_threshold)
-    write_parsed(records, vocab, args.out)
+    check_similarity_threshold(args.similarity_threshold)
+    log, rejects = read_raw(args.input, FormatSpec.load(args.format))
+    vocab, log = parse_templates(log, args.similarity_threshold)
+    write_parsed(log, args.out)
     rejects_path = f"{args.input}.rejects"
     write_rejects(rejects, rejects_path)
-    print(f"parsed {len(records)} records into {len(vocab)} templates; "
+    print(f"parsed {len(log)} records into {len(vocab)} templates; "
           f"{len(rejects)} rejects -> {rejects_path}")
     return 0
 

@@ -1,10 +1,10 @@
 """Log ingestion: raw-line reading, template extraction, pre-parsed CSV I/O.
 
 Two pathways feed partitioning: parse raw text with the built-in
-token-similarity clusterer (a list of ``LogRecord``), or load a pre-parsed
-CSV that already carries ground-truth templates (a columnar ``ParsedLog``).
-Each comes with an ``EventVocabulary``. Benchmarks should prefer the
-pre-parsed pathway so parser quality never contaminates detector comparisons.
+token-similarity clusterer, or load a pre-parsed CSV that already carries
+ground-truth templates. Both give a columnar ``ParsedLog`` and an
+``EventVocabulary``. Benchmarks should prefer the pre-parsed pathway so parser
+quality never contaminates detector comparisons.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import io
 import json
 import re
 import time
+from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, replace
+from datetime import datetime, timezone
+from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
@@ -42,7 +44,7 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass
 class LogRecord:
-    """One parsed log line."""
+    """One log line, kept for ``partition``'s list branch (see there)."""
 
     line_no: int
     timestamp: int
@@ -139,13 +141,13 @@ def read_vocab(path) -> EventVocabulary:
 
 @dataclass(eq=False)
 class ParsedLog:
-    """A parsed log as columns, one entry per row.
+    """A log as columns, one entry per row: raw, parsed or generated.
 
     ``line_no``, ``timestamp`` and ``event_id`` are int64 (an event id of -1
     means none). ``identifier`` holds codes into ``identifiers``, which lists
     each identifier once in first-appearance order (-1 means none), and
     ``label`` holds codes into ``LABELS``. A row's content is its event's
-    text, ``templates[event_id]``. Iterating yields one ``LogRecord`` a row.
+    text, ``templates[event_id]``; in a raw log every row is its own event.
     """
 
     line_no: np.ndarray
@@ -159,22 +161,12 @@ class ParsedLog:
     def __len__(self) -> int:
         return len(self.line_no)
 
-    def __iter__(self):
-        identifiers = self.identifiers + [None]    # code -1 is the last
-        for line_no, stamp, event, code, label in zip(
-                self.line_no.tolist(), self.timestamp.tolist(),
-                self.event_id.tolist(), self.identifier.tolist(),
-                self.label.tolist()):
-            yield LogRecord(line_no, stamp, identifiers[code],
-                            self.templates[event] if event >= 0 else "",
-                            event if event >= 0 else None, LABELS[label])
-
     @classmethod
     def from_records(cls, records: list[LogRecord]) -> "ParsedLog":
-        """The columns of ``records``. A label that is neither None nor
-        anomaly counts as normal, and each event's text is the content of
-        its first record. A line number or timestamp outside int64 is a
-        ``ConfigurationError``."""
+        """The columns of ``records``, for ``partition``'s list branch. A label
+        that is neither None nor anomaly counts as normal, and each event's
+        text is the content of its first record. A line number or timestamp
+        outside int64 is a ``ConfigurationError``."""
         try:
             line_no = np.array([rec.line_no for rec in records], dtype=np.int64)
             stamp = np.array([rec.timestamp for rec in records], dtype=np.int64)
@@ -184,11 +176,8 @@ class ParsedLog:
             raise ConfigurationError("line numbers, timestamps and event ids "
                                      "must fit in int64") from None
         idents = [rec.identifier for rec in records]
-        distinct = dict.fromkeys(idents)
-        distinct.pop(None, None)
-        identifiers = list(distinct)
-        codes = {name: code for code, name in enumerate(identifiers)}
-        codes[None] = -1
+        identifiers = [name for name in dict.fromkeys(idents) if name is not None]
+        codes = {None: -1, **{name: code for code, name in enumerate(identifiers)}}
         label_codes = {None: NO_LABEL, LABEL_ANOMALY: ANOMALY}
         # read backwards, each event's first record is written last
         templates = {rec.event_id: rec.content for rec in reversed(records)}
@@ -201,6 +190,10 @@ class ParsedLog:
                    templates)
 
 
+# a stamp that a usable timestamp_format reads back from its own text
+_SAMPLE_STAMP = datetime(2001, 2, 3, 4, 5, 6, 789000, tzinfo=timezone.utc)
+
+
 @dataclass
 class FormatSpec:
     """How to pull timestamp, identifier, and content out of a raw line.
@@ -209,8 +202,9 @@ class FormatSpec:
     group 1 capturing the timestamp text (parsed with ``timestamp_format``,
     interpreted as UTC) and group ``content_group`` capturing the free-text
     message. ``identifier_regex`` group 1, when given, is searched inside the
-    content. A spec that cannot work this way is a ``FormatError`` naming
-    its key.
+    content. A spec that cannot work this way, such as a ``timestamp_format``
+    that ``time.strptime`` cannot read back from the text it formats, is a
+    ``FormatError`` naming its key.
     """
 
     timestamp_regex: str
@@ -221,6 +215,12 @@ class FormatSpec:
     def __post_init__(self):
         if not isinstance(self.timestamp_format, str):
             raise FormatError("format spec timestamp_format must be a string")
+        try:
+            time.strptime(_SAMPLE_STAMP.strftime(self.timestamp_format),
+                          self.timestamp_format)
+        except ValueError as err:
+            raise FormatError(f"format spec timestamp_format "
+                              f"{self.timestamp_format!r} is unusable: {err}") from None
         groups = _groups(self.timestamp_regex, "timestamp_regex")
         if groups < 1:
             raise FormatError("format spec timestamp_regex needs group 1 "
@@ -265,8 +265,9 @@ def _groups(pattern: str, key: str) -> int:
         raise FormatError(f"format spec {key} does not compile: {err}") from None
 
 
-def read_raw(path, spec: FormatSpec) -> tuple[list[LogRecord], list[tuple[int, str]]]:
-    """Read a raw log file; lines that do not match become rejects, not errors.
+def read_raw(path, spec: FormatSpec) -> tuple[ParsedLog, list[tuple[int, str]]]:
+    """Read a raw log file as a ``ParsedLog`` of one event per line, its
+    content; lines that do not match become rejects, not errors.
 
     A log is written in time order, so most lines repeat the previous line's
     timestamp text: the last text and its epoch seconds are kept and reused,
@@ -274,7 +275,9 @@ def read_raw(path, spec: FormatSpec) -> tuple[list[LogRecord], list[tuple[int, s
     """
     line_pattern = re.compile(spec.timestamp_regex)
     id_pattern = re.compile(spec.identifier_regex) if spec.identifier_regex else None
-    records: list[LogRecord] = []
+    numbers = array("q")    # each line's number, timestamp and identifier code
+    contents: list[str] = []
+    codes: dict[str, int] = {}
     rejects: list[tuple[int, str]] = []
     last_stamp, last_timestamp = None, 0
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
@@ -292,18 +295,20 @@ def read_raw(path, spec: FormatSpec) -> tuple[list[LogRecord], list[tuple[int, s
                     last_timestamp = calendar.timegm(
                         time.strptime(stamp, spec.timestamp_format))
                     last_stamp = stamp
-                timestamp = last_timestamp
                 content = match.group(spec.content_group).strip()
             except (ValueError, IndexError):
                 rejects.append((line_no, line))
                 continue
-            identifier = None
+            code = -1
             if id_pattern is not None:
                 id_match = id_pattern.search(content)
                 if id_match is not None:
-                    identifier = id_match.group(1)
-            records.append(LogRecord(line_no, timestamp, identifier, content))
-    return records, rejects
+                    code = codes.setdefault(id_match.group(1), len(codes))
+            numbers.extend((line_no, last_timestamp, code))
+            contents.append(content)
+    line_nos, timestamps, identifiers = np.frombuffer(numbers, np.int64).reshape(-1, 3).T.copy()
+    return ParsedLog(line_nos, timestamps, np.arange(len(contents), dtype=np.int64), identifiers,
+                     list(codes), np.full(len(contents), NO_LABEL, np.int8), contents), rejects
 
 
 def write_rejects(rejects: list[tuple[int, str]], path) -> None:
@@ -434,13 +439,19 @@ class ParsedWriter:
                 for line_no, stamp, identifier, template, label in block]))
 
 
-def write_parsed(records: list[LogRecord], vocab: EventVocabulary, path) -> None:
+def write_parsed(log: ParsedLog, path) -> None:
+    """Write ``log``, whose every row has an event, as a pre-parsed CSV,
+    converting ``CSV_ROWS`` rows of its columns at a time."""
+    identifiers = [*log.identifiers, ""]     # code -1 is the last
+    labels = [label or "" for label in LABELS]
+    blocks = (slice(start, start + CSV_ROWS) for start in range(0, len(log), CSV_ROWS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        ParsedWriter(fh).writerows(
-            (rec.line_no, rec.timestamp, rec.identifier or "",
-             vocab.templates[rec.event_id] if rec.event_id is not None else rec.content,
-             rec.label or "")
-            for rec in records)
+        ParsedWriter(fh).writerows(chain.from_iterable(
+            zip(log.line_no[rows].tolist(), log.timestamp[rows].tolist(),
+                map(identifiers.__getitem__, log.identifier[rows].tolist()),
+                map(log.templates.__getitem__, log.event_id[rows].tolist()),
+                map(labels.__getitem__, log.label[rows].tolist()))
+            for rows in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -456,33 +467,38 @@ def mask_parameters(content: str) -> str:
     return _PARAMETER.sub(PLACEHOLDER, content)
 
 
-def parse_templates(records: list[LogRecord], similarity_threshold: float = 0.5
-                    ) -> tuple[EventVocabulary, list[LogRecord]]:
-    """Cluster record contents into templates and assign event ids in place.
+def check_similarity_threshold(threshold: float) -> None:
+    if not 0.0 < threshold <= 1.0:
+        raise ConfigurationError(f"similarity_threshold must be in (0, 1], got {threshold!r}")
 
-    A record joins the best-matching existing template when the token counts
+
+def parse_templates(log: ParsedLog, similarity_threshold: float = 0.5
+                    ) -> tuple[EventVocabulary, ParsedLog]:
+    """Cluster the contents of ``log``'s rows into templates: the log
+    returned is ``log`` with template ids and ``templates = vocab.templates``.
+
+    A row joins the best-matching existing template when the token counts
     agree and the fraction of position-wise equal tokens reaches the
     threshold (the lowest id wins a tie); positions that disagree become
     placeholders. Otherwise its masked tokens found a new template.
-    Deterministic given record order.
+    Deterministic given row order.
 
     Candidates come from an index per token count, from (position, token) to
     the templates holding that token there, so the equal-position counts are
-    summed over the record's own tokens only. The choice depends only on the
+    summed over the row's own tokens only. The choice depends only on the
     masked line and the current templates, so it is memoised by masked line
     until a template is created or changed: a hit gets the same template,
     whose merge would change nothing.
     """
-    if not 0.0 < similarity_threshold <= 1.0:
-        raise ConfigurationError("similarity_threshold must be in (0, 1]")
+    check_similarity_threshold(similarity_threshold)
     template_tokens: list[tuple[str, ...]] = []
     postings: dict[int, dict[tuple[int, str], set[int]]] = {}
     empty_id = None     # the one template of no tokens, which every empty line matches
-    assignments: list[int] = []
+    assignments = array("q")
     chosen: dict[str, int] = {}
 
-    for rec in records:
-        masked = mask_parameters(rec.content)
+    for content in map(log.templates.__getitem__, log.event_id):
+        masked = mask_parameters(content)
         best_id = chosen.get(masked)
         if best_id is not None:
             assignments.append(best_id)
@@ -525,12 +541,8 @@ def parse_templates(records: list[LogRecord], similarity_threshold: float = 0.5
 
     # merging can collapse two templates onto the same masked string; densify
     vocab = EventVocabulary()
-    remap: dict[int, int] = {}
-    for tid, tokens in enumerate(template_tokens):
-        remap[tid] = vocab.add(" ".join(tokens))
-    for rec, tid in zip(records, assignments):
-        rec.event_id = remap[tid]
-    return vocab, records
+    remap = np.array([vocab.add(" ".join(tokens)) for tokens in template_tokens], np.int64)
+    return vocab, replace(log, event_id=remap[assignments], templates=vocab.templates)
 
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")

@@ -3,7 +3,6 @@ forecasting, and encode events as indices or semantic vectors."""
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 
@@ -79,7 +78,7 @@ class Window:
 
 def partition(log: ParsedLog | list[LogRecord], spec: PartitionSpec) -> list[EventSequence]:
     """Group a parsed log's rows into sequences by time interval or shared
-    identifier; a list of records goes through ``ParsedLog.from_records``.
+    identifier; ``perfbench``'s ``LogRecord`` lists go through ``from_records``.
 
     Fixed intervals tile [t0, t_max]; sliding intervals start every ``stride``
     seconds and keep trailing partial windows that still contain records;
@@ -282,12 +281,13 @@ def write_sequences(sequences: list[EventSequence], vocab: EventVocabulary,
     ``json.dumps`` writes it, and beside it ``<path>.vocab.json``, the
     vocabulary the event ids index (``write_vocab``). Each distinct event's
     text is made once."""
-    text = functools.cache(json.dumps)
+    distinct = set().union(*(seq.events for seq in sequences))
+    text = dict(zip(distinct, map(json.dumps, distinct)))
     with open(path, "w", encoding="utf-8") as fh:
         for seq in sequences:
             fh.write(f'{{"origin": {json.dumps(seq.origin)}, "label": '
                      f'{json.dumps(seq.label)}, "events": '
-                     f'[{", ".join(map(text, seq.events))}]}}\n')
+                     f'[{", ".join(map(text.__getitem__, seq.events))}]}}\n')
     write_vocab(vocab, f"{path}.vocab.json")
 
 

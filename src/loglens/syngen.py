@@ -24,16 +24,18 @@ import json
 import numbers
 from collections.abc import Iterator
 from dataclasses import dataclass, fields
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .exceptions import ConfigurationError
 from .ingest import (
+    ANOMALY,
+    LABELS,
+    NORMAL,
     EventVocabulary,
-    LABEL_ANOMALY,
-    LABEL_NORMAL,
-    LogRecord,
+    ParsedLog,
     ParsedWriter,
     write_parsed,
 )
@@ -101,12 +103,12 @@ class GeneratorSpec:
 
 @dataclass
 class SyntheticDataset:
-    records: list[LogRecord]
+    records: ParsedLog
     vocab: EventVocabulary
     automaton: dict
 
     def write(self, csv_path) -> None:
-        write_parsed(self.records, self.vocab, csv_path)
+        write_parsed(self.records, csv_path)
         _write_sidecar(self.automaton, csv_path)
 
 
@@ -248,8 +250,8 @@ def _mutate(events: list[int], mutation: str, automaton: dict,
 
 
 def _columns(spec: GeneratorSpec) -> tuple[dict, Iterator[tuple[list, list, list]]]:
-    """The automaton, and every record's automaton state, identifier and
-    label, as three lists per chunk of ``CHUNK_SEQUENCES`` sequences."""
+    """The automaton, and every row's automaton state, identifier and label
+    code, as three lists per chunk of ``CHUNK_SEQUENCES`` sequences."""
     rng = Rng(derive_seed(spec.seed, "syngen"))
     templates = _make_templates(spec.n_templates, rng)
     automaton = _build_automaton(spec.n_templates, spec.automaton_branching, rng)
@@ -302,44 +304,44 @@ def _chunks(spec, automaton, flags, plan, rng) -> Iterator[tuple[list, list, lis
         for index, (walk, length, mutation, drawn_at) in enumerate(
                 zip(walks, lengths, mutations, mutated_at), first):
             walk = walk[:length]
-            label = LABEL_NORMAL
+            label = NORMAL
             if mutation is not None:
                 walk = _mutate(walk, mutation, automaton,
                                words[drawn_at:drawn_at + _MUTATION_DRAWS[mutation]].tolist())[0]
-                label = LABEL_ANOMALY
+                label = ANOMALY
             events += walk
             identifiers += [f"seq_{index:05d}"] * len(walk)
             labels += [label] * len(walk)
         # words drawn but not read carry over to the next chunk; the rest of
-        # the chunk's arrays go before its records are built
+        # the chunk's arrays go before its rows are built
         words = words[at:].copy()
         del unit, walks
         yield events, identifiers, labels
 
 
 def generate(spec: GeneratorSpec) -> SyntheticDataset:
-    """Generate records in the pre-parsed CSV schema plus the automaton.
+    """Generate a log in the pre-parsed CSV schema plus the automaton.
 
     Exactly round(anomaly_rate * n_sequences) sequences are anomalous; every
-    record of an anomalous sequence carries the anomaly label so that
+    row of an anomalous sequence carries the anomaly label so that
     identifier partitioning reproduces sequence labels by the contains-any
-    rule.
+    rule. Row ``i`` is line ``i + 1`` at second ``i``.
     """
     automaton, chunks = _columns(spec)
-    templates = automaton["templates"]
-    records: list[LogRecord] = []
-    vocab = EventVocabulary()
-    event_ids = [0] * len(templates)
-    for events, identifiers, labels in chunks:
-        # ids in order of first appearance, as adding each record's would give
-        for event in dict.fromkeys(events):
-            event_ids[event] = vocab.add(templates[event])
-        line_no = len(records) + 1
-        records.extend(map(LogRecord, range(line_no, line_no + len(events)),
-                           range(line_no - 1, line_no - 1 + len(events)),
-                           identifiers, map(templates.__getitem__, events),
-                           map(event_ids.__getitem__, events), labels))
-    return SyntheticDataset(records=records, vocab=vocab, automaton=automaton)
+    events, identifiers, labels = (list(chain.from_iterable(column))
+                                   for column in zip(*chunks))
+    states, event_id = _codes(events)
+    names, identifier = _codes(identifiers)
+    vocab = EventVocabulary([automaton["templates"][state] for state in states])
+    line_no = np.arange(1, len(events) + 1, dtype=np.int64)
+    return SyntheticDataset(ParsedLog(line_no, line_no - 1, event_id, identifier, names,
+                                      np.array(labels, np.int8), vocab.templates), vocab, automaton)
+
+
+def _codes(values: list) -> tuple[list, np.ndarray]:
+    """The distinct ``values`` in first-appearance order, and each one's index."""
+    code = {value: i for i, value in enumerate(dict.fromkeys(values))}
+    return list(code), np.fromiter(map(code.__getitem__, values), np.int64, len(values))
 
 
 def stream(spec: GeneratorSpec, csv_path) -> tuple[int, int]:
@@ -357,7 +359,8 @@ def stream(spec: GeneratorSpec, csv_path) -> tuple[int, int]:
             writer.writerows(zip(
                 range(line_no, line_no + len(events)),
                 range(line_no - 1, line_no - 1 + len(events)),
-                identifiers, map(templates.__getitem__, events), labels))
+                identifiers, map(templates.__getitem__, events),
+                map(LABELS.__getitem__, labels)))
             n_records += len(events)
             seen.update(events)
     _write_sidecar(automaton, csv_path)

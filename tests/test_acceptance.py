@@ -39,6 +39,7 @@ from loglens.sequencing import (
     partition,
 )
 from loglens.syngen import GeneratorSpec, generate
+from test_columnar import raw_log, rows
 
 
 def report(criterion, detail):
@@ -407,18 +408,17 @@ class TestCriterion7Determinism:
 class TestCriterion8Parsing:
     def test_hdfs_example_line_parses_to_expected_template(self):
         line = "Received block blk_789 of size 67108864 from /10.251.42.84"
-        vocab, records = parse_templates(
-            [LogRecord(1, 0, "blk_789", line)], similarity_threshold=0.5)
+        vocab, log = parse_templates(raw_log([line]), similarity_threshold=0.5)
         assert vocab.templates == ["Received block <*> of size <*> from <*>"]
-        assert records[0].event_id == 0
+        assert rows(log)[0].event_id == 0
 
     def test_parsed_csv_round_trip_lossless(self, tmp_path):
         ds = generate(GeneratorSpec(n_templates=12, n_sequences=60,
                                     anomaly_rate=0.1, mean_length=14, seed=5))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         ds.write(p1)
-        records, vocab = read_parsed(p1)
-        write_parsed(records, vocab, p2)
+        records, _ = read_parsed(p1)
+        write_parsed(records, p2)
         assert p1.read_bytes() == p2.read_bytes()
         report("criterion 8 (parsing)",
                "HDFS line -> 'Received block <*> of size <*> from <*>'; "

@@ -13,6 +13,7 @@ from loglens.detectors import FAMILIES, DetectorConfig
 from loglens.ingest import read_parsed
 from loglens.sequencing import PartitionSpec, partition, read_sequences
 from loglens.syngen import GeneratorSpec, generate
+from test_columnar import rows
 
 HDFS_LINE = ("081109 203518 143 INFO dfs.DataNode$DataXceiver: "
              "Received block blk_789 of size 67108864 from /10.251.42.84\n"
@@ -73,7 +74,7 @@ class TestParseCommand:
                      "--out", str(out)]) == 0
         records, vocab = read_parsed(out)
         assert vocab.templates == ["Received block <*> of size <*> from <*>"]
-        assert [r.identifier for r in records] == ["blk_789", "blk_111"]
+        assert [r.identifier for r in rows(records)] == ["blk_789", "blk_111"]
 
     def test_empty_input_exits_zero(self, tmp_path):
         raw = tmp_path / "empty.log"
@@ -84,7 +85,7 @@ class TestParseCommand:
         assert main(["parse", "--input", str(raw), "--format", str(spec),
                      "--out", str(out)]) == 0
         records, _ = read_parsed(out)
-        assert list(records) == []
+        assert rows(records) == []
 
     def test_similarity_threshold_out_of_range_exits_two(self, tmp_path, capsys):
         raw = tmp_path / "raw.log"
@@ -149,6 +150,26 @@ class TestParseCommand:
         code, err = self.parse_with_spec(tmp_path, capsys, dict(
             FORMAT_SPEC, content_group=5))
         assert code == 2 and "content_group" in err and "[1, 2]" in err
+
+    @pytest.mark.parametrize("timestamp_format", ["%y%m%d %Q", "%s", "%y%m%d %H%M%"])
+    def test_timestamp_format_strptime_cannot_read_exits_two(
+            self, tmp_path, capsys, timestamp_format):
+        """Such a format used to put every line in ``.rejects`` and exit 0."""
+        code, err = self.parse_with_spec(tmp_path, capsys, dict(
+            FORMAT_SPEC, timestamp_format=timestamp_format))
+        assert code == 2 and "timestamp_format" in err and "Traceback" not in err
+        assert not (tmp_path / "o.csv").exists()
+        assert not (tmp_path / "raw.log.rejects").exists()
+
+    def test_bad_threshold_exits_two_before_the_input_is_opened(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(FORMAT_SPEC))
+        code = main(["parse", "--input", str(tmp_path / "absent.log"), "--format",
+                     str(spec), "--similarity-threshold", "0",
+                     "--out", str(tmp_path / "o.csv")])
+        err = capsys.readouterr().err
+        assert code == 2 and "similarity_threshold" in err
+        assert "absent.log" not in err and "Traceback" not in err
 
 
 class TestSyngenPartition:
@@ -618,6 +639,27 @@ class TestSchemaValidation:
         assert "/detectors/2:" in err and message in err
         assert "absent.csv" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("format_spec, message", [
+        (None, "missing key 'timestamp_regex'"),
+        ({k: v for k, v in FORMAT_SPEC.items() if k != "timestamp_format"},
+         "missing key 'timestamp_format'"),
+        (dict(FORMAT_SPEC, timestamp_format="%Q"), "timestamp_format"),
+        (dict(FORMAT_SPEC, content_group=3), "content_group"),
+    ])
+    def test_raw_format_spec_error_names_its_pointer_before_reading_data(
+            self, tmp_path, capsys, format_spec, message):
+        dataset = {"path": str(tmp_path / "absent.log"), "format": "raw"}
+        if format_spec is not None:
+            dataset["format_spec"] = format_spec
+        config, _ = bench_config(tmp_path, tmp_path / "absent.log", dataset=dataset)
+        for command in (["bench", "--config", str(config)],
+                        ["train", "--config", str(config),
+                         "--model-out", str(tmp_path / "model")]):
+            assert main(command) == 2
+            err = capsys.readouterr().err
+            assert f"{config}: /dataset/format_spec:" in err and message in err
+            assert "absent.log" not in err and "Traceback" not in err
+
     def test_raw_similarity_threshold_out_of_range_exits_two(self, tmp_path,
                                                              capsys):
         raw = tmp_path / "raw.log"
@@ -777,7 +819,7 @@ class TestMalformedInputs:
 
 # every key the schema knows, each with a valid value
 FULL_CONFIG = {
-    "dataset": {"path": "d.log", "format": "raw", "format_spec": {},
+    "dataset": {"path": "d.log", "format": "raw", "format_spec": dict(FORMAT_SPEC),
                 "similarity_threshold": 0.5,
                 "partition": {"mode": "fixed", "partition_size": 60,
                               "stride": 30}},
@@ -823,20 +865,24 @@ class TestSchemaMatchesCode:
     def test_validator_agrees_with_jsonschema(self, monkeypatch):
         """Every single-key mutation of a full config is accepted or refused
         as jsonschema decides, except integral floats such as 3.0 for an
-        integer key: jsonschema takes them, this validator refuses them."""
+        integer key: jsonschema takes them, this validator refuses them. A
+        raw dataset's ``format_spec`` is an open object to the schema; this
+        validator refuses a spec ``FormatSpec`` cannot use, or none, at
+        ``/dataset/format_spec``."""
         jsonschema = pytest.importorskip("jsonschema")
         monkeypatch.delenv("LOGLENS_SEED", raising=False)
         reference = jsonschema.Draft202012Validator(run_config_schema())
         assert reference.is_valid(FULL_CONFIG)
         drop = object()
-        disagree, integral_floats = [], []
+        disagree, integral_floats, spec_refusals = [], [], []
         for path in key_paths(FULL_CONFIG):
             doc = FULL_CONFIG
             for part in path:
                 doc = doc[part]
             wrong_type = float(doc) if type(doc) is int else (
                 1 if isinstance(doc, str) else "1")
-            if type(doc) is int:
+            integral = type(doc) is int
+            if integral:
                 integral_floats.append((path, wrong_type))
             for value in (drop, None, wrong_type, -1, 0, 2.5, True, [], {},
                           "not-an-enum-value"):
@@ -851,13 +897,19 @@ class TestSchemaMatchesCode:
                 try:
                     validate_run_config(doc)
                     ours = True
-                except SchemaError:
-                    ours = False
+                except SchemaError as err:
+                    ours, pointer = False, err.pointer
                 if ours != reference.is_valid(doc):
                     assert not ours, (path, value)
-                    disagree.append((path, value))
+                    if pointer == "/dataset/format_spec" and not (
+                            integral and value is wrong_type):
+                        spec_refusals.append(path)
+                    else:
+                        disagree.append((path, value))
         assert len(integral_floats) >= 15
         assert disagree == integral_floats
+        assert set(path[:2] for path in spec_refusals) == {("dataset", "format_spec")}
+        assert len(spec_refusals) >= 30
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "golden-report.csv"

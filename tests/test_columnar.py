@@ -1,18 +1,27 @@
-"""The columnar parsed log against the record-by-record code it replaced.
+"""The columnar log against the record-by-record code it replaced.
 
 ``reference_read_parsed`` and ``reference_partition`` are the row loop and
 the per-group sort that built one ``LogRecord`` per CSV row and one list per
-sequence. ``read_parsed``, ``partition`` and ``ParsedWriter`` must give what
-they gave, errors included.
+sequence; ``reference_read_raw``, ``reference_parse_templates`` and
+``reference_write_parsed`` are the raw-log path that built one ``LogRecord``
+per line. ``read_parsed``, ``partition``, ``read_raw``, ``parse_templates``,
+``write_parsed`` and ``ParsedWriter`` must give what they gave, errors
+included. ``rows`` and ``raw_log`` turn columns into records and contents
+into columns, for the tests that compare the two.
 """
 
+import calendar
 import csv
 import io
+import re
+import time
 from bisect import bisect_left
+from collections import Counter
 from itertools import chain
 from operator import itemgetter
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -22,12 +31,18 @@ from loglens.exceptions import ConfigurationError, FormatError
 from loglens.ingest import (
     LABEL_ANOMALY,
     LABEL_NORMAL,
+    LABELS,
     PARSED_COLUMNS,
+    PLACEHOLDER,
     EventVocabulary,
+    FormatSpec,
     LogRecord,
     ParsedLog,
     ParsedWriter,
+    mask_parameters,
+    parse_templates,
     read_parsed,
+    read_raw,
     write_parsed,
 )
 from loglens.sequencing import (
@@ -41,6 +56,127 @@ from loglens.sequencing import (
 
 # ---------------------------------------------------------------------------
 # references
+
+
+def rows(log):
+    """The rows of ``log`` as ``LogRecord``s, as iterating a ``ParsedLog``
+    gave them: a row without an event has content "" and event id None."""
+    identifiers = log.identifiers + [None]    # code -1 is the last
+    return [LogRecord(line_no, stamp, identifiers[code],
+                      log.templates[event] if event >= 0 else "",
+                      event if event >= 0 else None, LABELS[label])
+            for line_no, stamp, event, code, label in zip(
+                log.line_no.tolist(), log.timestamp.tolist(), log.event_id.tolist(),
+                log.identifier.tolist(), log.label.tolist())]
+
+
+def raw_log(contents):
+    """The raw log of ``contents``: line ``i + 1`` at second ``i``, its own
+    event, with no identifier and no label."""
+    n = len(contents)
+    return ParsedLog(np.arange(1, n + 1), np.arange(n), np.arange(n), np.full(n, -1), [],
+                     np.zeros(n, np.int8), list(contents))
+
+
+def reference_read_raw(path, spec):
+    records = []
+    rejects = []
+    last_stamp, last_timestamp = None, 0
+    line_pattern = re.compile(spec.timestamp_regex)
+    id_pattern = re.compile(spec.identifier_regex) if spec.identifier_regex else None
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            match = line_pattern.search(line)
+            if match is None:
+                rejects.append((line_no, line))
+                continue
+            try:
+                stamp = match.group(1)
+                if stamp != last_stamp:
+                    last_timestamp = calendar.timegm(
+                        time.strptime(stamp, spec.timestamp_format))
+                    last_stamp = stamp
+                timestamp = last_timestamp
+                content = match.group(spec.content_group).strip()
+            except (ValueError, IndexError):
+                rejects.append((line_no, line))
+                continue
+            identifier = None
+            if id_pattern is not None:
+                id_match = id_pattern.search(content)
+                if id_match is not None:
+                    identifier = id_match.group(1)
+            records.append(LogRecord(line_no, timestamp, identifier, content))
+    return records, rejects
+
+
+def reference_parse_templates(records, similarity_threshold=0.5):
+    """The memoised scan over records, assigning event ids in place."""
+    template_tokens = []
+    postings = {}
+    empty_id = None
+    assignments = []
+    chosen = {}
+    for rec in records:
+        masked = mask_parameters(rec.content)
+        best_id = chosen.get(masked)
+        if best_id is not None:
+            assignments.append(best_id)
+            continue
+        tokens = tuple(masked.split())
+        index = postings.setdefault(len(tokens), {})
+        if not tokens:
+            best_id = empty_id
+        else:
+            counts = Counter()
+            for key in enumerate(tokens):
+                counts.update(index.get(key, ()))
+            if counts:
+                top = max(counts.values())
+                if top / len(tokens) >= similarity_threshold:
+                    best_id = min(tid for tid, count in counts.items() if count == top)
+        if best_id is None:
+            best_id = len(template_tokens)
+            template_tokens.append(tokens)
+            for key in enumerate(tokens):
+                index.setdefault(key, set()).add(best_id)
+            if not tokens:
+                empty_id = best_id
+            chosen.clear()
+        else:
+            existing = template_tokens[best_id]
+            changed = [i for i, (a, b) in enumerate(zip(existing, tokens))
+                       if a != b and a != PLACEHOLDER]
+            if not changed:
+                chosen[masked] = best_id
+            else:
+                merged = list(existing)
+                for i in changed:
+                    index[(i, existing[i])].discard(best_id)
+                    index.setdefault((i, PLACEHOLDER), set()).add(best_id)
+                    merged[i] = PLACEHOLDER
+                template_tokens[best_id] = tuple(merged)
+                chosen.clear()
+        assignments.append(best_id)
+    vocab = EventVocabulary()
+    remap = {tid: vocab.add(" ".join(tokens)) for tid, tokens in enumerate(template_tokens)}
+    for rec, tid in zip(records, assignments):
+        rec.event_id = remap[tid]
+    return vocab, records
+
+
+def reference_write_parsed(records, vocab, path):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(PARSED_COLUMNS)
+        writer.writerows(
+            (rec.line_no, rec.timestamp, rec.identifier or "",
+             vocab.templates[rec.event_id] if rec.event_id is not None else rec.content,
+             rec.label or "")
+            for rec in records)
 
 
 def reference_read_parsed(path):
@@ -186,7 +322,7 @@ def test_partition_of_records_matches_reference(records, spec):
 @given(records=record_lists(), spec=partition_specs(), rows=st.sampled_from([1, 3, 65536]))
 def test_partition_of_written_csv_matches_reference(tmp_path_factory, records, spec, rows):
     path = tmp_path_factory.mktemp("csv") / "parsed.csv"
-    write_parsed(records, EventVocabulary(TEMPLATES), path)
+    reference_write_parsed(records, EventVocabulary(TEMPLATES), path)
     with mock.patch.object(ingest, "CSV_ROWS", rows):
         got = outcome(lambda: partition(read_parsed(path)[0], spec))
     want = outcome(lambda: reference_partition(reference_read_parsed(path)[0], spec))
@@ -244,7 +380,7 @@ def csv_texts(draw):
 
 def _read(read, path):
     records, vocab = read(path)
-    return list(records), vocab.templates
+    return rows(records) if isinstance(records, ParsedLog) else records, vocab.templates
 
 
 @settings(max_examples=400, deadline=None)
@@ -293,7 +429,7 @@ def test_parsed_log_columns():
     assert log.event_id.tolist() == [0, -1, 2, 0]
     assert log.label.tolist() == [ingest.NORMAL, ingest.NO_LABEL, ingest.ANOMALY,
                                   ingest.NO_LABEL]
-    assert [r.label for r in log] == [LABEL_NORMAL, None, LABEL_ANOMALY, None]
+    assert [r.label for r in rows(log)] == [LABEL_NORMAL, None, LABEL_ANOMALY, None]
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +471,60 @@ def test_round_trip_of_written_records(tmp_path):
          for ident, label in ((None, None), ("a,b", LABEL_NORMAL), ("c", LABEL_ANOMALY))]
         for i in range(1, 9)))
     path = tmp_path / "parsed.csv"
-    write_parsed(records, EventVocabulary(TEMPLATES), path)
+    write_parsed(ParsedLog.from_records(records), path)
     log, vocab = read_parsed(path)
     want, want_vocab = reference_read_parsed(path)
-    assert list(log) == want and vocab == want_vocab
-    assert [(r.line_no, r.identifier or None, r.label) for r in log] == \
+    assert rows(log) == want and vocab == want_vocab
+    assert [(r.line_no, r.identifier or None, r.label) for r in rows(log)] == \
         [(r.line_no, r.identifier, r.label) for r in records]
+
+
+# ---------------------------------------------------------------------------
+# the raw-log path
+
+RAW_SPEC = FormatSpec(timestamp_regex=r"^(\d\d:\d\d) ?(.*)$", timestamp_format="%H:%M",
+                      content_group=2, identifier_regex=r"\b(id\d)\b")
+# hour 25 and minute 61 match the pattern but do not parse
+STAMPS = ["00:00", "00:01", "23:59", "25:00", "00:61"]
+# words, parameters (a digit or a path separator), a literal placeholder,
+# identifiers, and a byte that is not UTF-8
+WORDS = ["a", "b", "c", "7", "x9", "/p", "a/b", PLACEHOLDER, "id1", "id2", "id12", "\udcff"]
+
+
+@st.composite
+def raw_texts(draw):
+    """Raw log bytes: matched lines whose stamps repeat, change and fail,
+    with and without identifiers, among blank and unmatched lines."""
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["no stamp", "1:2 a", "0:00 b", "\udcff"])))
+        else:
+            words = draw(st.lists(st.sampled_from(WORDS), max_size=5))
+            lines.append(" ".join([draw(st.sampled_from(STAMPS)), *words]))
+    end = draw(st.sampled_from(["", "\n"]))
+    return ("\n".join(lines) + end).encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=raw_texts(), threshold=st.sampled_from([0.3, 0.5, 1.0]),
+       block=st.sampled_from([1, 3, 65536]))
+@example(data=b"00:00 a 7\n00:00 b 7 id1\n\n25:00 c\n00:01 a x9 id2\nnothing\n00:61 a\n",
+         threshold=0.5, block=1)
+def test_raw_path_matches_record_path(tmp_path_factory, data, threshold, block):
+    tmp = tmp_path_factory.mktemp("raw")
+    path = tmp / "raw.log"
+    path.write_bytes(data)
+    with mock.patch.object(ingest, "CSV_ROWS", block):
+        log, rejects = read_raw(path, RAW_SPEC)
+        vocab, log = parse_templates(log, threshold)
+        write_parsed(log, tmp / "got.csv")
+    records, want_rejects = reference_read_raw(path, RAW_SPEC)
+    want_vocab, records = reference_parse_templates(records, threshold)
+    reference_write_parsed(records, want_vocab, tmp / "want.csv")
+    assert rejects == want_rejects
+    assert vocab == want_vocab
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()

@@ -10,6 +10,7 @@ from loglens.ingest import (
     EventVocabulary,
     FormatSpec,
     LogRecord,
+    ParsedLog,
     parse_templates,
     read_parsed,
     read_raw,
@@ -18,6 +19,7 @@ from loglens.ingest import (
     write_parsed,
     write_rejects,
 )
+from test_columnar import raw_log, rows
 
 HDFS_SPEC = FormatSpec(
     timestamp_regex=r"^(\d{6} \d{6}) \d+ \w+ \S+: (.*)$",
@@ -30,17 +32,13 @@ HDFS_LINE = ("081109 203518 143 INFO dfs.DataNode$DataXceiver: "
              "Received block blk_789 of size 67108864 from /10.251.42.84")
 
 
-def make_records(contents):
-    return [LogRecord(i + 1, i, None, c) for i, c in enumerate(contents)]
-
-
 class TestReadRaw:
     def test_hdfs_line_extracts_identifier(self, tmp_path):
         path = tmp_path / "hdfs.log"
         path.write_text(HDFS_LINE + "\n")
-        records, rejects = read_raw(path, HDFS_SPEC)
+        log, rejects = read_raw(path, HDFS_SPEC)
         assert rejects == []
-        (rec,) = records
+        (rec,) = rows(log)
         assert rec.identifier == "blk_789"
         assert rec.content == "Received block blk_789 of size 67108864 from /10.251.42.84"
         assert rec.timestamp > 0
@@ -48,15 +46,15 @@ class TestReadRaw:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.log"
         path.write_text("")
-        records, rejects = read_raw(path, HDFS_SPEC)
-        assert records == [] and rejects == []
+        log, rejects = read_raw(path, HDFS_SPEC)
+        assert rows(log) == [] and rejects == []
 
     def test_malformed_line_becomes_reject(self, tmp_path):
         lines = [HDFS_LINE] * 5 + ["this is not a log line"] + [HDFS_LINE] * 4
         path = tmp_path / "mixed.log"
         path.write_text("\n".join(lines) + "\n")
-        records, rejects = read_raw(path, HDFS_SPEC)
-        assert len(records) == 9
+        log, rejects = read_raw(path, HDFS_SPEC)
+        assert len(log) == 9
         assert rejects == [(6, "this is not a log line")]
         out = tmp_path / "mixed.log.rejects"
         write_rejects(rejects, out)
@@ -68,7 +66,8 @@ class TestReadRaw:
         path = tmp_path / "stamps.log"
         path.write_text("".join(f"{s} 1 INFO x: line {i}\n"
                                 for i, s in enumerate(stamps)))
-        records, rejects = read_raw(path, HDFS_SPEC)
+        log, rejects = read_raw(path, HDFS_SPEC)
+        records = rows(log)
         base = records[0].timestamp
         assert [r.timestamp - base for r in records] == [0, 0, 1, 0]
         assert [line_no for line_no, _ in rejects] == [4, 5]  # hour 25
@@ -78,57 +77,73 @@ class TestReadRaw:
             read_raw(tmp_path / "nope.log", HDFS_SPEC)
 
 
+class TestFormatSpec:
+    @pytest.mark.parametrize("timestamp_format", [
+        "%y%m%d %H%M%S", "%Y-%m-%d %H:%M:%S", "%H:%M", "%Y-%m-%dT%H:%M:%S.%f",
+        "%Y-%m-%d %H:%M:%S%z", "%Y-%m-%d %H:%M:%S %Z", "%b %d %H:%M:%S", "%c"])
+    def test_formats_strptime_reads_are_accepted(self, timestamp_format):
+        spec = FormatSpec(r"^(\S+) (.*)$", timestamp_format, 2)
+        assert spec.timestamp_format == timestamp_format
+
+    @pytest.mark.parametrize("timestamp_format", [
+        "%Q", "%Y-%m-%d %Q", "%s", "%", "%Y-%m-%d %", "%G-%V", "\udcff"])
+    def test_formats_strptime_cannot_read_are_refused(self, timestamp_format):
+        with pytest.raises(FormatError, match="timestamp_format"):
+            FormatSpec(r"^(\S+) (.*)$", timestamp_format, 2)
+
+
 class TestParseTemplates:
     def test_paper_hdfs_pair_merges_to_one_template(self):
-        records = make_records([
+        log = raw_log([
             "Received block blk_789 of size 67108864 from /10.251.42.84",
             "Received block blk_111 of size 512 from /10.0.0.1",
         ])
-        vocab, records = parse_templates(records, similarity_threshold=0.5)
+        vocab, log = parse_templates(log, similarity_threshold=0.5)
         assert vocab.templates == ["Received block <*> of size <*> from <*>"]
-        assert [r.event_id for r in records] == [0, 0]
+        assert [r.event_id for r in rows(log)] == [0, 0]
 
     def test_single_line_masks_all_parameters(self):
-        records = make_records(
+        log = raw_log(
             ["Received block blk_789 of size 67108864 from /10.251.42.84"])
-        vocab, _ = parse_templates(records)
+        vocab, _ = parse_templates(log)
         assert vocab.templates == ["Received block <*> of size <*> from <*>"]
 
     def test_disjoint_contents_make_two_templates(self):
-        records = make_records(["alpha beta gamma", "delta epsilon zeta"])
-        vocab, records = parse_templates(records)
+        log = raw_log(["alpha beta gamma", "delta epsilon zeta"])
+        vocab, log = parse_templates(log)
         assert len(vocab) == 2
-        assert [r.event_id for r in records] == [0, 1]
+        assert [r.event_id for r in rows(log)] == [0, 1]
 
     def test_every_record_gets_exactly_one_dense_id(self):
-        records = make_records([
+        log = raw_log([
             "Verification succeeded for blk_1",
             "Verification succeeded for blk_2",
             "Deleting block blk_3 file /data/a1",
             "starting worker thread",
         ])
-        vocab, records = parse_templates(records)
+        vocab, log = parse_templates(log)
+        records = rows(log)
         ids = sorted({r.event_id for r in records})
         assert ids == list(range(len(vocab)))
         assert all(r.event_id is not None for r in records)
 
     def test_masking_idempotence(self):
-        records = make_records([
+        log = raw_log([
             "Received block blk_789 of size 67108864 from /10.251.42.84",
             "Received block blk_111 of size 512 from /10.0.0.1",
             "PacketResponder 1 for block blk_2 terminating",
         ])
-        vocab, _ = parse_templates(records)
-        again, _ = parse_templates(make_records(list(vocab.templates)))
+        vocab, _ = parse_templates(log)
+        again, _ = parse_templates(raw_log(list(vocab.templates)))
         assert again.templates == vocab.templates
 
     def test_deterministic_given_order(self):
         contents = ["job 1 started", "job 2 started", "job 2 finished",
                     "disk /a full", "disk /b full"]
-        v1, r1 = parse_templates(make_records(contents))
-        v2, r2 = parse_templates(make_records(contents))
+        v1, r1 = parse_templates(raw_log(contents))
+        v2, r2 = parse_templates(raw_log(contents))
         assert v1.templates == v2.templates
-        assert [r.event_id for r in r1] == [r.event_id for r in r2]
+        assert [r.event_id for r in rows(r1)] == [r.event_id for r in rows(r2)]
 
 
 def _mask_token(token):
@@ -203,10 +218,10 @@ THRESHOLDS = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 # merges move template 0 away from "a b c", which then founds its own
 @example(contents=["a b c", "a b c", "a b d", "a e 1", "a b c"], threshold=0.6)
 def test_parse_templates_matches_unmemoised_scan(contents, threshold):
-    vocab, records = parse_templates(make_records(contents), threshold)
+    vocab, log = parse_templates(raw_log(contents), threshold)
     templates, event_ids = reference_scan(contents, threshold)
     assert vocab.templates == templates
-    assert [r.event_id for r in records] == event_ids
+    assert [r.event_id for r in rows(log)] == event_ids
 
 
 class TestTokenizeTemplate:
@@ -223,7 +238,7 @@ class TestTokenizeTemplate:
 
 
 class TestParsedCsv:
-    def rows(self):
+    def records(self):
         return [
             LogRecord(1, 100, "blk_1", "a <*>", 0, "normal"),
             LogRecord(2, 101, "blk_1", "b", 1, "anomaly"),
@@ -234,21 +249,20 @@ class TestParsedCsv:
 
     def test_vocabulary_in_first_appearance_order(self, tmp_path):
         path = tmp_path / "parsed.csv"
-        write_parsed(self.rows(), EventVocabulary(["a <*>", "b", "c d"]), path)
-        records, vocab = read_parsed(path)
+        write_parsed(ParsedLog.from_records(self.records()), path)
+        log, vocab = read_parsed(path)
         assert vocab.templates == ["a <*>", "b", "c d"]
-        assert len(records) == 5
-        assert [r.event_id for r in records] == [0, 1, 0, 2, 1]
+        assert len(log) == 5
+        assert [r.event_id for r in rows(log)] == [0, 1, 0, 2, 1]
 
     def test_round_trip_identity(self, tmp_path):
-        original = self.rows()
-        vocab = EventVocabulary(["a <*>", "b", "c d"])
+        original = self.records()
         p1 = tmp_path / "one.csv"
         p2 = tmp_path / "two.csv"
-        write_parsed(original, vocab, p1)
-        records, vocab2 = read_parsed(p1)
-        assert list(records) == original
-        write_parsed(records, vocab2, p2)
+        write_parsed(ParsedLog.from_records(original), p1)
+        log, _ = read_parsed(p1)
+        assert rows(log) == original
+        write_parsed(log, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_missing_column_names_it(self, tmp_path):

@@ -15,6 +15,7 @@ from loglens.ingest import (
     LABEL_NORMAL,
     EventVocabulary,
     LogRecord,
+    ParsedLog,
     read_parsed,
 )
 from loglens.rng import Rng, derive_seed
@@ -27,6 +28,7 @@ from loglens.syngen import (
     generate,
     is_valid_walk,
 )
+from test_columnar import rows
 
 
 def sequences_of(dataset):
@@ -62,7 +64,7 @@ class TestGenerate:
         path = tmp_path / "syn.csv"
         ds.write(path)
         records, vocab = read_parsed(path)
-        assert list(records) == ds.records
+        assert rows(records) == rows(ds.records)
         assert vocab == ds.vocab
 
     def test_invalid_specs(self):
@@ -223,11 +225,12 @@ def reference_generate(spec: GeneratorSpec) -> SyntheticDataset:
             ))
             line_no += 1
             timestamp += 1
-    return SyntheticDataset(records=records, vocab=vocab, automaton=automaton)
+    return SyntheticDataset(records=ParsedLog.from_records(records), vocab=vocab,
+                            automaton=automaton)
 
 
 def assert_same_dataset(got: SyntheticDataset, want: SyntheticDataset, tmp_path):
-    assert got.records == want.records
+    assert rows(got.records) == rows(want.records)
     assert got.vocab == want.vocab
     assert got.automaton == want.automaton
     got.write(tmp_path / "got.csv")
@@ -263,6 +266,16 @@ class TestArrayWalkOracle:
         spec = GeneratorSpec(n_templates=20, n_sequences=n_sequences,
                              anomaly_rate=0.3, mean_length=12, seed=17)
         assert_same_dataset(generate(spec), reference_generate(spec), tmp_path)
+
+    def test_generated_columns_are_those_of_the_scalar_records(self):
+        spec = GeneratorSpec(n_templates=50, n_sequences=600, anomaly_rate=0.05,
+                             mean_length=20, automaton_branching=3, seed=7)
+        got, want = generate(spec).records, reference_generate(spec).records
+        for column in ("line_no", "timestamp", "event_id", "identifier", "label"):
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+            assert getattr(got, column).dtype == getattr(want, column).dtype, column
+        assert got.identifiers == want.identifiers
+        assert dict(enumerate(got.templates)) == want.templates
 
     def test_draw_on_a_cumulative_weight_takes_the_next_successor(self):
         # u * total equal to a cumulative weight: the scalar draw compares

@@ -1,4 +1,5 @@
-"""Time ``loglens syngen`` at one size, then ``loglens partition`` of its CSV.
+"""Time ``loglens syngen`` at one size, then ``loglens partition`` of its CSV
+and ``loglens parse`` of it rendered as a raw log.
 
     python tools/syngen_scale.py [--sequences N] [--root CHECKOUT]
 
@@ -8,18 +9,24 @@ generator spec (``ACCEPT_SPEC`` in ``tests/test_acceptance.py``) with
 from the ``src/`` of ``--root`` (default: this checkout), so two checkouts can
 be compared with one spec: ``syngen``, then ``partition --mode identifier``
 and ``partition --mode sliding --size 21600 --stride 3600`` (6 h windows every
-hour) of the CSV it wrote. Files go to a temporary directory, which is
-deleted afterwards. Prints one JSON object: the spec, the records written,
-and for each command its wall seconds and records per second (Python
-start-up and imports included) and its peak RSS.
+hour) of the CSV it wrote, then ``parse --format`` of that CSV rendered as a
+raw log as ``perfbench/inputs.render_raw_log`` renders one: each row becomes a
+line with a UTC stamp (``RAW_EPOCH`` plus its timestamp, so one second per
+line) and its template with the identifier and a number in place of each
+``<*>``, read with ``RAW_FORMAT``. Files go to a temporary directory, which
+is deleted afterwards. Prints one JSON object: the spec, the records written,
+and for each command its wall seconds and records (or lines) per second
+(Python start-up and imports included) and its peak RSS.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -27,8 +34,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT)]
 
+from perfbench.inputs import RAW_EPOCH, RAW_FORMAT  # noqa: E402
 from test_acceptance import ACCEPT_SPEC  # noqa: E402
 
 SLIDING = ["--mode", "sliding", "--size", "21600", "--stride", "3600"]
@@ -51,6 +59,22 @@ def _timed(argv: list[str], env: dict, tmp: Path) -> tuple[str, float, float]:
             raise SystemExit(child.returncode)
         out.seek(0)
         return out.read(), seconds, usage.ru_maxrss / 1024
+
+
+def _render_raw(csv_path: Path, raw_path: Path) -> int:
+    """Write the parsed CSV at ``csv_path`` as a raw log; the lines written."""
+    rng = random.Random("syngen-scale-raw")
+    lines = 0
+    with open(csv_path, encoding="utf-8", newline="") as src, \
+            open(raw_path, "w", encoding="utf-8") as out:
+        for row in csv.DictReader(src):
+            stamp = time.strftime(RAW_FORMAT["timestamp_format"],
+                                  time.gmtime(RAW_EPOCH + int(row["Timestamp"])))
+            content = row["EventTemplate"].replace(
+                "<*>", f"{row['Identifier']} {rng.randrange(1, 1 << 20)}")
+            out.write(f"{stamp} {content}\n")
+            lines += 1
+    return lines
 
 
 def main(argv=None) -> int:
@@ -80,6 +104,16 @@ def main(argv=None) -> int:
             result["partition"][mode] = {"seconds": round(seconds, 3),
                                          "records_per_s": round(records / seconds),
                                          "peak_rss_mb": round(peak, 1)}
+        raw_path, format_path = tmp / "raw.log", tmp / "format.json"
+        lines = _render_raw(csv_path, raw_path)
+        format_path.write_text(json.dumps(RAW_FORMAT), encoding="utf-8")
+        csv_path.unlink()
+        _, seconds, peak = _timed(["parse", "--input", str(raw_path), "--format",
+                                   str(format_path), "--out", str(tmp / "parsed.csv")],
+                                  env, tmp)
+        result["parse"] = {"lines": lines, "seconds": round(seconds, 3),
+                           "lines_per_s": round(lines / seconds),
+                           "peak_rss_mb": round(peak, 1)}
     print(json.dumps(result, indent=1))
     return 0
 
