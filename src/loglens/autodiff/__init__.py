@@ -4,6 +4,7 @@ from .tensor import (
     as_tensor,
     add,
     mul,
+    mul_sum,
     matmul,
     tanh,
     sigmoid,
@@ -39,8 +40,8 @@ from .serialize import save_params, load_params
 from .gradcheck import finite_difference_check
 
 __all__ = [
-    "Tensor", "as_tensor", "add", "mul", "matmul", "tanh", "sigmoid", "lstm_sequence",
-    "PrefixTree", "lstm_tree", "relu",
+    "Tensor", "as_tensor", "add", "mul", "mul_sum", "matmul", "tanh", "sigmoid",
+    "lstm_sequence", "PrefixTree", "lstm_tree", "relu",
     "softmax", "cross_entropy", "mse", "embedding_lookup", "concat",
     "narrow", "unfold_windows", "max_along", "no_grad", "grad_enabled",
     "ParamSet", "linear", "lstm_params", "run_lstm", "run_lstm_tree",

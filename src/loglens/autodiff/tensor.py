@@ -3,13 +3,16 @@
 A ``Tensor`` wraps a float64 ndarray plus an optional gradient buffer. Every
 operation records a backward closure; ``Tensor.backward()`` walks the graph in
 reverse topological order and accumulates gradients into the leaves that were
-created with ``requires_grad=True``.
+created with ``requires_grad=True``. The walk frees the graph as it goes: once
+a node's backward has run, its gradient, edges and closure are dropped, so a
+training step holds only what a backward still to run reads.
 
 The operation set is deliberately small: exactly what the detector families
 need (dense algebra, activations, a fused LSTM layer, softmax/cross-entropy/mse
-losses, embedding lookup, window unfolding for convolutions, axis
-reductions). Forward passes on finite inputs stay finite; all arithmetic is
-float64. Inside ``no_grad()`` no graph is recorded, which scoring uses.
+losses, embedding lookup, window unfolding for convolutions, axis reductions,
+a product summed along an axis). Forward passes on finite inputs stay finite;
+all arithmetic is float64. Inside ``no_grad()`` no graph is recorded, which
+scoring uses.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ __all__ = [
     "as_tensor",
     "add",
     "mul",
+    "mul_sum",
     "matmul",
     "tanh",
     "sigmoid",
@@ -152,21 +156,28 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def backward(self) -> None:
-        """Backpropagate from a size-1 tensor through the recorded graph."""
+        """Backpropagate from a size-1 tensor through the recorded graph.
+
+        Leaves keep their ``grad``; every other node but ``self`` is left
+        with no gradient and no graph."""
         if self.data.size != 1:
             raise DimensionError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
             )
         order = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
-            fn = node._backward
-            if fn is not None and node.grad is not None:
-                fn(node.grad)
+        while order:
+            # popped, a node is freed once nothing later in the walk reads it
+            node = order.pop()
+            if node._backward is not None and node.grad is not None:
+                node._backward(node.grad)
             if node._parents:
-                # release the graph so per-batch memory does not accumulate
+                # an interior node's backward has run: drop its gradient and
+                # its edges, and with them the arrays its closure held
                 node._parents = ()
                 node._backward = None
+                if node is not self:
+                    node.grad = None
 
 
 def as_tensor(value) -> Tensor:
@@ -254,13 +265,9 @@ def _toposort(root: Tensor) -> list:
     return order
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
-    try:
-        np.broadcast_shapes(a.data.shape, b.data.shape)
-    except ValueError:
-        raise DimensionError(
-            f"{op}: shapes {a.data.shape} and {b.data.shape} are incompatible"
-        ) from None
+def _incompatible(op: str, a: Tensor, b: Tensor) -> DimensionError:
+    return DimensionError(
+        f"{op}: shapes {a.data.shape} and {b.data.shape} are incompatible")
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +276,11 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "add")
-    out = _make(a.data + b.data, (a, b))
+    try:
+        data = a.data + b.data
+    except ValueError:
+        raise _incompatible("add", a, b) from None
+    out = _make(data, (a, b))
     if out.requires_grad:
         def backward(g, a=a, b=b):
             _accumulate(a, g)
@@ -281,10 +291,36 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a, b, "mul")
-    out = _make(a.data * b.data, (a, b))
+    try:
+        data = a.data * b.data
+    except ValueError:
+        raise _incompatible("mul", a, b) from None
+    out = _make(data, (a, b))
     if out.requires_grad:
         def backward(g, a=a, b=b):
+            if a.requires_grad:
+                _accumulate(a, g * b.data)
+            if b.requires_grad:
+                _accumulate(b, g * a.data)
+        _bind(out, backward)
+    return out
+
+
+def mul_sum(a: Tensor, b: Tensor, axis: int) -> Tensor:
+    """``(a * b).sum(axis)`` as one node: the broadcast product is summed
+    away at once and kept for no backward. Values and gradients are
+    bit-identical to ``mul`` then ``sum``: the backward spreads ``g`` along
+    ``axis`` and multiplies it by each operand just as that pair does."""
+    a, b = as_tensor(a), as_tensor(b)
+    try:
+        product = a.data * b.data
+    except ValueError:
+        raise _incompatible("mul_sum", a, b) from None
+    shape = product.shape
+    out = _make(product.sum(axis=axis), (a, b))
+    if out.requires_grad:
+        def backward(g, a=a, b=b):
+            g = np.broadcast_to(np.expand_dims(g, axis), shape)
             if a.requires_grad:
                 _accumulate(a, g * b.data)
             if b.requires_grad:
@@ -382,7 +418,9 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
     The backward pass is analytic backpropagation through time. Every step
     makes the same GEMMs, of the same shapes, and the same float operations
     in the same order as the graph of elementary ops for that step would, so
-    values and gradients are bit-identical to that graph's.
+    values and gradients are bit-identical to that graph's. It keeps each
+    step's gates and state; ``tanh(c_t)`` it recomputes from the kept
+    ``c_t``, the same ufunc on the same values, so to the same bits.
     """
     xs = as_tensor(xs)
     units = wh.shape[0]
@@ -399,12 +437,12 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
     u, u3 = units, 3 * units
     order = range(n_steps - 1, -1, -1) if reverse else range(n_steps)
     acts = np.empty((n_steps, batch, 4 * units))   # [i | f | o | g] per step
-    tcs = np.empty((n_steps, batch, units))        # tanh(c_t) per step
     packed = np.empty((n_steps, batch, 2 * units))
+    tc = np.empty((batch, units))   # tanh(c_t), recomputed by the backward
     h, c = h0.data, c0.data
     for t in order:
         h, c = _lstm_step(xd[t], h, c, wx.data, wh.data, b.data, acts[t],
-                          packed[t, :, :u], packed[t, :, u:], tcs[t])
+                          packed[t, :, :u], packed[t, :, u:], tc)
     out = _make(packed, (xs, h0, c0, wx, wh, b))
     if out.requires_grad:
         def backward(grad):
@@ -418,7 +456,8 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
                 else:
                     prev = packed[t + 1 if reverse else t - 1]
                     h_prev, c_prev = prev[:, :u], prev[:, u:]
-                a, tc = acts[t], tcs[t]
+                # the same ufunc on the same c_t as the forward: the same bits
+                a, tc = acts[t], np.tanh(packed[t, :, u:])
                 i, f, o, g = a[:, :u], a[:, u:2 * u], a[:, 2 * u:u3], a[:, u3:]
                 gh, gc = grad[t, :, :u], grad[t, :, u:]
                 if carry_h is not None:

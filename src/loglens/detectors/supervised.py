@@ -16,6 +16,7 @@ from ..autodiff import (
     linear,
     lstm_params,
     max_along,
+    mul_sum,
     run_lstm,
     run_lstm_tree,
     tanh,
@@ -95,8 +96,8 @@ class BilstmAttentionDetector(_SupervisedBase):
                 both[t, :, u:] = bw_tree.rows(bw, steps - 1 - t)
             both = Tensor(both)
         hidden = both.transpose((1, 0, 2))  # (B, T, 2u)
-        weights = tanh((hidden * params["attn.w"]).sum(axis=2))  # (B, T), in (-1, 1)
-        weighted = (hidden * weights.reshape(batch, steps, 1)).sum(axis=1)
+        weights = tanh(mul_sum(hidden, params["attn.w"], axis=2))  # (B, T), in (-1, 1)
+        weighted = mul_sum(hidden, weights.reshape(batch, steps, 1), axis=1)
         return linear(weighted, params["out.w"], params["out.b"])
 
 

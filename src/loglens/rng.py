@@ -62,6 +62,16 @@ def bounded(word: int, n: int) -> int:
     return (word * n) >> 64
 
 
+def _bounded_words(words: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """``bounded(words[k], bounds[k])`` for every k, for bounds below 2**32.
+
+    With ``word = hi * 2**32 + lo``, ``(word * n) >> 64`` is
+    ``(hi * n + ((lo * n) >> 32)) >> 32``, and no term reaches 2**64."""
+    low32 = np.uint64(0xFFFFFFFF)
+    shift = np.uint64(32)
+    return ((words >> shift) * bounds + (((words & low32) * bounds) >> shift)) >> shift
+
+
 def _rotl(x: np.ndarray, k: int) -> np.ndarray:
     return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
 
@@ -156,9 +166,16 @@ class Rng:
         return bounded(self.next_u64(), n)
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.integer(i + 1)
+        """In-place Fisher-Yates shuffle. Its n - 1 words come from
+        ``next_u64s`` and the swap indices from them as arrays, so only the
+        swaps run one at a time; the order, and the state left behind, are
+        those of drawing ``integer(i + 1)`` at each step."""
+        n = len(items)
+        if n < 2:
+            return
+        js = _bounded_words(self.next_u64s(n - 1),
+                            np.arange(n, 1, -1, dtype=np.uint64))
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from loglens.autodiff import (
     finite_difference_check,
     matmul,
     mse,
+    mul_sum,
     relu,
     sigmoid,
     softmax,
@@ -152,6 +153,14 @@ class TestCriterion1Gradients:
         worst_primitive = max(worst_primitive, finite_difference_check(
             lambda: sum((m * m).sum() for m in conv2d(img, [filt1, filt2])),
             [img, filt1, filt2]))
+        # a stream of its own, so the draws above and below stay as they were
+        own = Rng(2)
+        hid, w_step, w_row = (Tensor(own.uniform(-1, 1, shape), requires_grad=True)
+                              for shape in ((3, 4, 5), (4, 5), (3, 4, 1)))
+        worst_primitive = max(worst_primitive, finite_difference_check(
+            lambda: (tanh(mul_sum(hid, w_step, axis=2))
+                     * mul_sum(hid, w_row, axis=1).sum()).sum(),
+            [hid, w_step, w_row]))
         assert worst_primitive < self.PRIMITIVE_TOL
 
         worst_model = self._model_checks(rng)

@@ -29,10 +29,14 @@ def test_uniform_matches_scalar_stream(seed, n):
     assert block.next_u64() == scalar.next_u64()
 
 
+# a shuffle of n items takes n - 1 words: these cross the block edge too
 @settings(max_examples=60, deadline=None)
-@given(seed=seeds, n=sizes)
+@given(seed=seeds, n=st.integers(min_value=0, max_value=3000))
+@example(seed=3, n=511)
+@example(seed=3, n=512)
 @example(seed=3, n=513)
 @example(seed=4, n=1024)
+@example(seed=5, n=1)
 def test_permutation_matches_scalar_shuffle(seed, n):
     block, scalar = Rng(seed), Rng(seed)
     assert block.permutation(n).tolist() == scalar_shuffle(scalar, list(range(n)))

@@ -1,5 +1,6 @@
 import math
 import threading
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from loglens.autodiff import (
     ParamSet,
     Tensor,
+    add,
     cross_entropy,
     embedding_lookup,
     finite_difference_check,
@@ -15,6 +17,8 @@ from loglens.autodiff import (
     matmul,
     max_along,
     mse,
+    mul,
+    mul_sum,
     narrow,
     no_grad,
     relu,
@@ -96,9 +100,47 @@ class TestElementwise:
         with pytest.raises(DimensionError):
             Tensor(np.zeros((2, 3))) + Tensor(np.zeros((2, 4)))
 
+    @pytest.mark.parametrize("name, op", [
+        ("add", add), ("mul", mul), ("mul_sum", partial(mul_sum, axis=1))])
+    def test_shape_mismatch_names_both_shapes(self, name, op):
+        with pytest.raises(DimensionError, match=rf"^{name}: shapes "
+                           r"\(2, 3\) and \(2, 4\) are incompatible$"):
+            op(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))))
+
     def test_scalar_operand_allowed(self):
         out = Tensor(np.ones((2, 2))) + 1.5
         assert np.all(out.data == 2.5)
+
+
+class TestMulSum:
+    # the BiLSTM readout: hidden states (B, T, 2u), a transposed view of the
+    # (T, B, 2u) LSTM output, against per-step weights and per-row scalars
+    @pytest.mark.parametrize("other_shape, axis", [((5, 6), 2), ((4, 5, 1), 1)])
+    def test_bits_match_mul_then_sum(self, other_shape, axis):
+        rng = Rng(61)
+        both = rand_tensor(rng, (5, 4, 6))
+        other = rand_tensor(rng, other_shape)
+        scale = Tensor(rng.uniform(-1.0, 1.0, (4, 6 if axis == 1 else 5)))
+        results = []
+        for fused in (True, False):
+            hidden = both.transpose((1, 0, 2))
+            out = (mul_sum(hidden, other, axis=axis) if fused
+                   else (hidden * other).sum(axis=axis))
+            (tanh(out) * scale).sum().backward()
+            results.append((out.data, both.grad, other.grad))
+            both.grad = other.grad = None
+        for fused, reference in zip(*results):
+            assert fused.tobytes() == reference.tobytes()
+
+    def test_gradient_vs_finite_difference(self):
+        rng = Rng(62)
+        a = rand_tensor(rng, (3, 4, 5))
+        b = rand_tensor(rng, (4, 5))
+        c = rand_tensor(rng, (3, 4, 1))
+        err = finite_difference_check(
+            lambda: (mul_sum(a, b, axis=2) * mul_sum(a, c, axis=1).sum()).sum(),
+            [a, b, c])
+        assert err < TOL
 
 
 class TestSoftmax:
@@ -285,6 +327,21 @@ class TestReductions:
         ((a + b).sum() + (a * 2.0).sum()).backward()
         assert a.grad.tolist() == [3.0] * 3
         assert b.grad.tolist() == [1.0] * 3
+
+    def test_backward_frees_interior_gradients(self):
+        rng = Rng(63)
+        x, w = rand_tensor(rng, (3, 4)), rand_tensor(rng, (4, 2))
+        v = rand_tensor(rng, (2,))
+        product = matmul(x, w)
+        h = tanh(product)
+        y = mul_sum(h, v, axis=1)
+        square = y * y
+        square.sum().backward()
+        for leaf in (x, w, v):
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        for node in (product, h, y, square):
+            assert node.grad is None
+            assert node._parents == () and node._backward is None
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)

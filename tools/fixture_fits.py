@@ -7,8 +7,11 @@ Run from the root of a loglens checkout; the program is imported from
 detector configs of ``tests/test_acceptance.py``), fits each family as the
 ``trained`` fixture does, in one process, and prints one JSON object: per
 family, the wall seconds of the fit with the user and sys CPU seconds and the
-minor page faults the process took during it, then the totals. BLAS is pinned
-to one thread unless the environment already sets it.
+minor page faults the process took during it, and the fit's peak traced
+memory in MB, then the totals (the process total includes the traced fits).
+The peak comes from a second fit of the same family under ``tracemalloc``, so
+that tracing does not slow the timed one. BLAS is pinned to one thread unless
+the environment already sets it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import json  # noqa: E402
 import resource  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -68,9 +72,15 @@ def main(argv=None) -> int:
     result = {"dataset": total.read(), "fits": {}}
     for family in families:
         fit_on = train if family in acceptance.SUPERVISED else normal_train
+        config = acceptance.DETECTOR_CONFIGS[family]
         meter = Meter()
-        build_detector(acceptance.DETECTOR_CONFIGS[family]).fit(fit_on, ds.vocab)
+        build_detector(config).fit(fit_on, ds.vocab)
         result["fits"][family] = meter.read()
+        tracemalloc.start()
+        build_detector(config).fit(fit_on, ds.vocab)
+        result["fits"][family]["peak_traced_mb"] = round(
+            tracemalloc.get_traced_memory()[1] / 1e6, 2)
+        tracemalloc.stop()
     result["fits_total"] = {
         key: round(sum(fit[key] for fit in result["fits"].values()), 3)
         for key in ("wall_s", "user_s", "sys_s", "minor_faults")}
