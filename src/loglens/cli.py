@@ -81,7 +81,8 @@ def _check(doc, schema: dict, pointer: str) -> None:
         raise SchemaError(where, f"must be one of {', '.join(schema['enum'])}")
     for key, holds, text in (("minimum", operator.ge, ">="),
                              ("exclusiveMinimum", operator.gt, ">"),
-                             ("maximum", operator.le, "<=")):
+                             ("maximum", operator.le, "<="),
+                             ("exclusiveMaximum", operator.lt, "<")):
         if (key in schema and isinstance(doc, (int, float))
                 and not holds(doc, schema[key])):  # NaN holds none
             raise SchemaError(where, f"must be {text} {schema[key]}")
@@ -133,6 +134,10 @@ def validate_run_config(doc: dict) -> dict:
         except ConfigurationError as err:
             raise SchemaError(f"/detectors/{i}", str(err)) from None
     dataset = resolved["dataset"]
+    try:  # a fixed or sliding partition needs a size, and a stride in it
+        PartitionSpec(**dataset["partition"])
+    except ConfigurationError as err:
+        raise SchemaError("/dataset/partition", str(err)) from None
     if dataset["format"] == "raw":
         try:  # the schema cannot say that a raw dataset needs a usable spec
             FormatSpec.from_json(dataset.get("format_spec", {}))
@@ -148,9 +153,7 @@ def _load_dataset(resolved: dict):
     else:
         log, _ = read_raw(ds["path"], FormatSpec.from_json(ds["format_spec"]))
         vocab, log = parse_templates(log, ds["similarity_threshold"])
-    part = ds["partition"]
-    spec = PartitionSpec(part["mode"], part["partition_size"], part["stride"])
-    return partition(log, spec), vocab
+    return partition(log, PartitionSpec(**ds["partition"])), vocab
 
 
 # ---------------------------------------------------------------------------

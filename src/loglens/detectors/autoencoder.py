@@ -35,8 +35,9 @@ class AutoencoderDetector(WindowDetector):
     """Dense two-layer encoder/decoder over flattened window features.
 
     Index mode feeds one-hot rows per position, semantic mode the frozen
-    template vectors; either way the bottleneck is ``hidden // 4`` wide and
-    the loss is the mean squared reconstruction distance. Score rule: a
+    template vectors, gathered from the window ids one batch at a time, in
+    training as in scoring; either way the bottleneck is ``hidden // 4`` wide
+    and the loss is the mean squared reconstruction distance. Score rule: a
     window is anomalous iff its reconstruction error strictly exceeds the
     threshold calibrated at ``fit``.
     """
@@ -80,9 +81,9 @@ class AutoencoderDetector(WindowDetector):
     # training ----------------------------------------------------------------
 
     def _training_examples(self, sequences, order_rng):
-        """Features of the windows to train on, each its own reconstruction
-        target, and a normal slice of the windows held out for the threshold
-        (windows of labeled-anomalous sequences never calibrate it)."""
+        """The windows to train on, each its own reconstruction target, and a
+        normal slice of the windows held out for the threshold (windows of
+        labeled-anomalous sequences never calibrate it)."""
         ids, _, owner, _ = self._examples(sequences, self.vocab_size_)
         perm = order_rng.permutation(ids.shape[0])
         normal = ~np.asarray([seq.is_anomalous for seq in sequences], dtype=bool)[owner]
@@ -91,14 +92,11 @@ class AutoencoderDetector(WindowDetector):
             raise TrainingError("no normal window to hold out for the threshold")
         val_count = max(1, int(round(VALIDATION_FRACTION * ids.shape[0])))
         val_positions = np.sort(normal_order[:val_count])
-        # gathered once: one gather per batch left malloc in a state that
-        # slowed the fits after it by a quarter
-        rows = self._input_table(None)[0].data
-        features = self._window_features(ids[perm[~np.isin(perm, val_positions)]], rows)
-        return features, features, ids[val_positions]
+        train = ids[perm[~np.isin(perm, val_positions)]]
+        return train, train, ids[val_positions]
 
-    def _loss(self, params: ParamSet, table, features: np.ndarray, targets) -> Tensor:
-        x = Tensor(features)
+    def _loss(self, params: ParamSet, table, ids: np.ndarray, targets) -> Tensor:
+        x = Tensor(self._window_features(ids, table.data))
         return mse(self._reconstruct(params, x), x)
 
     def _calibrate(self, table, held_out: np.ndarray) -> None:

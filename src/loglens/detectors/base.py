@@ -131,19 +131,30 @@ class BaseDetector:
     # training -------------------------------------------------------------
 
     def fit(self, sequences: list[EventSequence], vocab: EventVocabulary):
-        """Train on ``sequences``. Which sequences a family fits on (all of
-        them, or only the normal ones) is the caller's rule: see
-        ``bench.fit_set``."""
+        """Train on ``sequences``: mini-batch Adam for ``epochs`` epochs,
+        reshuffled each epoch from the order stream, keeping each epoch's
+        mean loss. Which sequences a family fits on (all of them, or only the
+        normal ones) is the caller's rule: see ``bench.fit_set``."""
         start = time.perf_counter()
+        config = self.config
         self._set_vocab(vocab)
         self.params_ = params = self._build_params(vocab)
         table, _ = self._input_table(None)
-        order_rng = Rng(derive_seed(self.config.seed, self.family, "order"))
+        order_rng = Rng(derive_seed(config.seed, self.family, "order"))
         inputs, targets, held_out = self._training_examples(sequences, order_rng)
-        self.epoch_losses_ = self._train(
-            params, len(inputs),
-            lambda batch: self._loss(params, table, inputs[batch], targets[batch]),
-            order_rng)
+        optimizer = Adam(config.lr)
+        self.epoch_losses_ = []
+        for _ in range(config.epochs):
+            perm = order_rng.permutation(len(inputs))
+            total = 0.0
+            for lo in range(0, len(inputs), config.batch_size):
+                batch = perm[lo:lo + config.batch_size]
+                loss = self._loss(params, table, inputs[batch], targets[batch])
+                params.zero_grad()
+                loss.backward()
+                optimizer.step(params)
+                total += loss.item() * len(batch)
+            self.epoch_losses_.append(total / len(inputs) if len(inputs) else 0.0)
         self._calibrate(table, held_out)
         self.training_seconds_ = time.perf_counter() - start
         return self
@@ -161,28 +172,6 @@ class BaseDetector:
 
     def _calibrate(self, table, held_out) -> None:
         """Fit the cutoff of the score rule on held-out inputs, if it has one."""
-
-    def _train(self, params: ParamSet, count: int, batch_loss,
-               order_rng: Rng) -> list[float]:
-        """Mini-batch Adam over ``count`` examples for ``epochs`` epochs,
-        reshuffled each epoch from ``order_rng``. ``batch_loss(index)`` returns
-        the mean loss of the examples at ``index``; the result is each
-        epoch's mean loss."""
-        config = self.config
-        optimizer = Adam(config.lr)
-        losses = []
-        for _ in range(config.epochs):
-            perm = order_rng.permutation(count)
-            total = 0.0
-            for lo in range(0, count, config.batch_size):
-                batch = perm[lo:lo + config.batch_size]
-                loss = batch_loss(batch)
-                params.zero_grad()
-                loss.backward()
-                optimizer.step(params)
-                total += loss.item() * len(batch)
-            losses.append(total / count if count else 0.0)
-        return losses
 
     # input rows -----------------------------------------------------------
 

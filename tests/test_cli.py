@@ -639,6 +639,27 @@ class TestSchemaValidation:
         assert "/detectors/2:" in err and message in err
         assert "absent.csv" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("pointer, key, value", [
+        ("/train_fraction", "train_fraction", 1.5),
+        ("/train_fraction", "train_fraction", 0),
+        ("/contamination_ratios/1", "contamination_ratios", [0.05, 1.5]),
+        ("/noise/ratios/1", "noise", {"ratios": [0.1, -0.2]}),
+        ("/noise/strategies", "noise", {"strategies": []}),
+        ("/dataset/partition", "partition", {"mode": "sliding"}),
+        ("/dataset/partition", "partition",
+         {"mode": "sliding", "partition_size": 60, "stride": 90}),
+        ("/dataset/partition", "partition", {"mode": "fixed"}),
+    ])
+    def test_run_value_error_names_its_pointer_before_reading_data(
+            self, tmp_path, capsys, pointer, key, value):
+        config, doc = bench_config(tmp_path, tmp_path / "absent.csv")
+        (doc["dataset"] if key == "partition" else doc)[key] = value
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {pointer}:" in err
+        assert "absent.csv" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("format_spec, message", [
         (None, "missing key 'timestamp_regex'"),
         ({k: v for k, v in FORMAT_SPEC.items() if k != "timestamp_format"},
@@ -868,13 +889,15 @@ class TestSchemaMatchesCode:
         integer key: jsonschema takes them, this validator refuses them. A
         raw dataset's ``format_spec`` is an open object to the schema; this
         validator refuses a spec ``FormatSpec`` cannot use, or none, at
-        ``/dataset/format_spec``."""
+        ``/dataset/format_spec``, and a partition ``PartitionSpec`` refuses
+        (here a fixed one without a positive size) at
+        ``/dataset/partition``."""
         jsonschema = pytest.importorskip("jsonschema")
         monkeypatch.delenv("LOGLENS_SEED", raising=False)
         reference = jsonschema.Draft202012Validator(run_config_schema())
         assert reference.is_valid(FULL_CONFIG)
         drop = object()
-        disagree, integral_floats, spec_refusals = [], [], []
+        disagree, integral_floats, cross_field = [], [], []
         for path in key_paths(FULL_CONFIG):
             doc = FULL_CONFIG
             for part in path:
@@ -901,15 +924,17 @@ class TestSchemaMatchesCode:
                     ours, pointer = False, err.pointer
                 if ours != reference.is_valid(doc):
                     assert not ours, (path, value)
-                    if pointer == "/dataset/format_spec" and not (
-                            integral and value is wrong_type):
-                        spec_refusals.append(path)
+                    if pointer in ("/dataset/format_spec", "/dataset/partition") \
+                            and not (integral and value is wrong_type):
+                        cross_field.append((pointer, path))
                     else:
                         disagree.append((path, value))
         assert len(integral_floats) >= 15
         assert disagree == integral_floats
-        assert set(path[:2] for path in spec_refusals) == {("dataset", "format_spec")}
-        assert len(spec_refusals) >= 30
+        assert {(pointer, path[:2]) for pointer, path in cross_field} == {
+            ("/dataset/format_spec", ("dataset", "format_spec")),
+            ("/dataset/partition", ("dataset", "partition"))}
+        assert sum(pointer == "/dataset/format_spec" for pointer, _ in cross_field) >= 30
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "golden-report.csv"

@@ -408,6 +408,23 @@ class TestInputTableGraph:
                    if any(parent is table for parent in node._parents)]
         assert len(readers) <= 1
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_training_examples_are_id_arrays(self, family):
+        """Every family trains on event ids, not on features gathered from
+        them: windows of ``window_size`` ids, or ``max_len`` ids a sequence
+        for the supervised families (the autoencoder's held-out windows
+        too)."""
+        config = DetectorConfig(family, window_size=3, max_len=12, seed=5)
+        det = build_detector(config)
+        det._set_vocab(VOCAB)
+        seqs = random_sequences(Rng(17), 20, vocab_size=3, error_rate=0.3)
+        seqs[0].label = "anomaly"
+        inputs, _, held_out = det._training_examples(seqs, Rng(1))
+        width = config.max_len if family in SUPERVISED_FAMILIES else config.window_size
+        for ids in [inputs] + ([] if held_out is None else [held_out]):
+            assert ids.dtype.kind == "i"
+            assert ids.ndim == 2 and ids.shape[1] == width and len(ids)
+
 
 class TestTrainingMemory:
     def test_bilstm_step_holds_only_what_backward_reads(self):
@@ -430,6 +447,27 @@ class TestTrainingMemory:
         finally:
             tracemalloc.stop()
         assert peak < 45e6
+
+    def test_autoencoder_fit_gathers_features_one_batch_at_a_time(self):
+        # an index-mode fit over about 5,000 windows of 200 templates: the
+        # one-hot features of every training window at once would take about
+        # 80 MB (5,000 x 2,010 x 8 B), a 128-row batch of them about 2 MB,
+        # and a training step peaks near 15 MB. Scoring the 550 held-out
+        # windows in one call for the threshold holds three 8.8 MB arrays,
+        # so the fit peaks near 30 MB
+        rng = Rng(37)
+        vocab = EventVocabulary([f"event {i}" for i in range(200)])
+        seqs = [EventSequence([rng.integer(200) for _ in range(65)], "normal", f"s{i}")
+                for i in range(100)]
+        config = DetectorConfig(family="autoencoder", window_size=10, hidden=8,
+                                epochs=1, batch_size=128, seed=13)
+        tracemalloc.start()
+        try:
+            build_detector(config).fit(seqs, vocab)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 35e6
 
 
 class TestPersistence:
