@@ -121,7 +121,7 @@ class Tensor:
         if out.requires_grad:
             def backward(g, t=self, s=src_shape):
                 _accumulate(t, g.reshape(s))
-            _bind(out, backward)
+            out._backward = backward
         return out
 
     def transpose(self, axes) -> "Tensor":
@@ -131,7 +131,7 @@ class Tensor:
         if out.requires_grad:
             def backward(g, t=self, inv=inverse):
                 _accumulate(t, g.transpose(inv))
-            _bind(out, backward)
+            out._backward = backward
         return out
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -145,7 +145,7 @@ class Tensor:
                     if not kd:
                         g = np.expand_dims(g, ax)
                     _accumulate(t, np.broadcast_to(g, s))
-            _bind(out, backward)
+            out._backward = backward
         return out
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -220,10 +220,6 @@ def _make(data: np.ndarray, parents: tuple) -> Tensor:
     return out
 
 
-def _bind(out: Tensor, backward) -> None:
-    out._backward = backward
-
-
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
@@ -285,7 +281,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         def backward(g, a=a, b=b):
             _accumulate(a, g)
             _accumulate(b, g)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -302,7 +298,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(a, g * b.data)
             if b.requires_grad:
                 _accumulate(b, g * a.data)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -325,7 +321,7 @@ def mul_sum(a: Tensor, b: Tensor, axis: int) -> Tensor:
                 _accumulate(a, g * b.data)
             if b.requires_grad:
                 _accumulate(b, g * a.data)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -347,7 +343,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
             else:
                 _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -358,7 +354,7 @@ def tanh(x: Tensor) -> Tensor:
     if out.requires_grad:
         def backward(g, x=x, y=y):
             _accumulate(x, g * (1.0 - y * y))
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -381,7 +377,7 @@ def sigmoid(x: Tensor) -> Tensor:
     if out.requires_grad:
         def backward(g, x=x, y=y):
             _accumulate(x, g * y * (1.0 - y))
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -488,7 +484,7 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
                     _accumulate(c0, gc * f)
             if dxs is not None:
                 _accumulate(xs, dxs)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -573,7 +569,7 @@ def relu(x: Tensor) -> Tensor:
     if out.requires_grad:
         def backward(g, x=x):
             _accumulate(x, g * (x.data > 0.0))
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -588,7 +584,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         def backward(g, x=x, s=s, axis=axis):
             inner = (g * s).sum(axis=axis, keepdims=True)
             _accumulate(x, s * (g - inner))
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -622,7 +618,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
             p = e / e.sum(axis=1, keepdims=True)
             p[np.arange(n), t] -= 1.0
             _accumulate(logits, g * p / n)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -640,7 +636,7 @@ def mse(x: Tensor, y: Tensor) -> Tensor:
                 _accumulate(x, g * scale * diff)
             if y.requires_grad:
                 _accumulate(y, -g * scale * diff)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -665,7 +661,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             full = np.zeros_like(table.data)
             np.add.at(full, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
             _accumulate(table, full)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -681,7 +677,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
                 sl[axis] = slice(start, start + size)
                 _accumulate(t, g[tuple(sl)])
                 start += size
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -696,7 +692,7 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
             if x.grad is None:
                 x.grad = np.zeros_like(x.data)
             x.grad[sl] += g
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -720,7 +716,7 @@ def unfold_windows(x: Tensor, height: int) -> Tensor:
             for i in range(n):
                 full[:, i:i + height, :] += g[:, i]
             _accumulate(x, full)
-        _bind(out, backward)
+        out._backward = backward
     return out
 
 
@@ -735,5 +731,5 @@ def max_along(x: Tensor, axis: int) -> Tensor:
             np.put_along_axis(full, np.expand_dims(idx, axis),
                               np.expand_dims(g, axis), axis=axis)
             _accumulate(x, full)
-        _bind(out, backward)
+        out._backward = backward
     return out

@@ -14,25 +14,24 @@ from __future__ import annotations
 
 import argparse
 import copy
-import functools
 import json
-import operator
 import os
 import sys
 from dataclasses import fields
-from importlib import resources
 from pathlib import Path
 
 from .bench import NOISE_STRATEGIES, BenchReport, fit_set, read_synonyms, run_experiment
 from .detectors import DetectorConfig, build_detector, load_detector, save_detector
 from .exceptions import ConfigurationError, FormatError, LoglensError
 from .ingest import (
+    EventVocabulary,
     FormatSpec,
-    check_similarity_threshold,
-    parse_templates,
+    SchemaError,
+    check_schema,
     read_json,
     read_parsed,
     read_raw,
+    run_config_schema,
     write_parsed,
     write_rejects,
 )
@@ -41,69 +40,6 @@ from .syngen import GeneratorSpec, stream
 
 USAGE_EXIT = 2
 RUNTIME_EXIT = 3
-
-
-class SchemaError(ConfigurationError):
-    """Run config violates the schema; carries a JSON-pointer path."""
-
-    def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
-
-
-# ---------------------------------------------------------------------------
-# run config schema
-
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-               "integer": int, "number": (int, float), "null": type(None)}
-
-
-@functools.cache
-def run_config_schema() -> dict:
-    """The published run-config schema (data/runconfig.schema.json)."""
-    return read_json(resources.files("loglens") / "data" / "runconfig.schema.json")
-
-
-def _check(doc, schema: dict, pointer: str) -> None:
-    """Check ``doc`` against one schema node and fill in its defaults in
-    place. Covers only the keywords the run-config schema uses; JSON
-    booleans are never numbers, and an integer is never a float such as 3.0.
-    Bounds apply to numbers only."""
-    where = pointer or "/"
-    kinds = schema.get("type", [])
-    kinds = [kinds] if isinstance(kinds, str) else kinds
-    if kinds and not any(isinstance(doc, _JSON_TYPES[kind])
-                         and isinstance(doc, bool) == (kind == "boolean")
-                         for kind in kinds):
-        got = "null" if doc is None else type(doc).__name__
-        raise SchemaError(where, f"expected {' or '.join(kinds)}, got {got}")
-    if "enum" in schema and doc not in schema["enum"]:
-        raise SchemaError(where, f"must be one of {', '.join(schema['enum'])}")
-    for key, holds, text in (("minimum", operator.ge, ">="),
-                             ("exclusiveMinimum", operator.gt, ">"),
-                             ("maximum", operator.le, "<="),
-                             ("exclusiveMaximum", operator.lt, "<")):
-        if (key in schema and isinstance(doc, (int, float))
-                and not holds(doc, schema[key])):  # NaN holds none
-            raise SchemaError(where, f"must be {text} {schema[key]}")
-    if isinstance(doc, list):
-        if len(doc) < schema.get("minItems", 0):
-            raise SchemaError(where, f"needs at least {schema['minItems']} item(s)")
-        for i, item in enumerate(doc):
-            _check(item, schema.get("items", {}), f"{pointer}/{i}")
-    if isinstance(doc, dict):
-        properties = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in doc:
-                raise SchemaError(f"{pointer}/{key}", "required key missing")
-        for key, sub in properties.items():
-            if key not in doc and "default" in sub:
-                doc[key] = copy.deepcopy(sub["default"])
-        for key, value in doc.items():
-            if key in properties:
-                _check(value, properties[key], f"{pointer}/{key}")
-            elif schema.get("additionalProperties") is False:
-                raise SchemaError(f"{pointer}/{key}", "unknown key")
 
 
 def _env_seed() -> int | None:
@@ -120,7 +56,7 @@ def validate_run_config(doc: dict) -> dict:
     """Check a run config against the schema and return a copy with every
     default filled in, each detector's included."""
     resolved = copy.deepcopy(doc)
-    _check(resolved, run_config_schema(), "")
+    check_schema(resolved, run_config_schema(), "")
     env_seed = _env_seed()
     if env_seed is not None:
         resolved["seed"] = env_seed
@@ -151,8 +87,9 @@ def _load_dataset(resolved: dict):
     if ds["format"] == "parsed":
         log, vocab = read_parsed(ds["path"])
     else:
-        log, _ = read_raw(ds["path"], FormatSpec.from_json(ds["format_spec"]))
-        vocab, log = parse_templates(log, ds["similarity_threshold"])
+        log, _ = read_raw(ds["path"], FormatSpec.from_json(ds["format_spec"]),
+                          ds["similarity_threshold"])
+        vocab = EventVocabulary(log.templates)
     return partition(log, PartitionSpec(**ds["partition"])), vocab
 
 
@@ -161,13 +98,12 @@ def _load_dataset(resolved: dict):
 
 
 def cmd_parse(args) -> int:
-    check_similarity_threshold(args.similarity_threshold)
-    log, rejects = read_raw(args.input, FormatSpec.load(args.format))
-    vocab, log = parse_templates(log, args.similarity_threshold)
+    log, rejects = read_raw(args.input, FormatSpec.load(args.format),
+                            args.similarity_threshold)
     write_parsed(log, args.out)
     rejects_path = f"{args.input}.rejects"
     write_rejects(rejects, rejects_path)
-    print(f"parsed {len(log)} records into {len(vocab)} templates; "
+    print(f"parsed {len(log)} records into {len(log.templates)} templates; "
           f"{len(rejects)} rejects -> {rejects_path}")
     return 0
 

@@ -1,4 +1,5 @@
-"""Log ingestion: raw-line reading, template extraction, pre-parsed CSV I/O.
+"""Log ingestion: raw-line reading, template extraction, pre-parsed CSV I/O,
+and the JSON inputs with their schema check.
 
 Two pathways feed partitioning: parse raw text with the built-in
 token-similarity clusterer, or load a pre-parsed CSV that already carries
@@ -10,17 +11,20 @@ quality never contaminates detector comparisons.
 from __future__ import annotations
 
 import calendar
+import copy
 import csv
 import functools
 import io
 import json
+import operator
 import re
 import time
 from array import array
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from importlib import resources
 from itertools import chain, islice
 from operator import itemgetter
 
@@ -122,6 +126,66 @@ def read_json(path):
             raise FormatError(f"{path}: {err}") from None
 
 
+class SchemaError(ConfigurationError):
+    """A document violates a run-config schema node; carries a JSON-pointer path."""
+
+    def __init__(self, pointer: str, message: str):
+        super().__init__(f"{pointer}: {message}")
+        self.pointer = pointer
+
+
+_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+               "integer": int, "number": (int, float), "null": type(None)}
+
+
+@functools.cache
+def run_config_schema() -> dict:
+    """The published run-config schema (data/runconfig.schema.json)."""
+    return read_json(resources.files("loglens") / "data" / "runconfig.schema.json")
+
+
+def check_schema(doc, schema: dict, pointer: str) -> None:
+    """Check ``doc`` against one schema node and fill in its defaults in
+    place. Covers only the keywords the run-config schema uses; JSON
+    booleans are never numbers, and an integer is never a float such as 3.0.
+    Bounds apply to numbers only."""
+    where = pointer or "/"
+    kinds = schema.get("type", [])
+    kinds = [kinds] if isinstance(kinds, str) else kinds
+    if kinds and not any(isinstance(doc, _JSON_TYPES[kind])
+                         and isinstance(doc, bool) == (kind == "boolean")
+                         for kind in kinds):
+        got = "null" if doc is None else type(doc).__name__
+        raise SchemaError(where, f"expected {' or '.join(kinds)}, got {got}")
+    if "enum" in schema and doc not in schema["enum"]:
+        raise SchemaError(where, f"must be one of {', '.join(schema['enum'])}")
+    for key, holds, text in (("minimum", operator.ge, ">="),
+                             ("exclusiveMinimum", operator.gt, ">"),
+                             ("maximum", operator.le, "<="),
+                             ("exclusiveMaximum", operator.lt, "<")):
+        if (key in schema and isinstance(doc, (int, float))
+                and not holds(doc, schema[key])):  # NaN holds none
+            raise SchemaError(where, f"must be {text} {schema[key]}")
+    if isinstance(doc, list):
+        if len(doc) < schema.get("minItems", 0):
+            raise SchemaError(where, f"needs at least {schema['minItems']} item(s)")
+        for i, item in enumerate(doc):
+            check_schema(item, schema.get("items", {}), f"{pointer}/{i}")
+    if isinstance(doc, dict):
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in doc:
+                raise SchemaError(f"{pointer}/{key}", "required key missing")
+        for key, sub in properties.items():
+            if key not in doc and "default" in sub:
+                doc[key] = copy.deepcopy(sub["default"])
+        for key, value in doc.items():
+            if key in properties:
+                check_schema(value, properties[key], f"{pointer}/{key}")
+            elif schema.get("additionalProperties") is False:
+                raise SchemaError(f"{pointer}/{key}", "unknown key")
+
+
 def write_vocab(vocab: EventVocabulary, path) -> None:
     """The templates in id order, as a JSON array: the format of a model's
     ``vocab.json`` and of the ``<out>.vocab.json`` beside a sequences JSONL."""
@@ -141,13 +205,13 @@ def read_vocab(path) -> EventVocabulary:
 
 @dataclass(eq=False)
 class ParsedLog:
-    """A log as columns, one entry per row: raw, parsed or generated.
+    """A log as columns, one entry per row: parsed or generated.
 
     ``line_no``, ``timestamp`` and ``event_id`` are int64 (an event id of -1
     means none). ``identifier`` holds codes into ``identifiers``, which lists
     each identifier once in first-appearance order (-1 means none), and
     ``label`` holds codes into ``LABELS``. A row's content is its event's
-    text, ``templates[event_id]``; in a raw log every row is its own event.
+    text, ``templates[event_id]``.
     """
 
     line_no: np.ndarray
@@ -265,9 +329,10 @@ def _groups(pattern: str, key: str) -> int:
         raise FormatError(f"format spec {key} does not compile: {err}") from None
 
 
-def read_raw(path, spec: FormatSpec) -> tuple[ParsedLog, list[tuple[int, str]]]:
-    """Read a raw log file as a ``ParsedLog`` of one event per line, its
-    content; lines that do not match become rejects, not errors.
+def read_raw(path, spec: FormatSpec, similarity_threshold: float = 0.5
+             ) -> tuple[ParsedLog, list[tuple[int, str]]]:
+    """Read a raw log file as a ``ParsedLog`` of ``parse_templates``' ids, which
+    parses each message as its line is read; unmatched lines become rejects.
 
     A log is written in time order, so most lines repeat the previous line's
     timestamp text: the last text and its epoch seconds are kept and reused,
@@ -275,40 +340,46 @@ def read_raw(path, spec: FormatSpec) -> tuple[ParsedLog, list[tuple[int, str]]]:
     """
     line_pattern = re.compile(spec.timestamp_regex)
     id_pattern = re.compile(spec.identifier_regex) if spec.identifier_regex else None
-    numbers = array("q")    # each line's number, timestamp and identifier code
-    contents: list[str] = []
+    line_nos, timestamps, identifiers = array("q"), array("q"), array("q")
     codes: dict[str, int] = {}
     rejects: list[tuple[int, str]] = []
-    last_stamp, last_timestamp = None, 0
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            match = line_pattern.search(line)
-            if match is None:
-                rejects.append((line_no, line))
-                continue
-            try:
-                stamp = match.group(1)
-                if stamp != last_stamp:
-                    last_timestamp = calendar.timegm(
-                        time.strptime(stamp, spec.timestamp_format))
-                    last_stamp = stamp
-                content = match.group(spec.content_group).strip()
-            except (ValueError, IndexError):
-                rejects.append((line_no, line))
-                continue
-            code = -1
-            if id_pattern is not None:
-                id_match = id_pattern.search(content)
-                if id_match is not None:
-                    code = codes.setdefault(id_match.group(1), len(codes))
-            numbers.extend((line_no, last_timestamp, code))
-            contents.append(content)
-    line_nos, timestamps, identifiers = np.frombuffer(numbers, np.int64).reshape(-1, 3).T.copy()
-    return ParsedLog(line_nos, timestamps, np.arange(len(contents), dtype=np.int64), identifiers,
-                     list(codes), np.full(len(contents), NO_LABEL, np.int8), contents), rejects
+
+    def messages():
+        last_stamp, last_timestamp = None, 0
+        with open(path, "r", encoding="utf-8", errors="replace") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                line = line.rstrip("\n")
+                if not line.strip():
+                    continue
+                match = line_pattern.search(line)
+                if match is None:
+                    rejects.append((line_no, line))
+                    continue
+                try:
+                    stamp = match.group(1)
+                    if stamp != last_stamp:
+                        last_timestamp = calendar.timegm(
+                            time.strptime(stamp, spec.timestamp_format))
+                        last_stamp = stamp
+                    content = match.group(spec.content_group).strip()
+                except (ValueError, IndexError):
+                    rejects.append((line_no, line))
+                    continue
+                code = -1
+                if id_pattern is not None:
+                    id_match = id_pattern.search(content)
+                    if id_match is not None:
+                        code = codes.setdefault(id_match.group(1), len(codes))
+                line_nos.append(line_no)
+                timestamps.append(last_timestamp)
+                identifiers.append(code)
+                yield content
+
+    vocab, event_id = parse_templates(messages(), similarity_threshold)
+    line_no, timestamp, identifier = (np.frombuffer(column, np.int64) for column in
+                                      (line_nos, timestamps, identifiers))
+    return ParsedLog(line_no, timestamp, event_id, identifier, list(codes),
+                     np.full(len(event_id), NO_LABEL, np.int8), vocab.templates), rejects
 
 
 def write_rejects(rejects: list[tuple[int, str]], path) -> None:
@@ -467,17 +538,14 @@ def mask_parameters(content: str) -> str:
     return _PARAMETER.sub(PLACEHOLDER, content)
 
 
-def check_similarity_threshold(threshold: float) -> None:
-    if not 0.0 < threshold <= 1.0:
-        raise ConfigurationError(f"similarity_threshold must be in (0, 1], got {threshold!r}")
+def parse_templates(contents, similarity_threshold: float = 0.5
+                    ) -> tuple[EventVocabulary, np.ndarray]:
+    """Cluster the messages ``contents`` into templates, read once in order:
+    the vocabulary and each message's template id, an int64 array. A
+    threshold outside (0, 1] is a ``ConfigurationError`` raised before the
+    first message is read.
 
-
-def parse_templates(log: ParsedLog, similarity_threshold: float = 0.5
-                    ) -> tuple[EventVocabulary, ParsedLog]:
-    """Cluster the contents of ``log``'s rows into templates: the log
-    returned is ``log`` with template ids and ``templates = vocab.templates``.
-
-    A row joins the best-matching existing template when the token counts
+    A message joins the best-matching existing template when the token counts
     agree and the fraction of position-wise equal tokens reaches the
     threshold (the lowest id wins a tie); positions that disagree become
     placeholders. Otherwise its masked tokens found a new template.
@@ -485,19 +553,21 @@ def parse_templates(log: ParsedLog, similarity_threshold: float = 0.5
 
     Candidates come from an index per token count, from (position, token) to
     the templates holding that token there, so the equal-position counts are
-    summed over the row's own tokens only. The choice depends only on the
+    summed over the message's own tokens only. The choice depends only on the
     masked line and the current templates, so it is memoised by masked line
     until a template is created or changed: a hit gets the same template,
     whose merge would change nothing.
     """
-    check_similarity_threshold(similarity_threshold)
+    if not 0.0 < similarity_threshold <= 1.0:
+        raise ConfigurationError(f"similarity_threshold must be in (0, 1], "
+                                 f"got {similarity_threshold!r}")
     template_tokens: list[tuple[str, ...]] = []
     postings: dict[int, dict[tuple[int, str], set[int]]] = {}
     empty_id = None     # the one template of no tokens, which every empty line matches
     assignments = array("q")
     chosen: dict[str, int] = {}
 
-    for content in map(log.templates.__getitem__, log.event_id):
+    for content in contents:
         masked = mask_parameters(content)
         best_id = chosen.get(masked)
         if best_id is not None:
@@ -542,7 +612,7 @@ def parse_templates(log: ParsedLog, similarity_threshold: float = 0.5
     # merging can collapse two templates onto the same masked string; densify
     vocab = EventVocabulary()
     remap = np.array([vocab.add(" ".join(tokens)) for tokens in template_tokens], np.int64)
-    return vocab, replace(log, event_id=remap[assignments], templates=vocab.templates)
+    return vocab, remap[assignments]
 
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")

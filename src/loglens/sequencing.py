@@ -299,10 +299,10 @@ def read_sequences(path, known: EventVocabulary | None = None
     its template's text; an id outside the file's vocabulary is the unknown
     id. The vocabulary returned is ``known`` extended by the file's templates.
 
-    A line that is not such an object, or whose events are not integer ids
-    >= 0, is a ``FormatError`` naming the file and the line, a file that is
-    not UTF-8 one naming the file, and a malformed sidecar one naming the
-    sidecar.
+    A line that is not such an object, whose events are not integer ids
+    >= 0, or whose label is neither null, normal nor anomaly, is a
+    ``FormatError`` naming the file and the line, a file that is not UTF-8
+    one naming the file, and a malformed sidecar one naming the sidecar.
     """
     templates = read_vocab(f"{path}.vocab.json").templates
     vocab = EventVocabulary(known.templates if known is not None else [])
@@ -319,9 +319,11 @@ def read_sequences(path, known: EventVocabulary | None = None
                 if not isinstance(events, list) or not all(
                         type(e) is int and e >= 0 for e in events):
                     raise ValueError("events are not integer ids >= 0")
+                label = doc.get("label")
+                if label not in LABELS:
+                    raise ValueError(f"unrecognized label {label!r}")
                 sequences.append(EventSequence(
-                    [new_id[min(e, n_templates)] for e in events],
-                    doc.get("label"), str(doc["origin"])))
+                    [new_id[min(e, n_templates)] for e in events], label, str(doc["origin"])))
             except KeyError as err:
                 raise FormatError(f"{path}: line {line_no}: missing key {err}") from None
             except (TypeError, ValueError) as err:

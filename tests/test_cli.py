@@ -298,7 +298,7 @@ class TestTrainDetect:
     @pytest.mark.parametrize("name, corrupt, message, detector", [
         ("detector.json",
          lambda doc: {**doc, "config": {**doc["config"], "n_filters": 8}},
-         "'n_filters'", {}),
+         "/config/n_filters", {}),
         ("vocab.json", None, "file not found", {}),
         ("vocab.json", lambda doc: "[", "Expecting value", {}),
         ("vocab.json", lambda doc: doc + doc[:1], "distinct strings", {}),
@@ -315,10 +315,26 @@ class TestTrainDetect:
         # stored one
         ("vocab.json", lambda doc: doc[1:], "'input_table'", {}),
         ("vocab.json", lambda doc: doc[::-1], "'input_table'", {"semantics": True}),
+        # config values that a run config's detector could not hold
+        *(("detector.json",
+           lambda doc, key=key, value=value: {**doc, "config": {**doc["config"], key: value}},
+           f"/config/{key}", {})
+          for key, value in [("hidden", "8"), ("embed_dim", 0), ("k", 2.5),
+                             ("threshold_quantile", 2.0), ("window_size", 0),
+                             ("semantics", 1), ("family", "rnn"), ("lr", 0),
+                             ("epochs", -1), ("seed", None)]),
+        ("detector.json", lambda doc: {**doc, "config": [doc["config"]]}, "/config:", {}),
+        ("detector.json",
+         lambda doc: {**doc, "config": {k: v for k, v in doc["config"].items()
+                                        if k != "family"}},
+         "/config/family", {}),
     ], ids=["unknown-config-key", "missing-vocab", "vocab-not-json",
             "repeated-template", "array", "more-layers-than-stored",
             "wider-than-stored", "fewer-templates-than-stored",
-            "semantic-table-not-stored"])
+            "semantic-table-not-stored", "string-hidden", "zero-embed-dim",
+            "float-k", "quantile-above-1", "zero-window", "integer-semantics",
+            "unknown-family", "zero-lr", "negative-epochs", "null-seed",
+            "config-not-object", "no-family"])
     def test_malformed_detector_json_exits_2(self, tmp_path, capsys, name, corrupt,
                                              message, detector):
         csv_path = syn_csv(tmp_path, n_sequences=40, rate=0.2)

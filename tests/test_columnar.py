@@ -6,8 +6,8 @@ sequence; ``reference_read_raw``, ``reference_parse_templates`` and
 ``reference_write_parsed`` are the raw-log path that built one ``LogRecord``
 per line. ``read_parsed``, ``partition``, ``read_raw``, ``parse_templates``,
 ``write_parsed`` and ``ParsedWriter`` must give what they gave, errors
-included. ``rows`` and ``raw_log`` turn columns into records and contents
-into columns, for the tests that compare the two.
+included. ``rows`` turns columns into records, for the tests that compare
+the two.
 """
 
 import calendar
@@ -40,7 +40,6 @@ from loglens.ingest import (
     ParsedLog,
     ParsedWriter,
     mask_parameters,
-    parse_templates,
     read_parsed,
     read_raw,
     write_parsed,
@@ -68,14 +67,6 @@ def rows(log):
             for line_no, stamp, event, code, label in zip(
                 log.line_no.tolist(), log.timestamp.tolist(), log.event_id.tolist(),
                 log.identifier.tolist(), log.label.tolist())]
-
-
-def raw_log(contents):
-    """The raw log of ``contents``: line ``i + 1`` at second ``i``, its own
-    event, with no identifier and no label."""
-    n = len(contents)
-    return ParsedLog(np.arange(1, n + 1), np.arange(n), np.arange(n), np.full(n, -1), [],
-                     np.zeros(n, np.int8), list(contents))
 
 
 def reference_read_raw(path, spec):
@@ -519,12 +510,11 @@ def test_raw_path_matches_record_path(tmp_path_factory, data, threshold, block):
     path = tmp / "raw.log"
     path.write_bytes(data)
     with mock.patch.object(ingest, "CSV_ROWS", block):
-        log, rejects = read_raw(path, RAW_SPEC)
-        vocab, log = parse_templates(log, threshold)
+        log, rejects = read_raw(path, RAW_SPEC, threshold)
         write_parsed(log, tmp / "got.csv")
     records, want_rejects = reference_read_raw(path, RAW_SPEC)
     want_vocab, records = reference_parse_templates(records, threshold)
     reference_write_parsed(records, want_vocab, tmp / "want.csv")
     assert rejects == want_rejects
-    assert vocab == want_vocab
+    assert log.templates == want_vocab.templates
     assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()

@@ -1,10 +1,11 @@
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from loglens.detectors import BilstmAttentionDetector, DetectorConfig
-from loglens.exceptions import ConfigurationError
+from loglens.exceptions import ConfigurationError, FormatError
 from loglens.ingest import EventVocabulary, LogRecord
 from loglens.sequencing import (
     EventSequence,
@@ -321,3 +322,15 @@ class TestSequenceJsonl:
         assert vocab.templates == ["c", "x", "a", "b"]
         assert sequences[0].events == [2, 3, 0, vocab.unknown_id]
         assert known.templates == ["c", "x", "a"]
+
+    @pytest.mark.parametrize("label", ["anomly", "Normal", "", 7, True, ["anomaly"]],
+                             ids=["typo", "capitalised", "empty", "integer", "boolean", "list"])
+    def test_unrecognized_label_is_refused_naming_the_line(self, tmp_path, label):
+        # read_parsed refuses such a label too
+        path = tmp_path / "seqs.jsonl"
+        write_sequences([EventSequence([0], "anomaly", "blk_1")],
+                        EventVocabulary(["a"]), path)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"origin": "blk_2", "events": [0], "label": label}) + "\n")
+        with pytest.raises(FormatError, match=r"seqs\.jsonl: line 2: unrecognized label"):
+            read_sequences(path)

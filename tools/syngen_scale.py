@@ -16,7 +16,9 @@ line) and its template with the identifier and a number in place of each
 ``<*>``, read with ``RAW_FORMAT``. Files go to a temporary directory, which
 is deleted afterwards. Prints one JSON object: the spec, the records written,
 and for each command its wall seconds and records (or lines) per second
-(Python start-up and imports included) and its peak RSS.
+(Python start-up and imports included) and its peak RSS; for ``parse``, also
+the sha256 of the CSV and of the ``.rejects`` it wrote, so that two
+checkouts can be compared byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -77,6 +80,11 @@ def _render_raw(csv_path: Path, raw_path: Path) -> int:
     return lines
 
 
+def _sha256(path: Path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sequences", type=int, default=ACCEPT_SPEC.n_sequences,
@@ -108,12 +116,15 @@ def main(argv=None) -> int:
         lines = _render_raw(csv_path, raw_path)
         format_path.write_text(json.dumps(RAW_FORMAT), encoding="utf-8")
         csv_path.unlink()
+        parsed_path = tmp / "parsed.csv"
         _, seconds, peak = _timed(["parse", "--input", str(raw_path), "--format",
-                                   str(format_path), "--out", str(tmp / "parsed.csv")],
+                                   str(format_path), "--out", str(parsed_path)],
                                   env, tmp)
         result["parse"] = {"lines": lines, "seconds": round(seconds, 3),
                            "lines_per_s": round(lines / seconds),
-                           "peak_rss_mb": round(peak, 1)}
+                           "peak_rss_mb": round(peak, 1),
+                           "csv_sha256": _sha256(parsed_path),
+                           "rejects_sha256": _sha256(Path(f"{raw_path}.rejects"))}
     print(json.dumps(result, indent=1))
     return 0
 
