@@ -26,6 +26,7 @@ from .detectors import (
 from .exceptions import ConfigurationError, DimensionError, FormatError
 from .ingest import EventVocabulary, LABEL_ANOMALY, open_utf8, read_json
 from .rng import Rng, derive_seed
+from .schema import Spec, check_schema
 from .sequencing import EventSequence
 
 EXPERIMENTS = ("accuracy", "contamination_sweep", "noise_sweep", "efficiency")
@@ -50,8 +51,8 @@ def split(sequences: list[EventSequence], train_fraction: float = 0.8,
           seed: int = 0) -> tuple[list[EventSequence], list[EventSequence]]:
     """Shuffle at sequence level (event order inside each sequence is
     untouched) and split; |train| = round(train_fraction * N)."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ConfigurationError("train_fraction must be in (0, 1)")
+    check_schema(train_fraction, {"$ref": "#/properties/train_fraction"},
+                 "/train_fraction")
     if len(sequences) < 2:
         raise ConfigurationError("need at least two sequences to split")
     shuffled = list(sequences)
@@ -72,8 +73,8 @@ def strip_anomalies(train: list[EventSequence]
 def contaminate(normal_train: list[EventSequence], anomalies: list[EventSequence],
                 ratio: float, seed: int = 0) -> list[EventSequence]:
     """Add anomalies back so they make up ``ratio`` of the returned set."""
-    if not 0.0 <= ratio < 1.0:
-        raise ConfigurationError("contamination ratio must be in [0, 1)")
+    check_schema(ratio, {"$ref": "#/properties/contamination_ratios/items"},
+                 "/contamination_ratios")
     if ratio == 0.0:
         return list(normal_train)
     needed = _round_half_up(ratio * len(normal_train) / (1.0 - ratio))
@@ -91,20 +92,15 @@ def contaminate(normal_train: list[EventSequence], anomalies: list[EventSequence
 
 
 @dataclass
-class NoiseSpec:
+class NoiseSpec(Spec):
+    definition = "noise"
     ratio: float
     strategies: tuple = NOISE_STRATEGIES
     synonym_table: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self):
-        if self.ratio < 0:
-            raise ConfigurationError("noise ratio must be >= 0")
-        if not self.strategies:
-            raise ConfigurationError("at least one noise strategy required")
-        unknown = set(self.strategies) - set(NOISE_STRATEGIES)
-        if unknown:
-            raise ConfigurationError(f"unknown noise strategies {sorted(unknown)}")
+        super().__post_init__()
         if tuple(self.strategies) == ("pseudo_event",) and not self.synonym_table:
             raise ConfigurationError(
                 "pseudo_event-only noise needs a synonym table")
@@ -444,8 +440,7 @@ def run_experiment(sequences: list[EventSequence], vocab: EventVocabulary,
     mean summary rows per (detector, setting). A noise sweep without a
     ``synonym_table`` uses ``builtin_synonyms()``.
     """
-    if experiment not in EXPERIMENTS:
-        raise ConfigurationError(f"unknown experiment {experiment!r}")
+    check_schema(experiment, {"$ref": "#/properties/experiment"}, "/experiment")
     if experiment == "noise_sweep" and synonym_table is None:
         synonym_table = builtin_synonyms()
     digest = config_digest({

@@ -2,12 +2,12 @@
 
 Subcommands: parse, partition, syngen, train, detect, bench, report. Flags
 only select the subcommand and file paths; experiment knobs live in a JSON run
-config. Its one schema is the published data/runconfig.schema.json: types,
-enums, bounds, required and unknown keys are checked against it before any
-data is read, and its defaults are filled in. Detector defaults come from
-``DetectorConfig``, so the resolved config lists every one. Exit codes: 0
-success, 2 usage/config error, 3 runtime/data error. The LOGLENS_SEED
-environment variable overrides the config seed.
+config. Its one schema, data/runconfig.schema.json, also defines the syngen
+and format specs: types, enums, bounds, required and unknown keys are
+checked against it before any data is read. Defaults come from the schema
+and the spec dataclasses, so the resolved config lists every one. Exit
+codes: 0 success, 2 usage/config error, 3 runtime/data error. The
+LOGLENS_SEED environment variable overrides the config seed.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import copy
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bench import NOISE_STRATEGIES, BenchReport, fit_set, read_synonyms, run_experiment
@@ -26,15 +26,13 @@ from .exceptions import ConfigurationError, FormatError, LoglensError
 from .ingest import (
     EventVocabulary,
     FormatSpec,
-    SchemaError,
-    check_schema,
     read_json,
     read_parsed,
     read_raw,
-    run_config_schema,
     write_parsed,
     write_rejects,
 )
+from .schema import SchemaError, check_schema, pointed, run_config_schema
 from .sequencing import PartitionSpec, partition, read_sequences, write_sequences
 from .syngen import GeneratorSpec, stream
 
@@ -54,31 +52,26 @@ def _env_seed() -> int | None:
 
 def validate_run_config(doc: dict) -> dict:
     """Check a run config against the schema and return a copy with every
-    default filled in, each detector's included."""
+    default filled in, the detectors' and window's from ``DetectorConfig`` and
+    the partition's from ``PartitionSpec``; every error points into it."""
     resolved = copy.deepcopy(doc)
-    check_schema(resolved, run_config_schema(), "")
+    check_schema(resolved, run_config_schema())
     env_seed = _env_seed()
     if env_seed is not None:
         resolved["seed"] = env_seed
-    window = resolved["window"]
+    window = resolved["window"] = {"window_size": DetectorConfig.window_size,
+                                   "step_size": DetectorConfig.step_size,
+                                   **resolved["window"]}
     for i, det in enumerate(resolved["detectors"]):
-        det.setdefault("window_size", window["window_size"])
-        det.setdefault("step_size", window["step_size"])
-        det.setdefault("seed", resolved["seed"])
-        try:  # cross-field checks a schema bound cannot express
-            resolved["detectors"][i] = DetectorConfig(**det).to_dict()
-        except ConfigurationError as err:
-            raise SchemaError(f"/detectors/{i}", str(err)) from None
+        with pointed(f"/detectors/{i}"):
+            resolved["detectors"][i] = DetectorConfig(
+                **{**window, "seed": resolved["seed"], **det}).to_dict()
     dataset = resolved["dataset"]
-    try:  # a fixed or sliding partition needs a size, and a stride in it
-        PartitionSpec(**dataset["partition"])
-    except ConfigurationError as err:
-        raise SchemaError("/dataset/partition", str(err)) from None
-    if dataset["format"] == "raw":
-        try:  # the schema cannot say that a raw dataset needs a usable spec
+    with pointed("/dataset/partition"):
+        dataset["partition"] = asdict(PartitionSpec(**dataset["partition"]))
+    if dataset["format"] == "raw":  # a raw dataset needs a usable spec
+        with pointed("/dataset/format_spec"):
             FormatSpec.from_json(dataset.get("format_spec", {}))
-        except FormatError as err:
-            raise SchemaError("/dataset/format_spec", str(err)) from None
     return resolved
 
 
@@ -93,13 +86,22 @@ def _load_dataset(resolved: dict):
     return partition(log, PartitionSpec(**ds["partition"])), vocab
 
 
+def _read_checked(check, path):
+    """``check`` of the JSON document in ``path``: a run config or a spec
+    class's ``from_json``. A refusal names the file."""
+    try:
+        return check(read_json(path))
+    except SchemaError as err:
+        raise ConfigurationError(f"{path}: {err}") from None
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_parse(args) -> int:
-    log, rejects = read_raw(args.input, FormatSpec.load(args.format),
-                            args.similarity_threshold)
+    spec = _read_checked(FormatSpec.from_json, args.format)
+    log, rejects = read_raw(args.input, spec, args.similarity_threshold)
     write_parsed(log, args.out)
     rejects_path = f"{args.input}.rejects"
     write_rejects(rejects, rejects_path)
@@ -118,29 +120,18 @@ def cmd_partition(args) -> int:
 
 
 def cmd_syngen(args) -> int:
-    doc = read_json(args.spec) if args.spec else {}
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{args.spec}: syngen spec must be a JSON object")
-    unknown = sorted(set(doc) - {field.name for field in fields(GeneratorSpec)})
-    if unknown:
-        raise ConfigurationError(f"{args.spec}: unknown key {unknown[0]!r}")
+    spec = (_read_checked(GeneratorSpec.from_json, args.spec) if args.spec
+            else GeneratorSpec())
     env_seed = _env_seed()
     if env_seed is not None:
-        doc["seed"] = env_seed
-    n_records, n_templates = stream(GeneratorSpec(**doc), args.out)
+        spec = replace(spec, seed=env_seed)
+    n_records, n_templates = stream(spec, args.out)
     print(f"wrote {n_records} records ({n_templates} templates) to {args.out}")
     return 0
 
 
-def _resolve_config(path) -> dict:
-    try:
-        return validate_run_config(read_json(path))
-    except SchemaError as err:
-        raise ConfigurationError(f"{path}: {err}") from None
-
-
 def cmd_train(args) -> int:
-    resolved = _resolve_config(args.config)
+    resolved = _read_checked(validate_run_config, args.config)
     if len(resolved["detectors"]) != 1:
         raise ConfigurationError(f"{args.config}: /detectors: train fits one detector, "
                                  f"the config lists {len(resolved['detectors'])}")
@@ -177,7 +168,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    resolved = _resolve_config(args.config)
+    resolved = _read_checked(validate_run_config, args.config)
     noise = resolved.get("noise", {})
     synonyms = noise.get("synonyms_path")
     synonym_table = read_synonyms(synonyms) if synonyms else None

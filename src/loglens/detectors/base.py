@@ -15,6 +15,7 @@ from ..autodiff import Adam, ParamSet, Tensor, cross_entropy, no_grad, softmax
 from ..exceptions import ConfigurationError, StateError, TrainingError
 from ..ingest import EventVocabulary
 from ..rng import Rng, derive_seed
+from ..schema import Spec
 from ..sequencing import EventSequence, SemanticEncoder, WindowSpec, window_arrays
 
 logger = logging.getLogger(__name__)
@@ -29,12 +30,13 @@ PREDICT_BLOCK = 1024  # examples scored per call, unless a family says otherwise
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(Spec):
     """Hyperparameters for one detector, and the one place their defaults
     are written; every family accepts both input modes. ``embed_dim``
     defaults to 16 for index inputs and 32 for semantic vectors when left
     unset. Frozen: a changed config is a ``replace``, which runs the checks."""
 
+    definition = "detector"
     family: str
     semantics: bool = False
     k: int = 10
@@ -52,14 +54,8 @@ class DetectorConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ConfigurationError(f"unknown detector family {self.family!r}")
-        if self.k < 1:
-            raise ConfigurationError("k must be >= 1")
-        if self.max_len < 1:
-            raise ConfigurationError("max_len must be >= 1")
-        if self.family == "transformer_forecast" and (
-                self.heads < 1 or self.hidden % self.heads):
+        super().__post_init__()
+        if self.family == "transformer_forecast" and self.hidden % self.heads:
             raise ConfigurationError(f"transformer_forecast: hidden {self.hidden} "
                                      f"is not divisible by heads {self.heads}")
         if self.family == "cnn" and self.max_len < max(FILTER_HEIGHTS):

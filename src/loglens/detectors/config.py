@@ -12,8 +12,8 @@ from pathlib import Path
 
 from ..autodiff import ParamSet, load_params, save_params
 from ..exceptions import FormatError
-from ..ingest import (EventVocabulary, check_schema, read_json, read_vocab,
-                      run_config_schema, write_vocab)
+from ..ingest import EventVocabulary, read_json, read_vocab, write_vocab
+from ..schema import pointed
 from .autoencoder import AutoencoderDetector
 from .base import DetectorConfig
 from .forecast import LstmForecastDetector, TransformerForecastDetector
@@ -55,9 +55,10 @@ def load_detector(directory):
     model derives its encoder again), holding the stored parameters.
 
     A malformed ``detector.json`` (its config is checked as a run config's
-    detector is), ``vocab.json`` or ``params.llns``, or parameters in
-    ``params.llns`` other than the ones the config builds for that
-    vocabulary, raise ``FormatError`` naming the file and the key or parameter.
+    detector is, at ``/config``), ``vocab.json`` or ``params.llns``, or
+    parameters in ``params.llns`` other than the ones the config builds for
+    that vocabulary, raise ``FormatError`` naming the file and the key or
+    parameter.
     """
     directory = Path(directory)
     path = directory / "detector.json"
@@ -65,9 +66,8 @@ def load_detector(directory):
     if not isinstance(sidecar, dict):
         raise FormatError(f"{path}: expected a JSON object")
     try:
-        check_schema(sidecar["config"],
-                     run_config_schema()["properties"]["detectors"]["items"], "/config")
-        config = DetectorConfig(**sidecar["config"])
+        with pointed("/config"):
+            config = DetectorConfig.from_json(sidecar["config"])
         fitted = {f"{key}_": float(sidecar[key])
                   for key in ("threshold", "training_seconds")
                   if sidecar.get(key) is not None}

@@ -1,5 +1,5 @@
 """Log ingestion: raw-line reading, template extraction, pre-parsed CSV I/O,
-and the JSON inputs with their schema check.
+and the one reader of JSON inputs.
 
 Two pathways feed partitioning: parse raw text with the built-in
 token-similarity clusterer, or load a pre-parsed CSV that already carries
@@ -11,12 +11,10 @@ quality never contaminates detector comparisons.
 from __future__ import annotations
 
 import calendar
-import copy
 import csv
 import functools
 import io
 import json
-import operator
 import re
 import time
 from array import array
@@ -24,13 +22,13 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from importlib import resources
 from itertools import chain, islice
 from operator import itemgetter
 
 import numpy as np
 
 from .exceptions import ConfigurationError, FormatError
+from .schema import SchemaError, Spec, check_schema
 
 PLACEHOLDER = "<*>"
 
@@ -126,66 +124,6 @@ def read_json(path):
             raise FormatError(f"{path}: {err}") from None
 
 
-class SchemaError(ConfigurationError):
-    """A document violates a run-config schema node; carries a JSON-pointer path."""
-
-    def __init__(self, pointer: str, message: str):
-        super().__init__(f"{pointer}: {message}")
-        self.pointer = pointer
-
-
-_JSON_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-               "integer": int, "number": (int, float), "null": type(None)}
-
-
-@functools.cache
-def run_config_schema() -> dict:
-    """The published run-config schema (data/runconfig.schema.json)."""
-    return read_json(resources.files("loglens") / "data" / "runconfig.schema.json")
-
-
-def check_schema(doc, schema: dict, pointer: str) -> None:
-    """Check ``doc`` against one schema node and fill in its defaults in
-    place. Covers only the keywords the run-config schema uses; JSON
-    booleans are never numbers, and an integer is never a float such as 3.0.
-    Bounds apply to numbers only."""
-    where = pointer or "/"
-    kinds = schema.get("type", [])
-    kinds = [kinds] if isinstance(kinds, str) else kinds
-    if kinds and not any(isinstance(doc, _JSON_TYPES[kind])
-                         and isinstance(doc, bool) == (kind == "boolean")
-                         for kind in kinds):
-        got = "null" if doc is None else type(doc).__name__
-        raise SchemaError(where, f"expected {' or '.join(kinds)}, got {got}")
-    if "enum" in schema and doc not in schema["enum"]:
-        raise SchemaError(where, f"must be one of {', '.join(schema['enum'])}")
-    for key, holds, text in (("minimum", operator.ge, ">="),
-                             ("exclusiveMinimum", operator.gt, ">"),
-                             ("maximum", operator.le, "<="),
-                             ("exclusiveMaximum", operator.lt, "<")):
-        if (key in schema and isinstance(doc, (int, float))
-                and not holds(doc, schema[key])):  # NaN holds none
-            raise SchemaError(where, f"must be {text} {schema[key]}")
-    if isinstance(doc, list):
-        if len(doc) < schema.get("minItems", 0):
-            raise SchemaError(where, f"needs at least {schema['minItems']} item(s)")
-        for i, item in enumerate(doc):
-            check_schema(item, schema.get("items", {}), f"{pointer}/{i}")
-    if isinstance(doc, dict):
-        properties = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in doc:
-                raise SchemaError(f"{pointer}/{key}", "required key missing")
-        for key, sub in properties.items():
-            if key not in doc and "default" in sub:
-                doc[key] = copy.deepcopy(sub["default"])
-        for key, value in doc.items():
-            if key in properties:
-                check_schema(value, properties[key], f"{pointer}/{key}")
-            elif schema.get("additionalProperties") is False:
-                raise SchemaError(f"{pointer}/{key}", "unknown key")
-
-
 def write_vocab(vocab: EventVocabulary, path) -> None:
     """The templates in id order, as a JSON array: the format of a model's
     ``vocab.json`` and of the ``<out>.vocab.json`` beside a sequences JSONL."""
@@ -259,7 +197,7 @@ _SAMPLE_STAMP = datetime(2001, 2, 3, 4, 5, 6, 789000, tzinfo=timezone.utc)
 
 
 @dataclass
-class FormatSpec:
+class FormatSpec(Spec):
     """How to pull timestamp, identifier, and content out of a raw line.
 
     ``timestamp_regex`` must match the whole interesting part of the line with
@@ -267,66 +205,35 @@ class FormatSpec:
     interpreted as UTC) and group ``content_group`` capturing the free-text
     message. ``identifier_regex`` group 1, when given, is searched inside the
     content. A spec that cannot work this way, such as a ``timestamp_format``
-    that ``time.strptime`` cannot read back from the text it formats, is a
-    ``FormatError`` naming its key.
-    """
+    that ``time.strptime`` cannot read back from its own text, is a
+    ``SchemaError`` at its key."""
 
+    definition = "format_spec"
     timestamp_regex: str
     timestamp_format: str
     content_group: int
     identifier_regex: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.timestamp_format, str):
-            raise FormatError("format spec timestamp_format must be a string")
+        super().__post_init__()
         try:
             time.strptime(_SAMPLE_STAMP.strftime(self.timestamp_format),
                           self.timestamp_format)
         except ValueError as err:
-            raise FormatError(f"format spec timestamp_format "
-                              f"{self.timestamp_format!r} is unusable: {err}") from None
-        groups = _groups(self.timestamp_regex, "timestamp_regex")
-        if groups < 1:
-            raise FormatError("format spec timestamp_regex needs group 1 "
-                              "for the timestamp")
-        group = self.content_group
-        if isinstance(group, bool) or not isinstance(group, int) \
-                or not 1 <= group <= groups:
-            raise FormatError(f"format spec content_group must be an integer "
-                              f"in [1, {groups}], the groups of "
-                              f"timestamp_regex; got {group!r}")
-        if self.identifier_regex is not None and \
-                _groups(self.identifier_regex, "identifier_regex") < 1:
-            raise FormatError("format spec identifier_regex needs group 1 "
-                              "for the identifier")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "FormatSpec":
-        if not isinstance(doc, dict):
-            raise FormatError("format spec must be a JSON object")
-        try:
-            return cls(doc["timestamp_regex"], doc["timestamp_format"],
-                       doc["content_group"], doc.get("identifier_regex"))
-        except KeyError as missing:
-            raise FormatError(f"format spec missing key {missing}") from None
-
-    @classmethod
-    def load(cls, path) -> "FormatSpec":
-        doc = read_json(path)
-        try:
-            return cls.from_json(doc)
-        except FormatError as err:
-            raise FormatError(f"{path}: {err}") from None
-
-
-def _groups(pattern: str, key: str) -> int:
-    """The number of groups in ``pattern``, a string that must compile."""
-    if not isinstance(pattern, str):
-        raise FormatError(f"format spec {key} must be a string")
-    try:
-        return re.compile(pattern).groups
-    except re.error as err:
-        raise FormatError(f"format spec {key} does not compile: {err}") from None
+            raise SchemaError("/timestamp_format", f"{self.timestamp_format!r} "
+                              f"is unusable: {err}") from None
+        for key, group_1 in (("timestamp_regex", "timestamp"),
+                             ("identifier_regex", "identifier")):
+            pattern = getattr(self, key)
+            try:
+                groups = 1 if pattern is None else re.compile(pattern).groups
+            except re.error as err:
+                raise SchemaError(f"/{key}", f"does not compile: {err}") from None
+            if groups < 1:
+                raise SchemaError(f"/{key}", f"needs group 1 for the {group_1}")
+            if key == "timestamp_regex" and self.content_group > groups:
+                raise SchemaError("/content_group", f"must be in [1, {groups}], the "
+                                  f"groups of timestamp_regex; got {self.content_group}")
 
 
 def read_raw(path, spec: FormatSpec, similarity_threshold: float = 0.5
@@ -542,8 +449,8 @@ def parse_templates(contents, similarity_threshold: float = 0.5
                     ) -> tuple[EventVocabulary, np.ndarray]:
     """Cluster the messages ``contents`` into templates, read once in order:
     the vocabulary and each message's template id, an int64 array. A
-    threshold outside (0, 1] is a ``ConfigurationError`` raised before the
-    first message is read.
+    threshold the run-config schema refuses is a ``SchemaError`` raised
+    before the first message is read.
 
     A message joins the best-matching existing template when the token counts
     agree and the fraction of position-wise equal tokens reaches the
@@ -558,9 +465,9 @@ def parse_templates(contents, similarity_threshold: float = 0.5
     until a template is created or changed: a hit gets the same template,
     whose merge would change nothing.
     """
-    if not 0.0 < similarity_threshold <= 1.0:
-        raise ConfigurationError(f"similarity_threshold must be in (0, 1], "
-                                 f"got {similarity_threshold!r}")
+    check_schema(similarity_threshold,
+                 {"$ref": "#/properties/dataset/properties/similarity_threshold"},
+                 "/dataset/similarity_threshold")
     template_tokens: list[tuple[str, ...]] = []
     postings: dict[int, dict[tuple[int, str], set[int]]] = {}
     empty_id = None     # the one template of no tokens, which every empty line matches
@@ -610,9 +517,11 @@ def parse_templates(contents, similarity_threshold: float = 0.5
         assignments.append(best_id)
 
     # merging can collapse two templates onto the same masked string; densify
+    # in place, every id being in range ("clip" does not buffer the output)
     vocab = EventVocabulary()
     remap = np.array([vocab.add(" ".join(tokens)) for tokens in template_tokens], np.int64)
-    return vocab, remap[assignments]
+    ids = np.frombuffer(assignments, np.int64)
+    return vocab, np.take(remap, ids, out=ids, mode="clip")
 
 
 _CAMEL_BOUNDARY = re.compile(r"(?<=[a-z0-9])(?=[A-Z])|(?<=[A-Z])(?=[A-Z][a-z])")

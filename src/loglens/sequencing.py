@@ -24,6 +24,7 @@ from .ingest import (
     write_vocab,
 )
 from .rng import Rng
+from .schema import Spec
 
 FIXED = "fixed"
 SLIDING = "sliding"
@@ -31,21 +32,19 @@ IDENTIFIER = "identifier"
 
 
 @dataclass
-class PartitionSpec:
-    mode: str
+class PartitionSpec(Spec):
+    definition = "partition"
+    mode: str = IDENTIFIER
     partition_size: int = 0        # seconds, fixed/sliding
     stride: int = 0                # seconds, sliding only
 
     def __post_init__(self):
-        if self.mode not in (FIXED, SLIDING, IDENTIFIER):
-            raise ConfigurationError(f"unknown partition mode {self.mode!r}")
+        super().__post_init__()
         if self.mode in (FIXED, SLIDING) and self.partition_size <= 0:
             raise ConfigurationError("partition_size must be positive")
-        if self.mode == SLIDING:
-            if not 0 < self.stride <= self.partition_size:
-                raise ConfigurationError(
-                    "sliding stride must satisfy 0 < stride <= partition_size"
-                )
+        if self.mode == SLIDING and not 0 < self.stride <= self.partition_size:
+            raise ConfigurationError(
+                "sliding stride must satisfy 0 < stride <= partition_size")
 
 
 @dataclass
@@ -60,13 +59,10 @@ class EventSequence:
 
 
 @dataclass
-class WindowSpec:
-    window_size: int = 10
-    step_size: int = 1
-
-    def __post_init__(self):
-        if self.window_size < 1 or self.step_size < 1:
-            raise ConfigurationError("window_size and step_size must be >= 1")
+class WindowSpec(Spec):
+    definition = "window"
+    window_size: int
+    step_size: int
 
 
 @dataclass
@@ -241,8 +237,6 @@ class SemanticEncoder:
     """
 
     def __init__(self, vocab: EventVocabulary, dim: int, seed: int):
-        if dim < 1:
-            raise ConfigurationError("semantic dim must be >= 1")
         self.dim = dim
         self.word_vectors: dict[str, np.ndarray] = {}
         rng = Rng(seed)

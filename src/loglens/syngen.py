@@ -21,15 +21,13 @@ one that drawing every word in turn would give.
 from __future__ import annotations
 
 import json
-import numbers
 from collections.abc import Iterator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .exceptions import ConfigurationError
 from .ingest import (
     ANOMALY,
     LABELS,
@@ -40,6 +38,7 @@ from .ingest import (
     write_parsed,
 )
 from .rng import BLOCK, Rng, bounded, derive_seed, unit_floats
+from .schema import SchemaError, Spec
 
 # one mutation per anomalous sequence; erroneous-event insertions dominate the
 # mix (as in real failure logs), order shifts and early terminations are rarer
@@ -70,7 +69,8 @@ ERROR_TEMPLATE = "task failed with fatal error <*>"
 
 
 @dataclass
-class GeneratorSpec:
+class GeneratorSpec(Spec):
+    definition = "generator"
     n_templates: int = 50
     n_sequences: int = 1000
     anomaly_rate: float = 0.05
@@ -79,26 +79,12 @@ class GeneratorSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for field in fields(self):
-            value = getattr(self, field.name)
-            kind = numbers.Real if field.type == "float" else numbers.Integral
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "a number" if kind is numbers.Real else "an integer"
-                raise ConfigurationError(
-                    f"{field.name} must be {what}, got {value!r}")
-        if not 3 <= self.n_templates <= _TEMPLATE_CAPACITY + 1:
-            raise ConfigurationError(
-                f"n_templates must be in [3, {_TEMPLATE_CAPACITY + 1}]")
-        if self.n_sequences < 1:
-            raise ConfigurationError("n_sequences must be >= 1")
-        if not 0.0 <= self.anomaly_rate < 1.0:
-            raise ConfigurationError("anomaly_rate must be in [0, 1)")
+        super().__post_init__()
+        if self.n_templates > _TEMPLATE_CAPACITY + 1:
+            raise SchemaError("/n_templates", f"must be <= {_TEMPLATE_CAPACITY + 1}")
         # walks are at least TRUNCATE_BELOW + 2 and at most mean_length + 4 long
         if self.mean_length < TRUNCATE_BELOW - 2:
-            raise ConfigurationError(
-                f"mean_length must be >= {TRUNCATE_BELOW - 2}")
-        if self.automaton_branching < 1:
-            raise ConfigurationError("automaton_branching must be >= 1")
+            raise SchemaError("/mean_length", f"must be >= {TRUNCATE_BELOW - 2}")
 
 
 @dataclass

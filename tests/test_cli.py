@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from loglens.bench import EXPERIMENTS, NOISE_STRATEGIES, BenchReport
+from loglens.bench import EXPERIMENTS, NOISE_STRATEGIES, BenchReport, NoiseSpec
 from loglens.cli import main, run_config_schema, validate_run_config, SchemaError
 from loglens.detectors import FAMILIES, DetectorConfig
-from loglens.ingest import read_parsed
-from loglens.sequencing import PartitionSpec, partition, read_sequences
+from loglens.exceptions import ConfigurationError, FormatError
+from loglens.ingest import FormatSpec, read_parsed
+from loglens.schema import Spec
+from loglens.sequencing import PartitionSpec, WindowSpec, partition, read_sequences
 from loglens.syngen import GeneratorSpec, generate
 from test_columnar import rows
 
@@ -127,7 +129,7 @@ class TestParseCommand:
 
     def test_spec_that_is_not_an_object_exits_two(self, tmp_path, capsys):
         code, err = self.parse_with_spec(tmp_path, capsys, list(FORMAT_SPEC.items()))
-        assert code == 2 and "JSON object" in err
+        assert code == 2 and "spec.json: /: expected object, got list" in err
 
     def test_content_group_that_is_not_an_integer_exits_two(self, tmp_path, capsys):
         code, err = self.parse_with_spec(tmp_path, capsys, dict(
@@ -188,7 +190,7 @@ class TestSyngenPartition:
         ({"bogus": 1}, "bogus"),
         ({"mean_length": 20.5}, "mean_length"),
         ({"seed": "x"}, "seed"),
-        ([{"seed": 1}], "JSON object"),
+        ([{"seed": 1}], "gen.json: /: expected object, got list"),
         ({"mean_length": 5}, "mean_length"),
         ({"n_sequences": -3}, "n_sequences"),
     ], ids=["float-count", "unknown-key", "float-length", "string-seed",
@@ -676,15 +678,16 @@ class TestSchemaValidation:
         assert f"{config}: {pointer}:" in err
         assert "absent.csv" not in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("format_spec, message", [
-        (None, "missing key 'timestamp_regex'"),
+    @pytest.mark.parametrize("format_spec, key, message", [
+        (None, "timestamp_regex", "required key missing"),
         ({k: v for k, v in FORMAT_SPEC.items() if k != "timestamp_format"},
-         "missing key 'timestamp_format'"),
-        (dict(FORMAT_SPEC, timestamp_format="%Q"), "timestamp_format"),
-        (dict(FORMAT_SPEC, content_group=3), "content_group"),
+         "timestamp_format", "required key missing"),
+        (dict(FORMAT_SPEC, timestamp_format="%Q"), "timestamp_format",
+         "'%Q' is unusable"),
+        (dict(FORMAT_SPEC, content_group=3), "content_group", "in [1, 2]"),
     ])
     def test_raw_format_spec_error_names_its_pointer_before_reading_data(
-            self, tmp_path, capsys, format_spec, message):
+            self, tmp_path, capsys, format_spec, key, message):
         dataset = {"path": str(tmp_path / "absent.log"), "format": "raw"}
         if format_spec is not None:
             dataset["format_spec"] = format_spec
@@ -694,7 +697,7 @@ class TestSchemaValidation:
                          "--model-out", str(tmp_path / "model")]):
             assert main(command) == 2
             err = capsys.readouterr().err
-            assert f"{config}: /dataset/format_spec:" in err and message in err
+            assert f"{config}: /dataset/format_spec/{key}: " in err and message in err
             assert "absent.log" not in err and "Traceback" not in err
 
     def test_raw_similarity_threshold_out_of_range_exits_two(self, tmp_path,
@@ -877,6 +880,18 @@ FULL_CONFIG = {
 }
 
 
+# every key the syngen spec knows, each with a valid value
+FULL_GENERATOR = {"n_templates": 8, "n_sequences": 30, "anomaly_rate": 0.1,
+                  "mean_length": 14, "automaton_branching": 2, "seed": 4}
+
+# each spec class by the name of its definition in the schema's $defs
+SPECS = {"detector": DetectorConfig, "partition": PartitionSpec,
+         "window": WindowSpec, "noise": NoiseSpec, "generator": GeneratorSpec,
+         "format_spec": FormatSpec}
+
+DROP = object()     # a mutation that removes its key
+
+
 def key_paths(node, path=()):
     if isinstance(node, dict):
         for key, value in node.items():
@@ -887,70 +902,182 @@ def key_paths(node, path=()):
             yield from key_paths(item, (*path, i))
 
 
+def single_key_mutations(full):
+    """Each copy of ``full`` with one key dropped or given a value of
+    another type or range, as (key path, value, copy)."""
+    for path in key_paths(full):
+        doc = full
+        for part in path:
+            doc = doc[part]
+        wrong_type = float(doc) if type(doc) is int else (
+            1 if isinstance(doc, str) else "1")
+        for value in (DROP, None, wrong_type, -1, 0, 2.5, True, [], {},
+                      "not-an-enum-value"):
+            doc = copy.deepcopy(full)
+            node = doc
+            for part in path[:-1]:
+                node = node[part]
+            if value is DROP:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+            yield path, value, doc
+
+
+def disagreements(full, ours, reference) -> list:
+    """(key path, value, pointer) of each single-key mutation of ``full``
+    that ``ours`` refuses at ``pointer`` and ``reference`` accepts; none
+    may go the other way."""
+    found = []
+    for path, value, doc in single_key_mutations(full):
+        valid = reference.is_valid(doc)
+        try:
+            ours(doc)
+            pointer = None
+        except SchemaError as err:
+            pointer = err.pointer
+        if (pointer is None) != valid:
+            assert pointer is not None, (path, value)
+            found.append((path, value, pointer))
+    return found
+
+
 class TestSchemaMatchesCode:
     def test_enums_and_detector_keys_match_code(self):
-        schema = run_config_schema()["properties"]
-        item = schema["detectors"]["items"]["properties"]
+        schema = run_config_schema()
+        item = schema["$defs"]["detector"]["properties"]
         assert tuple(item["family"]["enum"]) == FAMILIES
-        assert tuple(schema["experiment"]["enum"]) == EXPERIMENTS
-        strategies = schema["noise"]["properties"]["strategies"]["items"]
+        assert tuple(schema["properties"]["experiment"]["enum"]) == EXPERIMENTS
+        strategies = schema["$defs"]["noise"]["properties"]["strategies"]["items"]
         assert tuple(strategies["enum"]) == NOISE_STRATEGIES
         assert set(item) == {f.name for f in fields(DetectorConfig)}
         # DetectorConfig is the one place detector defaults are written
         assert not any("default" in node for node in item.values())
 
+    @pytest.mark.parametrize("name", SPECS)
+    def test_spec_fields_are_its_definitions_properties(self, name):
+        """A spec's fields are its definition's keys, in order, and its
+        defaults are written in the dataclass only."""
+        spec, definition = SPECS[name], run_config_schema()["$defs"][name]
+        assert spec.definition == name
+        assert [f.name for f in fields(spec)] == list(definition["properties"])
+        assert [key for key, node in definition["properties"].items()
+                if "default" in node] == []
+
+    def test_every_spec_is_listed(self):
+        assert set(Spec.__subclasses__()) == set(SPECS.values())
+        assert set(run_config_schema()["$defs"]) == set(SPECS)
+
+    def test_schema_is_valid_and_every_ref_resolves(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        from referencing import Registry
+        from referencing.jsonschema import DRAFT202012
+        schema = run_config_schema()
+        jsonschema.Draft202012Validator.check_schema(schema)
+        resolver = Registry().with_resource(
+            "urn:loglens", DRAFT202012.create_resource(schema)).resolver("urn:loglens")
+        nodes, refs = [schema], []
+        while nodes:
+            node = nodes.pop()
+            if isinstance(node, dict):
+                refs += [node["$ref"]] if "$ref" in node else []
+                nodes += node.values()
+            elif isinstance(node, list):
+                nodes += node
+        assert len(refs) == 8
+        for ref in refs:
+            assert isinstance(resolver.lookup(ref).contents, dict), ref
+
     def test_validator_agrees_with_jsonschema(self, monkeypatch):
-        """Every single-key mutation of a full config is accepted or refused
-        as jsonschema decides, except integral floats such as 3.0 for an
-        integer key: jsonschema takes them, this validator refuses them. A
-        raw dataset's ``format_spec`` is an open object to the schema; this
-        validator refuses a spec ``FormatSpec`` cannot use, or none, at
-        ``/dataset/format_spec``, and a partition ``PartitionSpec`` refuses
-        (here a fixed one without a positive size) at
-        ``/dataset/partition``."""
+        """Every single-key mutation of a full run config, syngen spec and
+        format spec is accepted or refused as jsonschema decides on its
+        schema node, except:
+
+        - integral floats such as 3.0 for an integer key: jsonschema takes
+          them, this validator refuses them;
+        - the rules a schema cannot state: a raw dataset needs a format
+          spec, whose regexes need group 1; a fixed partition needs a
+          positive size; a syngen ``mean_length`` has a floor."""
         jsonschema = pytest.importorskip("jsonschema")
         monkeypatch.delenv("LOGLENS_SEED", raising=False)
-        reference = jsonschema.Draft202012Validator(run_config_schema())
-        assert reference.is_valid(FULL_CONFIG)
-        drop = object()
-        disagree, integral_floats, cross_field = [], [], []
-        for path in key_paths(FULL_CONFIG):
-            doc = FULL_CONFIG
-            for part in path:
-                doc = doc[part]
-            wrong_type = float(doc) if type(doc) is int else (
-                1 if isinstance(doc, str) else "1")
-            integral = type(doc) is int
-            if integral:
-                integral_floats.append((path, wrong_type))
-            for value in (drop, None, wrong_type, -1, 0, 2.5, True, [], {},
-                          "not-an-enum-value"):
-                doc = copy.deepcopy(FULL_CONFIG)
-                node = doc
-                for part in path[:-1]:
-                    node = node[part]
-                if value is drop:
-                    del node[path[-1]]
-                else:
-                    node[path[-1]] = value
-                try:
-                    validate_run_config(doc)
-                    ours = True
-                except SchemaError as err:
-                    ours, pointer = False, err.pointer
-                if ours != reference.is_valid(doc):
-                    assert not ours, (path, value)
-                    if pointer in ("/dataset/format_spec", "/dataset/partition") \
-                            and not (integral and value is wrong_type):
-                        cross_field.append((pointer, path))
-                    else:
-                        disagree.append((path, value))
-        assert len(integral_floats) >= 15
-        assert disagree == integral_floats
-        assert {(pointer, path[:2]) for pointer, path in cross_field} == {
-            ("/dataset/format_spec", ("dataset", "format_spec")),
-            ("/dataset/partition", ("dataset", "partition"))}
-        assert sum(pointer == "/dataset/format_spec" for pointer, _ in cross_field) >= 30
+        schema = run_config_schema()
+        cases = {
+            None: (FULL_CONFIG, validate_run_config, {
+                (("dataset", "format_spec"), DROP, "/dataset/format_spec/timestamp_regex"),
+                (("dataset", "format_spec", "timestamp_regex"), "not-an-enum-value",
+                 "/dataset/format_spec/timestamp_regex"),
+                (("dataset", "format_spec", "identifier_regex"), "not-an-enum-value",
+                 "/dataset/format_spec/identifier_regex"),
+                *((("dataset", "partition", "partition_size"), value, "/dataset/partition")
+                  for value in (DROP, -1, 0))}),
+            "generator": (FULL_GENERATOR, GeneratorSpec.from_json, {
+                (("mean_length",), -1, "/mean_length"),
+                (("mean_length",), 0, "/mean_length")}),
+            "format_spec": (FORMAT_SPEC, FormatSpec.from_json, {
+                (("timestamp_regex",), "not-an-enum-value", "/timestamp_regex"),
+                (("identifier_regex",), "not-an-enum-value", "/identifier_regex")}),
+        }
+        for name, (full, ours, rules) in cases.items():
+            node = schema if name is None else {"$defs": schema["$defs"],
+                                                "$ref": f"#/$defs/{name}"}
+            reference = jsonschema.Draft202012Validator(node)
+            assert reference.is_valid(full)
+            if name is not None:    # every key is set
+                assert set(full) == set(schema["$defs"][name]["properties"])
+            def integral(value):
+                return type(value) is float and value.is_integer()
+
+            integral_floats = [(path, value) for path, value, _
+                               in single_key_mutations(full) if integral(value)]
+            found = disagreements(full, ours, reference)
+            assert [(path, value) for path, value, _ in found
+                    if integral(value)] == integral_floats, name
+            assert {case for case in found if not integral(case[1])} == rules, name
+            if name is None:
+                assert len(integral_floats) >= 15
+
+
+# for each spec: its valid arguments, then one field's value that its JSON
+# form refuses: a wrong type, a value out of range, or NaN
+SPEC_REFUSALS = [
+    (DetectorConfig, {"family": "lstm_forecast"},
+     [("hidden", 0), ("epochs", -1), ("lr", float("nan")),
+      ("threshold_quantile", 1.5), ("semantics", "yes"), ("window_size", 0),
+      ("k", "3"), ("family", "rnn")]),
+    (PartitionSpec, {"mode": "fixed", "partition_size": 60},
+     [("partition_size", "60"), ("partition_size", 60.5),
+      ("stride", float("nan")), ("mode", "bogus")]),
+    (WindowSpec, {"window_size": 2, "step_size": 1},
+     [("window_size", 2.5), ("window_size", 0), ("step_size", float("nan"))]),
+    (NoiseSpec, {"ratio": 0.1, "synonym_table": {"a": "b"}},
+     [("ratio", float("nan")), ("ratio", -0.1), ("ratio", "0.1"),
+      ("strategies", ()), ("strategies", ("bogus",)), ("seed", 1.5)]),
+    (GeneratorSpec, {},
+     [("n_sequences", 0), ("anomaly_rate", float("nan")), ("anomaly_rate", 1.0),
+      ("mean_length", "20"), ("n_templates", True), ("n_templates", 5000)]),
+    (FormatSpec, dict(FORMAT_SPEC),
+     [("content_group", "2"), ("content_group", 0), ("content_group", float("nan")),
+      ("timestamp_regex", 1), ("identifier_regex", 5)]),
+]
+
+
+class TestSpecsCheckThemselves:
+    @pytest.mark.parametrize("spec, valid, key, value", [
+        (spec, valid, key, value) for spec, valid, refused in SPEC_REFUSALS
+        for key, value in refused])
+    def test_spec_built_in_python_refuses_what_its_json_form_refuses(
+            self, spec, valid, key, value):
+        """Refused with a pointer to the field, never accepted and never a
+        bare ``TypeError``, whether built from Python or from JSON."""
+        spec(**valid)
+        for build in (spec, spec.from_json):
+            with pytest.raises((ConfigurationError, FormatError)) as raised:
+                build(**{**valid, key: value}) if build is spec else \
+                    build({**valid, key: value})
+            assert f"{raised.value.pointer}/".startswith(f"/{key}/")
+
+    def test_every_spec_is_covered(self):
+        assert {spec for spec, _, _ in SPEC_REFUSALS} == set(SPECS.values())
 
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "golden-report.csv"

@@ -541,6 +541,8 @@ class TestPersistence:
             (DetectorConfig("cnn", max_len=8), {"max_len": 3}),
             (DetectorConfig("lstm_forecast", k=4), {"k": 0}),
             (DetectorConfig("transformer_forecast", hidden=8, heads=2), {"heads": 3}),
+            (DetectorConfig("lstm_forecast", k=4), {"hidden": 0}),
+            (DetectorConfig("lstm_forecast", k=4), {"k": "3"}),
         ]:
             det = build_detector(config)
             with pytest.raises(ConfigurationError):
