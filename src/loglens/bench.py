@@ -29,8 +29,6 @@ from .rng import Rng, derive_seed
 from .schema import Spec, check_schema
 from .sequencing import EventSequence
 
-EXPERIMENTS = ("accuracy", "contamination_sweep", "noise_sweep", "efficiency")
-
 DEFAULT_CONTAMINATION_RATIOS = (0.01, 0.03, 0.05, 0.10)
 DEFAULT_NOISE_RATIOS = (0.05, 0.10, 0.15, 0.20)
 

@@ -53,7 +53,10 @@ def _env_seed() -> int | None:
 def validate_run_config(doc: dict) -> dict:
     """Check a run config against the schema and return a copy with every
     default filled in, the detectors' and window's from ``DetectorConfig`` and
-    the partition's from ``PartitionSpec``; every error points into it."""
+    the partition's from ``PartitionSpec``; every error points into it. The
+    document is checked whole, as the published schema reads it, and each
+    spec made from it checks its own fields again: a few dozen comparisons,
+    once per config."""
     resolved = copy.deepcopy(doc)
     check_schema(resolved, run_config_schema())
     env_seed = _env_seed()
@@ -101,7 +104,11 @@ def _read_checked(check, path):
 
 def cmd_parse(args) -> int:
     spec = _read_checked(FormatSpec.from_json, args.format)
-    log, rejects = read_raw(args.input, spec, args.similarity_threshold)
+    try:
+        log, rejects = read_raw(args.input, spec, args.similarity_threshold)
+    except SchemaError as err:  # the threshold, checked before the input is read
+        raise ConfigurationError(f"--similarity-threshold {args.similarity_threshold}: "
+                                 f"similarity_threshold {err.message}") from None
     write_parsed(log, args.out)
     rejects_path = f"{args.input}.rejects"
     write_rejects(rejects, rejects_path)
@@ -111,8 +118,12 @@ def cmd_parse(args) -> int:
 
 
 def cmd_partition(args) -> int:
+    try:
+        spec = PartitionSpec(args.mode, args.size, args.stride)
+    except SchemaError as err:  # --size and --stride are typed: only --mode is left
+        raise ConfigurationError(f"--mode {args.mode}: {err.message}") from None
     log, vocab = read_parsed(args.input)
-    sequences = partition(log, PartitionSpec(args.mode, args.size, args.stride))
+    sequences = partition(log, spec)
     del log  # freed before the sequences are written
     write_sequences(sequences, vocab, args.out)
     print(f"wrote {len(sequences)} sequences to {args.out}")
@@ -217,10 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="group a parsed CSV into sequences")
     p.add_argument("--input", required=True)
-    p.add_argument("--mode", choices=["fixed", "sliding", "identifier"],
-                   default="identifier")
-    p.add_argument("--size", type=int, default=0)
-    p.add_argument("--stride", type=int, default=0)
+    p.add_argument("--mode", default=PartitionSpec.mode)
+    p.add_argument("--size", type=int, default=PartitionSpec.partition_size)
+    p.add_argument("--stride", type=int, default=PartitionSpec.stride)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_partition)
 

@@ -109,6 +109,11 @@ class Spec:
 
     @classmethod
     def from_json(cls, doc):
-        """The spec a JSON object of the definition's keys describes."""
-        check_schema(doc, {"$ref": f"#/$defs/{cls.definition}"})
+        """The spec a JSON object of the definition's keys describes. Only what
+        would stop ``cls(**doc)`` is checked here; the values are checked once,
+        when the spec is made."""
+        node = run_config_schema()["$defs"][cls.definition]
+        check_schema(doc, {"type": "object", "additionalProperties": False,
+                           "required": node.get("required", []),
+                           "properties": dict.fromkeys(node["properties"], {})})
         return cls(**doc)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from loglens.bench import EXPERIMENTS, NOISE_STRATEGIES, BenchReport, NoiseSpec
+from loglens.bench import NOISE_STRATEGIES, BenchReport, NoiseSpec
 from loglens.cli import main, run_config_schema, validate_run_config, SchemaError
 from loglens.detectors import FAMILIES, DetectorConfig
 from loglens.exceptions import ConfigurationError, FormatError
@@ -99,6 +99,9 @@ class TestParseCommand:
                      "--out", str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert "similarity_threshold" in err and "Traceback" not in err
+        # the flag the user wrote, not a run-config key
+        assert "error: --similarity-threshold 0.0: similarity_threshold must be > 0" in err
+        assert "/dataset" not in err
 
     def test_missing_file_exits_two(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -213,6 +216,16 @@ class TestSyngenPartition:
         sequences, vocab = read_sequences(out)
         assert len(sequences) == 20
         assert vocab == read_parsed(csv_path)[1]
+
+    def test_unknown_partition_mode_exits_two_before_the_input_is_opened(
+            self, tmp_path, capsys):
+        out = tmp_path / "seqs.jsonl"
+        code = main(["partition", "--input", str(tmp_path / "absent.csv"),
+                     "--mode", "hourly", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and "Traceback" not in err
+        assert "error: --mode hourly: must be one of fixed, sliding, identifier" in err
+        assert "absent.csv" not in err and not out.exists()
 
     @pytest.mark.parametrize("bad_row, message", [
         ("2,101,a", "3 fields"),
@@ -947,7 +960,6 @@ class TestSchemaMatchesCode:
         schema = run_config_schema()
         item = schema["$defs"]["detector"]["properties"]
         assert tuple(item["family"]["enum"]) == FAMILIES
-        assert tuple(schema["properties"]["experiment"]["enum"]) == EXPERIMENTS
         strategies = schema["$defs"]["noise"]["properties"]["strategies"]["items"]
         assert tuple(strategies["enum"]) == NOISE_STRATEGIES
         assert set(item) == {f.name for f in fields(DetectorConfig)}
