@@ -1,11 +1,13 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A ``Tensor`` wraps a float64 ndarray plus an optional gradient buffer. Every
-operation records a backward closure; ``Tensor.backward()`` walks the graph in
-reverse topological order and accumulates gradients into the leaves that were
-created with ``requires_grad=True``. The walk frees the graph as it goes: once
-a node's backward has run, its gradient, edges and closure are dropped, so a
-training step holds only what a backward still to run reads.
+A ``Tensor`` wraps a float64 ndarray plus an optional gradient buffer. An
+operation is written in three steps: compute the value, define its
+``backward(g)`` closure, and ``return _make(value, parents, backward)``;
+``_make`` alone records the graph edge. ``Tensor.backward()`` walks the graph
+in reverse topological order and accumulates gradients into the leaves that
+were created with ``requires_grad=True``. The walk frees the graph as it
+goes: once a node's backward has run, its gradient, edges and closure are
+dropped, so a training step holds only what a backward still to run reads.
 
 The operation set is deliberately small: exactly what the detector families
 need (dense algebra, activations, a fused LSTM layer, softmax/cross-entropy/mse
@@ -116,37 +118,22 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        src_shape = self.data.shape
-        out = _make(self.data.reshape(shape), (self,))
-        if out.requires_grad:
-            def backward(g, t=self, s=src_shape):
-                _accumulate(t, g.reshape(s))
-            out._backward = backward
-        return out
+        def backward(g):
+            _accumulate(self, g.reshape(self.data.shape))
+        return _make(self.data.reshape(shape), (self,), backward)
 
     def transpose(self, axes) -> "Tensor":
         axes = tuple(axes)
-        inverse = tuple(np.argsort(axes))
-        out = _make(self.data.transpose(axes), (self,))
-        if out.requires_grad:
-            def backward(g, t=self, inv=inverse):
-                _accumulate(t, g.transpose(inv))
-            out._backward = backward
-        return out
+        def backward(g):
+            _accumulate(self, g.transpose(tuple(np.argsort(axes))))
+        return _make(self.data.transpose(axes), (self,), backward)
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        src_shape = self.data.shape
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-        if out.requires_grad:
-            def backward(g, t=self, ax=axis, kd=keepdims, s=src_shape):
-                if ax is None:
-                    _accumulate(t, np.broadcast_to(g, s))
-                else:
-                    if not kd:
-                        g = np.expand_dims(g, ax)
-                    _accumulate(t, np.broadcast_to(g, s))
-            out._backward = backward
-        return out
+        def backward(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            _accumulate(self, np.broadcast_to(g, self.data.shape))
+        return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), backward)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -194,8 +181,8 @@ _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 @contextlib.contextmanager
 def no_grad():
-    """Build no graph inside the block: results record no parents, so ops
-    bind no backward closure and hold no reference to their inputs. The
+    """Build no graph inside the block: results record no parents and keep
+    no backward closure, so they hold no reference to their inputs. The
     switch applies to the calling thread only."""
     token = _grad_enabled.set(False)
     try:
@@ -209,7 +196,14 @@ def grad_enabled() -> bool:
     return _grad_enabled.get()
 
 
-def _make(data: np.ndarray, parents: tuple) -> Tensor:
+def _make(data: np.ndarray, parents: tuple, backward) -> Tensor:
+    """An op's result, and the one place a graph edge is recorded. An op
+    computes its value, defines ``backward(g)`` to add each operand's share
+    of the gradient ``g`` into it (``_accumulate``; an operand that requires
+    none may be skipped), then returns ``_make(value, parents, backward)``.
+    The result keeps the parents that require a gradient, and ``backward``,
+    only when the graph is on and one of them does; otherwise the closure is
+    dropped when the op returns."""
     out = Tensor(data)
     if not _grad_enabled.get():
         return out
@@ -217,6 +211,7 @@ def _make(data: np.ndarray, parents: tuple) -> Tensor:
     if grad_parents:
         out.requires_grad = True
         out._parents = grad_parents
+        out._backward = backward
     return out
 
 
@@ -276,13 +271,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise _incompatible("add", a, b) from None
-    out = _make(data, (a, b))
-    if out.requires_grad:
-        def backward(g, a=a, b=b):
-            _accumulate(a, g)
-            _accumulate(b, g)
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(a, g)
+        _accumulate(b, g)
+    return _make(data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -291,15 +283,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise _incompatible("mul", a, b) from None
-    out = _make(data, (a, b))
-    if out.requires_grad:
-        def backward(g, a=a, b=b):
-            if a.requires_grad:
-                _accumulate(a, g * b.data)
-            if b.requires_grad:
-                _accumulate(b, g * a.data)
-        out._backward = backward
-    return out
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
+    return _make(data, (a, b), backward)
 
 
 def mul_sum(a: Tensor, b: Tensor, axis: int) -> Tensor:
@@ -313,49 +302,40 @@ def mul_sum(a: Tensor, b: Tensor, axis: int) -> Tensor:
     except ValueError:
         raise _incompatible("mul_sum", a, b) from None
     shape = product.shape
-    out = _make(product.sum(axis=axis), (a, b))
-    if out.requires_grad:
-        def backward(g, a=a, b=b):
-            g = np.broadcast_to(np.expand_dims(g, axis), shape)
-            if a.requires_grad:
-                _accumulate(a, g * b.data)
-            if b.requires_grad:
-                _accumulate(b, g * a.data)
-        out._backward = backward
-    return out
+    def backward(g):
+        g = np.broadcast_to(np.expand_dims(g, axis), shape)
+        if a.requires_grad:
+            _accumulate(a, g * b.data)
+        if b.requires_grad:
+            _accumulate(b, g * a.data)
+    return _make(product.sum(axis=axis), (a, b), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: shapes {a.shape} and {b.shape} do not agree")
-    out = _make(np.matmul(a.data, b.data), (a, b))
-    if out.requires_grad:
-        def backward(g, a=a, b=b):
-            if a.requires_grad:
-                _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
-            if not b.requires_grad:
-                return
-            if a.ndim > 2 and b.ndim == 2:
-                # one GEMM over the flattened leading rows, not a stack of
-                # per-matrix products summed away by _unbroadcast
-                k, n = b.shape
-                _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
-            else:
-                _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
-        out._backward = backward
-    return out
+    def backward(g):
+        if a.requires_grad:
+            _accumulate(a, np.matmul(g, b.data.swapaxes(-1, -2)))
+        if not b.requires_grad:
+            return
+        if a.ndim > 2 and b.ndim == 2:
+            # one GEMM over the flattened leading rows, not a stack of
+            # per-matrix products summed away by _unbroadcast
+            k, n = b.shape
+            _accumulate(b, a.data.reshape(-1, k).T @ g.reshape(-1, n))
+        else:
+            _accumulate(b, np.matmul(a.data.swapaxes(-1, -2), g))
+    return _make(np.matmul(a.data, b.data), (a, b), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
     x = as_tensor(x)
     y = np.tanh(x.data)
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def backward(g, x=x, y=y):
-            _accumulate(x, g * (1.0 - y * y))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(x, g * (1.0 - y * y))
+    return _make(y, (x,), backward)
 
 
 def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -373,12 +353,9 @@ def _sigmoid(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def sigmoid(x: Tensor) -> Tensor:
     x = as_tensor(x)
     y = _sigmoid(x.data)
-    out = _make(y, (x,))
-    if out.requires_grad:
-        def backward(g, x=x, y=y):
-            _accumulate(x, g * y * (1.0 - y))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(x, g * y * (1.0 - y))
+    return _make(y, (x,), backward)
 
 
 def _lstm_step(x, h, c, wx, wh, b, a, h_out, c_out, tc_out):
@@ -439,53 +416,50 @@ def lstm_sequence(xs: Tensor, h0: Tensor, c0: Tensor, wx: Tensor, wh: Tensor,
     for t in order:
         h, c = _lstm_step(xd[t], h, c, wx.data, wh.data, b.data, acts[t],
                           packed[t, :, :u], packed[t, :, u:], tc)
-    out = _make(packed, (xs, h0, c0, wx, wh, b))
-    if out.requires_grad:
-        def backward(grad):
-            dg = np.empty((batch, 4 * units))
-            dxs = np.empty(xs.shape) if xs.requires_grad else None
-            carry_h = carry_c = None
-            for t in reversed(order):
-                first = t == order[0]
-                if first:
-                    h_prev, c_prev = h0.data, c0.data
-                else:
-                    prev = packed[t + 1 if reverse else t - 1]
-                    h_prev, c_prev = prev[:, :u], prev[:, u:]
-                # the same ufunc on the same c_t as the forward: the same bits
-                a, tc = acts[t], np.tanh(packed[t, :, u:])
-                i, f, o, g = a[:, :u], a[:, u:2 * u], a[:, 2 * u:u3], a[:, u3:]
-                gh, gc = grad[t, :, :u], grad[t, :, u:]
-                if carry_h is not None:
-                    gh, gc = gh + carry_h, gc + carry_c
-                gc = gc + gh * o * (1.0 - tc * tc)
-                np.multiply(gc, g, out=dg[:, :u])
-                np.multiply(gc, c_prev, out=dg[:, u:2 * u])
-                np.multiply(gh, tc, out=dg[:, 2 * u:u3])
-                dg[:, :u3] *= a[:, :u3]
-                dg[:, :u3] *= 1.0 - a[:, :u3]
-                np.multiply(gc, i, out=dg[:, u3:])
-                dg[:, u3:] *= 1.0 - g * g
-                if dxs is not None:
-                    np.matmul(dg, wx.data.T, out=dxs[t])
-                if wx.requires_grad:
-                    _accumulate(wx, np.matmul(xd[t].T, dg))
-                if not first:
-                    carry_h = np.matmul(dg, wh.data.T)
-                elif h0.requires_grad:
-                    _accumulate(h0, np.matmul(dg, wh.data.T))
-                if wh.requires_grad:
-                    _accumulate(wh, np.matmul(h_prev.T, dg))
-                if b.requires_grad:
-                    _accumulate(b, dg)
-                if not first:
-                    carry_c = gc * f
-                elif c0.requires_grad:
-                    _accumulate(c0, gc * f)
+    def backward(grad):
+        dg = np.empty((batch, 4 * units))
+        dxs = np.empty(xs.shape) if xs.requires_grad else None
+        carry_h = carry_c = None
+        for t in reversed(order):
+            first = t == order[0]
+            if first:
+                h_prev, c_prev = h0.data, c0.data
+            else:
+                prev = packed[t + 1 if reverse else t - 1]
+                h_prev, c_prev = prev[:, :u], prev[:, u:]
+            # the same ufunc on the same c_t as the forward: the same bits
+            a, tc = acts[t], np.tanh(packed[t, :, u:])
+            i, f, o, g = a[:, :u], a[:, u:2 * u], a[:, 2 * u:u3], a[:, u3:]
+            gh, gc = grad[t, :, :u], grad[t, :, u:]
+            if carry_h is not None:
+                gh, gc = gh + carry_h, gc + carry_c
+            gc = gc + gh * o * (1.0 - tc * tc)
+            np.multiply(gc, g, out=dg[:, :u])
+            np.multiply(gc, c_prev, out=dg[:, u:2 * u])
+            np.multiply(gh, tc, out=dg[:, 2 * u:u3])
+            dg[:, :u3] *= a[:, :u3]
+            dg[:, :u3] *= 1.0 - a[:, :u3]
+            np.multiply(gc, i, out=dg[:, u3:])
+            dg[:, u3:] *= 1.0 - g * g
             if dxs is not None:
-                _accumulate(xs, dxs)
-        out._backward = backward
-    return out
+                np.matmul(dg, wx.data.T, out=dxs[t])
+            if wx.requires_grad:
+                _accumulate(wx, np.matmul(xd[t].T, dg))
+            if not first:
+                carry_h = np.matmul(dg, wh.data.T)
+            elif h0.requires_grad:
+                _accumulate(h0, np.matmul(dg, wh.data.T))
+            if wh.requires_grad:
+                _accumulate(wh, np.matmul(h_prev.T, dg))
+            if b.requires_grad:
+                _accumulate(b, dg)
+            if not first:
+                carry_c = gc * f
+            elif c0.requires_grad:
+                _accumulate(c0, gc * f)
+        if dxs is not None:
+            _accumulate(xs, dxs)
+    return _make(packed, (xs, h0, c0, wx, wh, b), backward)
 
 
 class PrefixTree:
@@ -565,12 +539,9 @@ def lstm_tree(xs, tree: PrefixTree, wx: Tensor, wh: Tensor, b: Tensor) -> list:
 
 def relu(x: Tensor) -> Tensor:
     x = as_tensor(x)
-    out = _make(np.maximum(x.data, 0.0), (x,))
-    if out.requires_grad:
-        def backward(g, x=x):
-            _accumulate(x, g * (x.data > 0.0))
-        out._backward = backward
-    return out
+    def backward(g):
+        _accumulate(x, g * (x.data > 0.0))
+    return _make(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -579,13 +550,10 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = _make(s, (x,))
-    if out.requires_grad:
-        def backward(g, x=x, s=s, axis=axis):
-            inner = (g * s).sum(axis=axis, keepdims=True)
-            _accumulate(x, s * (g - inner))
-        out._backward = backward
-    return out
+    def backward(g):
+        inner = (g * s).sum(axis=axis, keepdims=True)
+        _accumulate(x, s * (g - inner))
+    return _make(s, (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -611,15 +579,12 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
     m = d.max(axis=1, keepdims=True)
     lse = m[:, 0] + np.log(np.exp(d - m).sum(axis=1))
     losses = lse - d[np.arange(n), t]
-    out = _make(np.asarray(losses.mean()), (logits,))
-    if out.requires_grad:
-        def backward(g, logits=logits, t=t, d=d, m=m, n=n):
-            e = np.exp(d - m)
-            p = e / e.sum(axis=1, keepdims=True)
-            p[np.arange(n), t] -= 1.0
-            _accumulate(logits, g * p / n)
-        out._backward = backward
-    return out
+    def backward(g):
+        e = np.exp(d - m)
+        p = e / e.sum(axis=1, keepdims=True)
+        p[np.arange(n), t] -= 1.0
+        _accumulate(logits, g * p / n)
+    return _make(np.asarray(losses.mean()), (logits,), backward)
 
 
 def mse(x: Tensor, y: Tensor) -> Tensor:
@@ -628,16 +593,13 @@ def mse(x: Tensor, y: Tensor) -> Tensor:
     if x.shape != y.shape:
         raise DimensionError(f"mse: shapes {x.shape} and {y.shape} differ")
     diff = x.data - y.data
-    out = _make(np.asarray((diff * diff).mean()), (x, y))
-    if out.requires_grad:
-        def backward(g, x=x, y=y, diff=diff):
-            scale = 2.0 / diff.size
-            if x.requires_grad:
-                _accumulate(x, g * scale * diff)
-            if y.requires_grad:
-                _accumulate(y, -g * scale * diff)
-        out._backward = backward
-    return out
+    def backward(g):
+        scale = 2.0 / diff.size
+        if x.requires_grad:
+            _accumulate(x, g * scale * diff)
+        if y.requires_grad:
+            _accumulate(y, -g * scale * diff)
+    return _make(np.asarray((diff * diff).mean()), (x, y), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -655,30 +617,24 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     v = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise IndexError(f"embedding id out of range [0, {v})")
-    out = _make(table.data[idx], (table,))
-    if out.requires_grad:
-        def backward(g, table=table, idx=idx):
-            full = np.zeros_like(table.data)
-            np.add.at(full, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
-            _accumulate(table, full)
-        out._backward = backward
-    return out
+    def backward(g):
+        full = np.zeros_like(table.data)
+        np.add.at(full, idx.reshape(-1), g.reshape(-1, table.data.shape[1]))
+        _accumulate(table, full)
+    return _make(table.data[idx], (table,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = _make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.data.shape[axis] for t in tensors]
-        def backward(g, tensors=tensors, sizes=sizes, axis=axis):
-            start = 0
-            for t, size in zip(tensors, sizes):
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, start + size)
-                _accumulate(t, g[tuple(sl)])
-                start += size
-        out._backward = backward
-    return out
+    def backward(g):
+        start = 0
+        for t in tensors:
+            size = t.data.shape[axis]
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(start, start + size)
+            _accumulate(t, g[tuple(sl)])
+            start += size
+    return _make(np.concatenate([t.data for t in tensors], axis), tuple(tensors), backward)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -686,14 +642,12 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     x = as_tensor(x)
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(start, start + length)
-    out = _make(x.data[tuple(sl)], (x,))
-    if out.requires_grad:
-        def backward(g, x=x, sl=tuple(sl)):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.data)
-            x.grad[sl] += g
-        out._backward = backward
-    return out
+    sl = tuple(sl)
+    def backward(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        x.grad[sl] += g
+    return _make(x.data[sl], (x,), backward)
 
 
 def unfold_windows(x: Tensor, height: int) -> Tensor:
@@ -708,28 +662,21 @@ def unfold_windows(x: Tensor, height: int) -> Tensor:
         raise DimensionError(f"unfold: window height {height} exceeds length {length}")
     n = length - height + 1
     patches = np.stack([x.data[:, i:i + height, :] for i in range(n)], axis=1)
-    out = _make(patches.reshape(b, n, height * d), (x,))
-    if out.requires_grad:
-        def backward(g, x=x, b=b, n=n, height=height, d=d):
-            g = g.reshape(b, n, height, d)
-            full = np.zeros_like(x.data)
-            for i in range(n):
-                full[:, i:i + height, :] += g[:, i]
-            _accumulate(x, full)
-        out._backward = backward
-    return out
+    def backward(g):
+        g = g.reshape(b, n, height, d)
+        full = np.zeros_like(x.data)
+        for i in range(n):
+            full[:, i:i + height, :] += g[:, i]
+        _accumulate(x, full)
+    return _make(patches.reshape(b, n, height * d), (x,), backward)
 
 
 def max_along(x: Tensor, axis: int) -> Tensor:
     """Max-reduce along ``axis``; the gradient flows to the first argmax."""
     x = as_tensor(x)
-    idx = np.argmax(x.data, axis=axis)
-    out = _make(np.take_along_axis(x.data, np.expand_dims(idx, axis), axis=axis).squeeze(axis), (x,))
-    if out.requires_grad:
-        def backward(g, x=x, idx=idx, axis=axis):
-            full = np.zeros_like(x.data)
-            np.put_along_axis(full, np.expand_dims(idx, axis),
-                              np.expand_dims(g, axis), axis=axis)
-            _accumulate(x, full)
-        out._backward = backward
-    return out
+    idx = np.expand_dims(np.argmax(x.data, axis=axis), axis)
+    def backward(g):
+        full = np.zeros_like(x.data)
+        np.put_along_axis(full, idx, np.expand_dims(g, axis), axis=axis)
+        _accumulate(x, full)
+    return _make(np.take_along_axis(x.data, idx, axis=axis).squeeze(axis), (x,), backward)
