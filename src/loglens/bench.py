@@ -26,7 +26,7 @@ from .detectors import (
 from .exceptions import ConfigurationError, DimensionError, FormatError
 from .ingest import EventVocabulary, LABEL_ANOMALY, open_utf8, read_json
 from .rng import Rng, derive_seed
-from .schema import Spec, check_schema
+from .schema import Spec, check_schema, schema_default
 from .sequencing import EventSequence
 
 DEFAULT_CONTAMINATION_RATIOS = (0.01, 0.03, 0.05, 0.10)
@@ -45,7 +45,8 @@ def _round_half_up(x: float) -> int:
 # data preparation
 
 
-def split(sequences: list[EventSequence], train_fraction: float = 0.8,
+def split(sequences: list[EventSequence],
+          train_fraction: float = schema_default("#/properties/train_fraction"),
           seed: int = 0) -> tuple[list[EventSequence], list[EventSequence]]:
     """Shuffle at sequence level (event order inside each sequence is
     untouched) and split; |train| = round(train_fraction * N)."""
@@ -425,8 +426,9 @@ def _run_detector(config: DetectorConfig, experiment: str, train, test, vocab,
 
 def run_experiment(sequences: list[EventSequence], vocab: EventVocabulary,
                    detector_configs: list[DetectorConfig], experiment: str,
-                   repeats: int = 1, seed: int = 0, *,
-                   train_fraction: float = 0.8,
+                   repeats: int = schema_default("#/properties/repeats"),
+                   seed: int = schema_default("#/properties/seed"), *,
+                   train_fraction: float = schema_default("#/properties/train_fraction"),
                    contamination_ratios=None,
                    noise_ratios=None,
                    noise_strategies=NOISE_STRATEGIES,

@@ -24,6 +24,7 @@ from .bench import NOISE_STRATEGIES, BenchReport, fit_set, read_synonyms, run_ex
 from .detectors import DetectorConfig, build_detector, load_detector, save_detector
 from .exceptions import ConfigurationError, FormatError, LoglensError
 from .ingest import (
+    SIMILARITY_THRESHOLD,
     EventVocabulary,
     FormatSpec,
     read_json,
@@ -32,7 +33,7 @@ from .ingest import (
     write_parsed,
     write_rejects,
 )
-from .schema import SchemaError, check_schema, pointed, run_config_schema
+from .schema import SchemaError, check_schema, pointed, run_config_schema, schema_default
 from .sequencing import PartitionSpec, partition, read_sequences, write_sequences
 from .syngen import GeneratorSpec, stream
 
@@ -222,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("parse", help="parse a raw log file into templated CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--format", required=True, help="JSON format spec path")
-    p.add_argument("--similarity-threshold", type=float, default=0.5)
+    p.add_argument("--similarity-threshold", type=float,
+                   default=schema_default(SIMILARITY_THRESHOLD))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_parse)
 

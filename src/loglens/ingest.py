@@ -28,9 +28,11 @@ from operator import itemgetter
 import numpy as np
 
 from .exceptions import ConfigurationError, FormatError
-from .schema import SchemaError, Spec, check_schema
+from .schema import SchemaError, Spec, check_schema, schema_default
 
 PLACEHOLDER = "<*>"
+# the schema node of the template parser's threshold: its bounds and default
+SIMILARITY_THRESHOLD = "#/properties/dataset/properties/similarity_threshold"
 
 PARSED_COLUMNS = ["LineId", "Timestamp", "Identifier", "EventTemplate", "Label"]
 
@@ -113,15 +115,31 @@ def open_utf8(path):
         raise FormatError(f"{path}: {err}") from None
 
 
+class _NotJson(str):
+    """A ``NaN``, ``Infinity`` or ``-Infinity``: ``json`` reads them, but JSON
+    has no such number."""
+
+
 def read_json(path):
     """The document in the JSON file ``path``, the one reader of every JSON
-    input. A file that is not UTF-8 or does not parse is a ``FormatError``
-    naming it."""
+    input. A file that is not UTF-8 or does not parse, or that holds a
+    ``_NotJson`` constant, is a ``FormatError`` naming it (and the
+    constant's JSON pointer)."""
+    constants = []
     with open_utf8(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh, parse_constant=lambda c: constants.append(c) or _NotJson(c))
         except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
             raise FormatError(f"{path}: {err}") from None
+    nodes = [("", doc)] if constants else []
+    while nodes:  # depth first, in document order
+        pointer, node = nodes.pop()
+        if isinstance(node, _NotJson):
+            raise FormatError(f"{path}: {pointer or '/'}: {node} is not a JSON number")
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        nodes += reversed([(f"{pointer}/{key}", value) for key, value in items])
+    return doc
 
 
 def write_vocab(vocab: EventVocabulary, path) -> None:
@@ -236,7 +254,8 @@ class FormatSpec(Spec):
                                   f"groups of timestamp_regex; got {self.content_group}")
 
 
-def read_raw(path, spec: FormatSpec, similarity_threshold: float = 0.5
+def read_raw(path, spec: FormatSpec,
+             similarity_threshold: float = schema_default(SIMILARITY_THRESHOLD)
              ) -> tuple[ParsedLog, list[tuple[int, str]]]:
     """Read a raw log file as a ``ParsedLog`` of ``parse_templates``' ids, which
     parses each message as its line is read; unmatched lines become rejects.
@@ -445,7 +464,8 @@ def mask_parameters(content: str) -> str:
     return _PARAMETER.sub(PLACEHOLDER, content)
 
 
-def parse_templates(contents, similarity_threshold: float = 0.5
+def parse_templates(contents,
+                    similarity_threshold: float = schema_default(SIMILARITY_THRESHOLD)
                     ) -> tuple[EventVocabulary, np.ndarray]:
     """Cluster the messages ``contents`` into templates, read once in order:
     the vocabulary and each message's template id, an int64 array. A
@@ -465,8 +485,7 @@ def parse_templates(contents, similarity_threshold: float = 0.5
     until a template is created or changed: a hit gets the same template,
     whose merge would change nothing.
     """
-    check_schema(similarity_threshold,
-                 {"$ref": "#/properties/dataset/properties/similarity_threshold"},
+    check_schema(similarity_threshold, {"$ref": SIMILARITY_THRESHOLD},
                  "/dataset/similarity_threshold")
     template_tokens: list[tuple[str, ...]] = []
     postings: dict[int, dict[tuple[int, str], set[int]]] = {}

@@ -50,6 +50,20 @@ def run_config_schema() -> dict:
                       .read_text(encoding="utf-8"))
 
 
+def _resolve(ref: str) -> dict:
+    """The node of ``run_config_schema()`` a local ``$ref`` names."""
+    node = run_config_schema()
+    for part in ref.removeprefix("#/").split("/"):
+        node = node[part]
+    return node
+
+
+def schema_default(ref: str):
+    """The ``default`` of the schema node ``ref`` names: where a Python
+    parameter reads a run-config default, which only the schema writes."""
+    return _resolve(ref)["default"]
+
+
 def check_schema(doc, schema: dict, pointer: str = "") -> None:
     """Check ``doc`` against one schema node and fill in its defaults in
     place. Covers only the keywords the schema uses; a ``$ref`` points into
@@ -57,10 +71,7 @@ def check_schema(doc, schema: dict, pointer: str = "") -> None:
     parent fills in is read. Booleans are never numbers, an integer is never
     a float such as 3.0, and a tuple is an array."""
     if "$ref" in schema:
-        node = run_config_schema()
-        for part in schema["$ref"].removeprefix("#/").split("/"):
-            node = node[part]
-        return check_schema(doc, node, pointer)
+        return check_schema(doc, _resolve(schema["$ref"]), pointer)
     kinds = schema.get("type", [])
     kinds = [kinds] if isinstance(kinds, str) else kinds
     if kinds and not any(isinstance(doc, _JSON_TYPES[kind])

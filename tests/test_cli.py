@@ -1,4 +1,5 @@
 import copy
+import inspect
 import json
 import shutil
 from dataclasses import fields
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from loglens.bench import NOISE_STRATEGIES, BenchReport, NoiseSpec
-from loglens.cli import main, run_config_schema, validate_run_config, SchemaError
+from loglens.bench import NOISE_STRATEGIES, BenchReport, NoiseSpec, run_experiment, split
+from loglens.cli import (build_parser, main, run_config_schema, validate_run_config,
+                         SchemaError)
 from loglens.detectors import FAMILIES, DetectorConfig
 from loglens.exceptions import ConfigurationError, FormatError
-from loglens.ingest import FormatSpec, read_parsed
+from loglens.ingest import FormatSpec, parse_templates, read_parsed, read_raw
 from loglens.schema import Spec
 from loglens.sequencing import PartitionSpec, WindowSpec, partition, read_sequences
 from loglens.syngen import GeneratorSpec, generate
@@ -675,6 +677,7 @@ class TestSchemaValidation:
         ("/train_fraction", "train_fraction", 0),
         ("/contamination_ratios/1", "contamination_ratios", [0.05, 1.5]),
         ("/noise/ratios/1", "noise", {"ratios": [0.1, -0.2]}),
+        ("/noise/ratios/0", "noise", {"ratios": [2.0]}),
         ("/noise/strategies", "noise", {"strategies": []}),
         ("/dataset/partition", "partition", {"mode": "sliding"}),
         ("/dataset/partition", "partition",
@@ -689,6 +692,19 @@ class TestSchemaValidation:
         assert main(["bench", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert f"{config}: {pointer}:" in err
+        assert "absent.csv" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_json_number_exits_two_naming_the_file(self, tmp_path, capsys,
+                                                       constant):
+        # json takes these, so a ratio of Infinity once reached the noise
+        # count's int() and ended in a traceback
+        config, doc = bench_config(tmp_path, tmp_path / "absent.csv")
+        doc["noise"] = {"ratios": [0.25]}
+        config.write_text(json.dumps(doc).replace("0.25", constant), encoding="utf-8")
+        assert main(["bench", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: /noise/ratios/0: {constant} is not a JSON number" in err
         assert "absent.csv" not in err and "Traceback" not in err
 
     @pytest.mark.parametrize("format_spec, key, message", [
@@ -976,6 +992,23 @@ class TestSchemaMatchesCode:
         assert [key for key, node in definition["properties"].items()
                 if "default" in node] == []
 
+    def test_python_defaults_are_the_schemas(self):
+        """A Python default for a run-config value is the schema's, read from
+        it: the parse flag's, the parser's and the bench functions'."""
+        root = run_config_schema()["properties"]
+        threshold = root["dataset"]["properties"]["similarity_threshold"]["default"]
+        parse = build_parser().parse_args(["parse", "--input", "in.log", "--format",
+                                           "format.json", "--out", "out.csv"])
+        assert parse.similarity_threshold == threshold
+        for function, name, default in [
+                (read_raw, "similarity_threshold", threshold),
+                (parse_templates, "similarity_threshold", threshold),
+                (split, "train_fraction", root["train_fraction"]["default"]),
+                (run_experiment, "train_fraction", root["train_fraction"]["default"]),
+                (run_experiment, "repeats", root["repeats"]["default"]),
+                (run_experiment, "seed", root["seed"]["default"])]:
+            assert inspect.signature(function).parameters[name].default == default
+
     def test_every_spec_is_listed(self):
         assert set(Spec.__subclasses__()) == set(SPECS.values())
         assert set(run_config_schema()["$defs"]) == set(SPECS)
@@ -1062,7 +1095,7 @@ SPEC_REFUSALS = [
     (WindowSpec, {"window_size": 2, "step_size": 1},
      [("window_size", 2.5), ("window_size", 0), ("step_size", float("nan"))]),
     (NoiseSpec, {"ratio": 0.1, "synonym_table": {"a": "b"}},
-     [("ratio", float("nan")), ("ratio", -0.1), ("ratio", "0.1"),
+     [("ratio", float("nan")), ("ratio", -0.1), ("ratio", "0.1"), ("ratio", float("inf")),
       ("strategies", ()), ("strategies", ("bogus",)), ("seed", 1.5)]),
     (GeneratorSpec, {},
      [("n_sequences", 0), ("anomaly_rate", float("nan")), ("anomaly_rate", 1.0),

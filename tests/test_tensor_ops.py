@@ -10,10 +10,12 @@ from loglens.autodiff import (
     ParamSet,
     Tensor,
     add,
+    concat,
     cross_entropy,
     embedding_lookup,
     finite_difference_check,
     lstm_params,
+    lstm_sequence,
     matmul,
     max_along,
     mse,
@@ -26,6 +28,7 @@ from loglens.autodiff import (
     sigmoid,
     softmax,
     tanh,
+    unfold_windows,
 )
 from loglens.autodiff import tensor as tensor_module
 from loglens.exceptions import DimensionError
@@ -349,14 +352,70 @@ class TestReductions:
             (x + x).backward()
 
 
+# every op that returns a Tensor: the shapes of its Tensor operands and how to
+# apply it to them. ``TestNoGrad`` takes the names from ``tensor.__all__``, so
+# an op added there without a case here fails
+OP_CASES = {
+    "add": ([(2, 3), (3,)], add),
+    "mul": ([(2, 3), (2, 3)], mul),
+    "mul_sum": ([(2, 3), (3,)], partial(mul_sum, axis=1)),
+    "matmul": ([(2, 3), (3, 4)], matmul),
+    "tanh": ([(2, 3)], tanh),
+    "sigmoid": ([(2, 3)], sigmoid),
+    "lstm_sequence": ([(3, 2, 4), (2, 5), (2, 5), (4, 20), (5, 20), (20,)],
+                      lstm_sequence),
+    "relu": ([(2, 3)], relu),
+    "softmax": ([(2, 3)], softmax),
+    "cross_entropy": ([(2, 3)], lambda x: cross_entropy(x, [0, 2])),
+    "mse": ([(2, 3), (2, 3)], mse),
+    "embedding_lookup": ([(4, 3)], lambda t: embedding_lookup(t, [[0, 3], [1, 1]])),
+    "concat": ([(2, 3), (1, 3)], lambda a, b: concat([a, b])),
+    "narrow": ([(2, 5)], lambda x: narrow(x, 1, 1, 3)),
+    "unfold_windows": ([(2, 5, 3)], lambda x: unfold_windows(x, 2)),
+    "max_along": ([(2, 3)], lambda x: max_along(x, 1)),
+    "reshape": ([(2, 3)], lambda x: x.reshape(3, 2)),
+    "transpose": ([(2, 3)], lambda x: x.transpose((1, 0))),
+    "sum": ([(2, 3)], lambda x: x.sum(axis=0)),
+}
+NOT_OPS = {"Tensor", "as_tensor", "PrefixTree", "lstm_tree", "no_grad", "grad_enabled"}
+OPS = sorted(set(tensor_module.__all__) - NOT_OPS | {"reshape", "transpose", "sum"})
+
+
 class TestNoGrad:
-    def test_records_no_graph(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        with no_grad():
-            y = sigmoid(matmul(x, x)) * 2.0
+    @pytest.mark.parametrize("case", ["no_grad", "constants", "one_trainable"])
+    @pytest.mark.parametrize("op", OPS)
+    def test_records_no_graph(self, op, case):
+        """``_make`` is the only recorder: an op's result keeps a backward
+        only when the graph is on and an operand requires a gradient, and
+        then only that operand as its parent."""
+        shapes, apply = OP_CASES[op]
+        rng = Rng(71)
+        values = [rng.uniform(-1.0, 1.0, shape) for shape in shapes]
+
+        def run(trainable):
+            operands = [Tensor(v, requires_grad=i in trainable)
+                        for i, v in enumerate(values)]
+            return operands, apply(*operands)
+
+        if case == "one_trainable":
+            for i in range(len(values)):
+                operands, y = run({i})
+                assert y.requires_grad
+                assert len(y._parents) == 1 and y._parents[0] is operands[i]
+                y._backward(np.ones_like(y.data))
+                assert [t.grad is not None for t in operands] == [
+                    t is operands[i] for t in operands]
+                assert operands[i].grad.shape == operands[i].shape
+            return
+        everything = range(len(values))
+        if case == "no_grad":
+            with no_grad():
+                _, y = run(everything)
+        else:
+            _, y = run(())
         assert not y.requires_grad
         assert y._parents == () and y._backward is None
-        assert np.array_equal(y.data, (sigmoid(matmul(x, x)) * 2.0).data)
+        assert np.array_equal(y.data, run(everything)[1].data)
 
     def test_restored_after_error(self):
         x = Tensor(np.ones(2), requires_grad=True)
