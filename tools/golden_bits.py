@@ -44,12 +44,9 @@ SPEC = GeneratorSpec(n_templates=20, n_sequences=400, anomaly_rate=0.1,
                      mean_length=12, seed=3)
 
 
-def _sha256(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
 def _verdicts_digest(verdicts) -> str:
-    return _sha256(repr([(v.anomalous, v.score, v.position) for v in verdicts]))
+    text = repr([(v.anomalous, v.score, v.position) for v in verdicts])
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def digests() -> dict:
